@@ -18,7 +18,8 @@ import sys
 from .channels import apply_loss
 from .errors import BadSpec
 from .figures import COLUMNS, FIGURE_IDS, default_threads, run_figure
-from .measures import MI_KINDS, NG_KINDS, delta_ng, mutual_information, ng_correlation
+from .measures import (MI_KINDS, NG_KINDS, delta_ng, mutual_information,
+                       ng_correlation, reference_state)
 from .states import FAMILIES, StateSpec, make_state
 
 _RANGE_KEYS = ("gamma", "alpha", "eta", "f", "r", "x")
@@ -113,6 +114,7 @@ def measure_rows(spec, loss_eta, measure_ids):
     state = make_state(spec)
     if loss_eta is not None:
         state = apply_loss(state, loss_eta)
+    ref = None  # the Gaussian reference, or the exception its synthesis raised
     rows = []
     for mid in measure_ids:
         group, kind, alpha = _parse_measure_id(mid)
@@ -128,10 +130,19 @@ def measure_rows(spec, loss_eta, measure_ids):
         try:
             if group == "mi":
                 res = mutual_information(kind, state, alpha)
-            elif group == "delta":
+            elif group == "delta" and kind not in ("tr", "bures"):
                 res = delta_ng(kind, state, alpha)
             else:
-                res = ng_correlation(kind, state)
+                # built on first use, shared by every id that needs it
+                if ref is None:
+                    try:
+                        ref = reference_state(state)
+                    except Exception as exc:
+                        ref = exc
+                if isinstance(ref, Exception):
+                    raise ref
+                res = (delta_ng(kind, state, alpha, reference=ref) if group == "delta"
+                       else ng_correlation(kind, state, reference=ref))
             row.update(value=res.value, cutoff=res.cutoff[0],
                        tail_mass=res.tail_mass, status=res.status)
         except Exception:

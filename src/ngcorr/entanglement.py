@@ -13,19 +13,14 @@ import numpy as np
 from .errors import TruncationError
 from .fock import DEFAULT_TAIL_TOL, hermitize, partial_transpose
 
-_SY_SY = np.kron(
-    np.array([[0.0, -1.0j], [1.0j, 0.0]]), np.array([[0.0, -1.0j], [1.0j, 0.0]])
-)
-
 
 def concurrence_two_qubit(params):
-    """Concurrence of a two-qubit state from its spin-flipped spectrum."""
-    rho = params.to_matrix()
-    flipped = _SY_SY @ rho.conj() @ _SY_SY
-    w = np.linalg.eigvals(rho @ flipped)
-    roots = np.sqrt(np.clip(np.real(w), 0.0, None))
-    roots.sort()
-    return max(0.0, roots[-1] - roots[0] - roots[1] - roots[2])
+    """Concurrence 2 max(0, |v| - sqrt(bc), |u| - sqrt(ad)) of an X state;
+    exact where the spin-flipped spectrum has zero eigenvalues."""
+    a, b, c, d = (max(0.0, x) for x in (params.a, params.b, params.c, params.d))
+    return 2.0 * max(
+        0.0, abs(params.v) - math.sqrt(b * c), abs(params.u) - math.sqrt(a * d)
+    )
 
 
 def _binary_entropy(p):

@@ -23,6 +23,7 @@ from .gaussian import (
     gaussian_log_negativity,
     gaussian_mi,
     moments_from_fock,
+    reference_gaussian_fock,
 )
 from .measures import delta_ng, mutual_information, ng_correlation, reference_state
 from .states import StateSpec, default_cutoff, make_state
@@ -284,7 +285,8 @@ def fig5(options, threads=1):
             status = "ok"
             if gaussian_log_negativity(spec) > 1e-9:
                 status = "flagged"  # entangled reference: E_F excess ill-defined
-            lb1 = ng_correlation("lb1", state)
+            ref = reference_gaussian_fock(spec, state.dims)
+            lb1 = ng_correlation("lb1", state, reference=ref)
             out.append(_row("fig5", "delta_ef", de_f, cutoff=cut,
                             tail_mass=state.tail_mass, status=status, **params))
             out.append(_row("fig5", "ng_lb1", lb1.value, cutoff=cut,

@@ -21,8 +21,7 @@ from .errors import (
     TruncationError,
     UnphysicalCM,
 )
-from .fock import FockState, hermitize, ladder_ops, quadrature_ops
-from .states import displacement
+from .fock import FockState, quadrature_ops
 
 PHYSICALITY_TOL = 1e-9
 
@@ -259,76 +258,65 @@ def williamson(spec):
     return SymplecticDecomp(S=s, lambdas=tuple(float(x) for x in lambdas))
 
 
-#: Near-pure symplectic eigenvalues are capped at 1/2 + this margin before
-#: forming the Gibbs exponent.  The cap leaks spurious population of this
-#: order into the synthesized state, which order-1/2 entropies amplify to
-#: sqrt(cap); it therefore sits near the double-precision floor.
-PURITY_CAP = 1e-13
+def _hermite_tensor(a_mat, y, shape):
+    """H_k for all k < shape from H_0 = 1 and the recurrence
+    H_(k+e_i) = (y_i H_k + sum_j A_ij sqrt(k_j) H_(k-e_j)) / sqrt(k_i + 1).
 
-#: Extra synthesis levels per mode.  The top retained level of the truncated
-#: quadratic form loses its upward ladder coupling, producing a spurious
-#: eigenvalue near half the true top energy; its Boltzmann weight
-#: ~exp(-beta n_top / 2) would dominate the tail of the synthesized state.
-#: Building in an enlarged space and truncating back removes it.
-GIBBS_MARGIN = 8
+    Axes are filled last to first, with the axes before axis i held at 0,
+    so each step writes one contiguous slab from the slabs before it.
+    """
+    nax = len(shape)
+    h = np.zeros(shape, dtype=complex)
+    h[(0,) * nax] = 1.0
+    roots = [np.sqrt(np.arange(d)) for d in shape]
+    for i in reversed(range(nax)):
+        block = h[(0,) * i]
+        shifts = []
+        for j in range(i + 1, nax):
+            bshape = [1] * (nax - i - 1)
+            bshape[j - i - 1] = shape[j] - 1
+            lead = (slice(None),) * (j - i - 1)
+            shifts.append((lead + (slice(1, None),), lead + (slice(None, -1),),
+                           a_mat[i, j] * roots[j][1:].reshape(bshape)))
+        for k in range(shape[i] - 1):
+            cur, dst = block[k, ...], block[k + 1, ...]
+            np.multiply(cur, y[i], out=dst)
+            if k:
+                dst += (a_mat[i, i] * roots[i][k]) * block[k - 1, ...]
+            for to, frm, weight in shifts:
+                dst[to] += weight * cur[frm]
+            dst /= roots[i][k + 1]
+    return h
 
 
 def reference_gaussian_fock(spec, cutoff, tail_tol=None, check_moments=True):
     """Synthesize the Gaussian state with the given moments in Fock basis.
 
-    Built as a Gibbs exponential of the quadratic form fixed by the
-    Williamson decomposition, then displaced to the requested means.
+    With beta = (alpha, alpha*) the means and sigma the covariance matrix in
+    the (a_1 .. a_n, a_1† .. a_n†) basis, Q = sigma + I/2, A = X (I - Q^-1)*
+    (X swaps the two halves) and y = beta - A beta*, the entries are
+    <m|rho|n> = exp(-beta† Q^-1 beta / 2) / sqrt(det Q) * H_(m, n), with H
+    the renormalised multidimensional Hermite polynomials of A and y
+    (Quesada, J. Chem. Phys. 150, 164113 (2019); Miatto & Quesada,
+    Quantum 4, 366 (2020)).  Each retained entry is exact; renormalising to
+    unit trace absorbs the scalar prefactor.
     """
     n = spec.n_modes
     dims = (cutoff,) * n if np.isscalar(cutoff) else tuple(cutoff)
     if len(dims) != n:
         raise BadSpec("cutoff tuple length must match the mode count")
-    dec = williamson(spec)
-    lambdas = np.maximum(np.array(dec.lambdas), 0.5 + PURITY_CAP)
-    betas = np.log((lambdas + 0.5) / (lambdas - 0.5))
-    g = dec.S.T @ np.diag(np.repeat(betas, 2)) @ dec.S
-    work = tuple(dm + GIBBS_MARGIN for dm in dims)
-    d = math.prod(work)
-    # assemble h = (1/2) sum_ij g_ij Q_i Q_j from per-mode blocks: same-mode
-    # products are local matmuls, cross-mode products are Kronecker factors
-    local = []
-    for dm in work:
-        ops = ladder_ops(dm)
-        local.append((ops.q.mat, ops.p.mat))
-    h = np.zeros((d, d), dtype=complex)
-    eyes = [np.eye(dm) for dm in work]
-    for i in range(2 * n):
-        mi, ai = divmod(i, 2)
-        for j in range(2 * n):
-            if g[i, j] == 0.0:
-                continue
-            mj, aj = divmod(j, 2)
-            if mi == mj:
-                factors = list(eyes)
-                factors[mi] = local[mi][ai] @ local[mi][aj]
-            else:
-                factors = list(eyes)
-                factors[mi] = local[mi][ai]
-                factors[mj] = local[mj][aj]
-            term = factors[0]
-            for f in factors[1:]:
-                term = np.kron(term, f)
-            h += 0.5 * g[i, j] * term
-    w, v = np.linalg.eigh(hermitize(h))
-    expw = np.exp(-(w - w[0]))
-    rho = (v * expw) @ v.conj().T
-    rho = rho / np.trace(rho).real
-    if np.any(np.abs(spec.means) > 1e-12):
-        disp = None
-        for m in range(n):
-            alpha = (spec.means[2 * m] + 1j * spec.means[2 * m + 1]) / math.sqrt(2.0)
-            dm = displacement(alpha, work[m]).mat
-            disp = dm if disp is None else np.kron(disp, dm)
-        rho = disp @ rho @ disp.conj().T
-    sl = tuple(slice(0, dm) for dm in dims)
-    rho = rho.reshape(*work, *work)[sl + sl].reshape(math.prod(dims), math.prod(dims))
-    rho = rho / np.trace(rho).real
-    state = FockState(dims, hermitize(rho), validate=False)
+    # rows of w map (q_1, p_1, ...) to a_m = (q_m + i p_m)/sqrt(2), then a_m†
+    w = np.vstack([np.kron(np.eye(n), [1.0, 1j]), np.kron(np.eye(n), [1.0, -1j])])
+    w /= math.sqrt(2.0)
+    beta = w @ spec.means
+    q_inv = np.linalg.inv(w @ spec.cm @ w.conj().T + 0.5 * np.eye(2 * n))
+    a_mat = np.roll(np.eye(2 * n) - q_inv, n, axis=0).conj()
+    y = beta - a_mat @ beta.conj()
+    d = math.prod(dims)
+    rho = _hermite_tensor(a_mat, y, dims + dims).reshape(d, d)
+    rho += rho.conj().T
+    rho *= 1.0 / np.trace(rho).real
+    state = FockState(dims, rho, validate=False)
     if tail_tol is not None and state.tail_mass >= tail_tol:
         raise TruncationError(
             f"reference-state tail mass {state.tail_mass:.3e} >= {tail_tol}"

@@ -204,18 +204,15 @@ def delta_ng(kind, state, alpha=None, reference=None):
     target = mutual_information(kind, state, alpha)
     if not target.finite:
         return target
-    spec = moments_from_fock(state)
-    if kind == "vn":
-        ref_val = gaussian_mi("renyi", spec, 1.0)
-    elif kind in ("renyi", "sandwiched"):
-        ref_val = gaussian_mi(kind, spec, float(alpha))
-    elif kind == "hs":
-        ref_val = gaussian_mi("hilbert_schmidt", spec)
-    elif kind in ("tr", "bures"):
+    if kind in ("tr", "bures"):
         ref = reference_state(state) if reference is None else reference
         ref_val = mutual_information(kind, ref).value
+    elif kind == "vn":
+        ref_val = gaussian_mi("renyi", moments_from_fock(state), 1.0)
+    elif kind == "hs":
+        ref_val = gaussian_mi("hilbert_schmidt", moments_from_fock(state))
     else:
-        raise ValueError(f"unknown delta_ng kind {kind!r}")
+        ref_val = gaussian_mi(kind, moments_from_fock(state), float(alpha))
     return _result(target.value - ref_val, f"delta_{target.kind}", alpha, state)
 
 

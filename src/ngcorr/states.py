@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln
-from scipy.stats import poisson
 
 from .errors import BadSpec, TruncationError
 from .fock import (
@@ -74,14 +73,6 @@ def default_cutoff(gamma):
     if g <= 2.5:
         return 30
     return 40
-
-
-def coherent_cutoff(gamma, tol=1e-7, minimum=8):
-    """Smallest cutoff with Poisson tail mass below tol, plus margin."""
-    mu = abs(gamma) ** 2
-    if mu == 0.0:
-        return minimum
-    return max(minimum, int(poisson.isf(tol, mu)) + 4)
 
 
 def thermal_cutoff(nbar, tol=1e-6, minimum=8, maximum=80):

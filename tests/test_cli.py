@@ -10,8 +10,12 @@ from ngcorr.cli import (
     parse_state_file,
     write_csv,
 )
-from ngcorr.errors import BadSpec
+import ngcorr.measures
+from ngcorr.channels import apply_loss
+from ngcorr.errors import BadSpec, ConvergenceFailure
 from ngcorr.figures import COLUMNS, run_figure
+from ngcorr.measures import delta_ng, ng_correlation
+from ngcorr.states import StateSpec, make_state
 
 
 def test_parse_range_flag():
@@ -73,6 +77,42 @@ def test_measure_state_matches_figure_sweep(tmp_path):
     fig_rows = run_figure("fig3", {"grid": 3}, threads=1)
     mid = [r for r in fig_rows if r["eta"] == 0.5][0]
     assert rows[0]["value"] == pytest.approx(mid["value"], abs=1e-10)
+
+
+LOSSY_ECS = StateSpec("ecs", {"gamma": 0.6}, cutoff=12)
+
+
+def _count_synthesis(monkeypatch, fail=False):
+    calls = []
+    original = ngcorr.measures.reference_gaussian_fock
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        if fail:
+            raise ConvergenceFailure("synthesis failed on purpose")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ngcorr.measures, "reference_gaussian_fock", counted)
+    return calls
+
+
+def test_measure_rows_synthesizes_the_reference_once(monkeypatch):
+    calls = _count_synthesis(monkeypatch)
+    rows = measure_rows(LOSSY_ECS, 0.7, ["ng:tr", "ng:fid", "delta:tr"])
+    assert len(calls) == 1
+    state = apply_loss(make_state(LOSSY_ECS), 0.7)
+    assert [r["value"] for r in rows] == [
+        ng_correlation("tr", state).value,
+        ng_correlation("fid", state).value,
+        delta_ng("tr", state).value,
+    ]
+
+
+def test_measure_rows_flags_each_id_when_synthesis_fails(monkeypatch):
+    calls = _count_synthesis(monkeypatch, fail=True)
+    rows = measure_rows(LOSSY_ECS, 0.7, ["ng:tr", "vn", "delta:tr", "ng:lb1"])
+    assert len(calls) == 1
+    assert [r["status"] for r in rows] == ["flagged", "ok", "flagged", "flagged"]
 
 
 def test_csv_writer_format():
