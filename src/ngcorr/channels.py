@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import BadEta, TruncationError
+from .errors import BadEta, DomainError, TruncationError
 from .fock import FockState, OperatorMatrix, _check_modes, _ladder_raw, hermitize
 from .states import coherent_amps
 
@@ -104,21 +104,23 @@ def beam_splitter(eta, cutoff):
     return OperatorMatrix((cutoff, cutoff), u, unitary=True)
 
 
+def cat_norms(nbar):
+    """Squared norms (N+, N-) = 2 +- 2 exp(-2 nbar) of |x> +- |-x>, |x|^2 = nbar."""
+    e = math.exp(-2.0 * nbar)
+    return 2.0 + 2.0 * e, 2.0 - 2.0 * e
+
+
 def ecs_weights(gamma, eta):
     """Mixture weights of the Bell-type and even/odd branches of a lossy ECS."""
     g = float(gamma)
-
-    def n_plus(x):
-        return 2.0 + 2.0 * math.exp(-2.0 * x * x)
-
-    def n_minus(x):
-        return 2.0 - 2.0 * math.exp(-2.0 * x * x)
-
-    denom = 4.0 * n_minus(math.sqrt(2.0) * g)
+    s = math.sqrt(2.0) * g
     gl = math.sqrt(max(0.0, 2.0 - 2.0 * eta)) * g
     gt = math.sqrt(2.0 * eta) * g
-    w_bell = n_plus(gl) * n_minus(gt) / denom
-    w_even = n_minus(gl) * n_plus(gt) / denom
+    plus_l, minus_l = cat_norms(gl * gl)
+    plus_t, minus_t = cat_norms(gt * gt)
+    denom = 4.0 * cat_norms(s * s)[1]
+    w_bell = plus_l * minus_t / denom
+    w_even = minus_l * plus_t / denom
     return w_bell, w_even
 
 
@@ -138,16 +140,9 @@ def ecs_loss_branches(gamma, eta, cutoff):
         plus = plus / np.linalg.norm(plus)
         minus = minus / np.linalg.norm(minus)
     bell = (np.kron(plus, minus) + np.kron(minus, plus)) / math.sqrt(2.0)
-
-    def n_plus(x):
-        return 2.0 + 2.0 * math.exp(-2.0 * x * x)
-
-    def n_minus(x):
-        return 2.0 - 2.0 * math.exp(-2.0 * x * x)
-
-    norm = 2.0 * math.sqrt(n_plus(math.sqrt(2.0 * eta) * g))
-    ca = n_plus(ge) / norm
-    cb = n_minus(ge) / norm
+    gt = math.sqrt(2.0 * eta) * g
+    norm = 2.0 * math.sqrt(cat_norms(gt * gt)[0])
+    ca, cb = (n / norm for n in cat_norms(ge * ge))
     even = ca * np.kron(plus, plus) + cb * np.kron(minus, minus)
     even_norm = np.linalg.norm(even)
     if even_norm > 0:
@@ -160,7 +155,7 @@ def ecs_loss_analytic(gamma, eta, cutoff, tail_tol=1e-6):
     if not 0.0 <= eta <= 1.0:
         raise BadEta(f"eta = {eta} outside [0, 1]")
     if not float(gamma) > 0.0:
-        raise ValueError("gamma must be > 0")
+        raise DomainError("gamma must be > 0")
     w_bell, w_even = ecs_weights(gamma, eta)
     bell, even = ecs_loss_branches(gamma, eta, cutoff)
     rho = w_bell * np.outer(bell, bell.conj()) + w_even * np.outer(even, even.conj())

@@ -16,10 +16,9 @@ import math
 import sys
 
 from .channels import apply_loss
-from .errors import BadSpec
-from .figures import COLUMNS, FIGURE_IDS, default_threads, run_figure
-from .measures import (MI_KINDS, NG_KINDS, delta_ng, mutual_information,
-                       ng_correlation, reference_state)
+from .errors import BadSpec, NGCorrError
+from .figures import COLUMNS, FIGURE_IDS, FIGURES, measure, run_figure, sweep
+from .measures import MI_KINDS, NG_KINDS
 from .states import FAMILIES, StateSpec, make_state
 
 _RANGE_KEYS = ("gamma", "alpha", "eta", "f", "r", "x")
@@ -111,44 +110,21 @@ def _parse_measure_id(text):
 
 
 def measure_rows(spec, loss_eta, measure_ids):
-    state = make_state(spec)
+    """One row per measure id on the state of ``spec``, lossy if ``loss_eta``.
+
+    Every id is parsed before the state is built.
+    """
+    measures = [(mid, measure(*_parse_measure_id(mid))) for mid in measure_ids]
+    params = {key: float(abs(val) if isinstance(val, complex) else val)
+              for key, val in spec.params.items() if key in ("gamma", "f", "r")}
     if loss_eta is not None:
-        state = apply_loss(state, loss_eta)
-    ref = None  # the Gaussian reference, or the exception its synthesis raised
-    rows = []
-    for mid in measure_ids:
-        group, kind, alpha = _parse_measure_id(mid)
-        row = {c: "" for c in COLUMNS}
-        row.update(figure="measure_state", measure=mid)
-        if loss_eta is not None:
-            row["eta"] = loss_eta
-        for key in ("gamma", "f", "r"):
-            if key in spec.params:
-                row[key] = float(abs(spec.params[key])
-                                 if isinstance(spec.params[key], complex)
-                                 else spec.params[key])
-        try:
-            if group == "mi":
-                res = mutual_information(kind, state, alpha)
-            elif group == "delta" and kind not in ("tr", "bures"):
-                res = delta_ng(kind, state, alpha)
-            else:
-                # built on first use, shared by every id that needs it
-                if ref is None:
-                    try:
-                        ref = reference_state(state)
-                    except Exception as exc:
-                        ref = exc
-                if isinstance(ref, Exception):
-                    raise ref
-                res = (delta_ng(kind, state, alpha, reference=ref) if group == "delta"
-                       else ng_correlation(kind, state, reference=ref))
-            row.update(value=res.value, cutoff=res.cutoff[0],
-                       tail_mass=res.tail_mass, status=res.status)
-        except Exception:
-            row.update(value=math.nan, status="flagged")
-        rows.append(row)
-    return rows
+        params["eta"] = loss_eta
+
+    def build(_params):
+        state = make_state(spec)
+        return state if loss_eta is None else apply_loss(state, loss_eta)
+
+    return sweep("measure_state", [params], measures, build)
 
 
 def _cmd_run_figure(args):
@@ -233,7 +209,17 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    if args.command == "run_figure":
+        swept = [axis[0] for axis in FIGURES[args.id].axes]
+        for key in _RANGE_KEYS:
+            if getattr(args, key) is not None and key not in swept:
+                accepted = " ".join(f"--{name}" for name in swept) or "none"
+                parser.error(f"{args.id} sweeps no {key} axis; "
+                             f"its range flags: {accepted}")
+    try:
+        return args.func(args)
+    except NGCorrError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

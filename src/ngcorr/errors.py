@@ -25,6 +25,10 @@ class BadSpec(NGCorrError):
     """Malformed state specification."""
 
 
+class InvalidState(NGCorrError, ValueError):
+    """Matrix handed in as a density matrix is not Hermitian or not of unit trace."""
+
+
 class BadEta(NGCorrError):
     """Transmittance outside [0, 1]."""
 
@@ -41,7 +45,7 @@ class MeanMismatch(NGCorrError):
     """Gaussian composition requires equal first moments."""
 
 
-class DomainError(NGCorrError):
+class DomainError(NGCorrError, ValueError):
     """Scalar argument outside the domain of a closed-form expression."""
 
 

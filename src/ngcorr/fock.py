@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadModeIndex, DimMismatch, InvalidCutoff
+from .errors import BadModeIndex, DimMismatch, DomainError, InvalidCutoff, InvalidState
 
 #: Eigenvalues below this are treated as exactly zero in fractional or
 #: negative matrix powers (double-precision eigensolver noise scale).
@@ -23,7 +23,6 @@ DEFAULT_TAIL_TOL = 1e-6
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
-PSD_TOL = 1e-10
 
 
 def hermitize(mat):
@@ -65,10 +64,10 @@ class FockState:
         if validate:
             herm_err = np.max(np.abs(rho - rho.conj().T))
             if herm_err > HERMITICITY_TOL:
-                raise ValueError(f"rho not Hermitian: max asymmetry {herm_err:.3e}")
+                raise InvalidState(f"rho not Hermitian: max asymmetry {herm_err:.3e}")
             tr = np.trace(rho).real
             if abs(tr - 1.0) > TRACE_TOL:
-                raise ValueError(f"trace(rho) = {tr!r}, expected 1")
+                raise InvalidState(f"trace(rho) = {tr!r}, expected 1")
         rho.setflags(write=False)
         self.dims = dims
         self.rho = rho
@@ -81,13 +80,6 @@ class FockState:
     @property
     def n_modes(self):
         return len(self.dims)
-
-    def assert_physical(self, tol=PSD_TOL):
-        """Full positivity check (O(d^3)); raises ValueError on failure."""
-        w = np.linalg.eigvalsh(hermitize(self.rho))
-        if w[0] < -tol:
-            raise ValueError(f"rho has eigenvalue {w[0]:.3e} < -{tol}")
-        return self
 
     def purity(self):
         return float(np.sum(np.abs(self.rho) ** 2))
@@ -279,7 +271,7 @@ def matrix_power_on_support(state, s):
     """
     mat, dims = _as_matrix(state)
     if not math.isfinite(s):
-        raise ValueError("power must be finite")
+        raise DomainError("power must be finite")
     w, v = np.linalg.eigh(hermitize(mat))
     pw = np.zeros_like(w)
     # positive powers tolerate arbitrarily small eigenvalues; the floor is

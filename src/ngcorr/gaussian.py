@@ -508,9 +508,15 @@ def analytic_cm(family, **params):
         gamma = float(params["gamma"])
         eta = float(params["eta"])
         g2 = 2.0 * gamma * gamma
-        x = (eta * gamma * gamma / math.sinh(g2)) * np.diag(
-            [math.exp(g2), math.exp(-g2)]
-        )
+        try:
+            x = (eta * gamma * gamma / math.sinh(g2)) * np.diag(
+                [math.exp(g2), math.exp(-g2)]
+            )
+        except (ZeroDivisionError, OverflowError) as exc:
+            # gamma = 0 is no state; |gamma| above ~18.8 overflows exp(2 gamma^2)
+            raise DomainError(
+                f"ecs_loss covariance undefined at gamma = {gamma!r}"
+            ) from exc
         half = 0.5 * np.eye(2)
         cm = np.block([[x + half, x], [x, x + half]])
         return GaussianSpec(np.zeros(4), cm)

@@ -22,8 +22,6 @@ from .fock import (
     distance,
     fidelity,
     hermitize,
-    matrix_power_on_support,
-    overlap,
     partial_trace,
 )
 from .gaussian import gaussian_mi, moments_from_fock, reference_gaussian_fock
@@ -188,18 +186,23 @@ def mutual_information(kind, state, alpha=None):
     return _result(math.sqrt(max(0.0, 2.0 * (1.0 - math.sqrt(f)))), kind, None, state)
 
 
-def reference_state(state, tail_tol=None):
-    """Gaussian state with the same first and second moments, on the same dims."""
-    return reference_gaussian_fock(moments_from_fock(state), state.dims, tail_tol=tail_tol)
+def reference_state(state, tail_tol=None, moments=None):
+    """Gaussian state with the same first and second moments, on the same dims.
+
+    ``moments`` may pass in the state's already extracted moments.
+    """
+    spec = moments_from_fock(state) if moments is None else moments
+    return reference_gaussian_fock(spec, state.dims, tail_tol=tail_tol)
 
 
-def delta_ng(kind, state, alpha=None, reference=None):
+def delta_ng(kind, state, alpha=None, reference=None, moments=None):
     """Measure of the target minus the same measure of its Gaussian reference.
 
     Entropic and Hilbert-Schmidt kinds evaluate the reference through the
     covariance-matrix closed forms (truncation-free); 'tr' and 'bures' fall
-    back to Fock numerics on the synthesized reference, which may be passed
-    in to amortize the synthesis across kinds.
+    back to Fock numerics on the synthesized reference.  The reference, or
+    for the closed forms the state's moments, may be passed in to amortize
+    their construction across kinds.
     """
     target = mutual_information(kind, state, alpha)
     if not target.finite:
@@ -207,12 +210,14 @@ def delta_ng(kind, state, alpha=None, reference=None):
     if kind in ("tr", "bures"):
         ref = reference_state(state) if reference is None else reference
         ref_val = mutual_information(kind, ref).value
-    elif kind == "vn":
-        ref_val = gaussian_mi("renyi", moments_from_fock(state), 1.0)
-    elif kind == "hs":
-        ref_val = gaussian_mi("hilbert_schmidt", moments_from_fock(state))
     else:
-        ref_val = gaussian_mi(kind, moments_from_fock(state), float(alpha))
+        spec = moments_from_fock(state) if moments is None else moments
+        if kind == "vn":
+            ref_val = gaussian_mi("renyi", spec, 1.0)
+        elif kind == "hs":
+            ref_val = gaussian_mi("hilbert_schmidt", spec)
+        else:
+            ref_val = gaussian_mi(kind, spec, float(alpha))
     return _result(target.value - ref_val, f"delta_{target.kind}", alpha, state)
 
 

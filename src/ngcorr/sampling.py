@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import UnphysicalCM
 from .fock import FockState
 from .gaussian import GaussianSpec, StandardFormCM
 from .xstate import XStateParams
@@ -47,7 +48,7 @@ def random_standard_form(rng, max_local=3.0):
         try:
             sf = StandardFormCM(a=a, b=b, c=c, d=d)
             sf.to_spec()
-        except Exception:
+        except UnphysicalCM:
             continue
         return sf
 

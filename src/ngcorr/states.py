@@ -187,6 +187,8 @@ def make_state(spec, tail_tol=DEFAULT_TAIL_TOL):
         levels = p.get("levels")
         levels = np.arange(coeffs.size) if levels is None else np.asarray(levels, int)
         cut = spec.cutoff or max(int(levels.max()) + 2, 4)
+        if levels.min() < 0 or levels.max() >= cut:
+            raise BadSpec(f"pnes levels {levels.tolist()} do not fit cutoff {cut}")
         vec = np.zeros((cut, cut), dtype=complex)
         vec[levels, levels] = coeffs
         state = pure_state(vec.ravel(), (cut, cut), validate=False)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSpec, DomainError
-from .channels import ecs_weights
+from .channels import cat_norms, ecs_weights
 
 
 @dataclass(frozen=True)
@@ -155,11 +155,8 @@ def ecs_to_xstate(gamma, eta):
         raise DomainError(f"eta = {eta} outside [0, 1]")
     w_bell, w_even = ecs_weights(gamma, eta)
     ge = math.sqrt(eta) * float(gamma)
-    n_plus = 2.0 + 2.0 * math.exp(-2.0 * ge * ge)
-    n_minus = 2.0 - 2.0 * math.exp(-2.0 * ge * ge)
-    norm = 2.0 * math.sqrt(2.0 + 2.0 * math.exp(-4.0 * ge * ge))
-    big_a = n_plus / norm
-    big_b = n_minus / norm
+    norm = 2.0 * math.sqrt(cat_norms(2.0 * ge * ge)[0])
+    big_a, big_b = (n / norm for n in cat_norms(ge * ge))
     return XStateParams(
         a=w_even * big_a * big_a,
         b=0.5 * w_bell,

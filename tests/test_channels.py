@@ -10,6 +10,7 @@ from ngcorr.channels import (
     ecs_weights,
     loss_kraus,
 )
+from ngcorr.errors import DomainError
 from ngcorr.fock import distance, expect, ladder_ops, pure_state, tensor
 from ngcorr.states import StateSpec, coherent_amps, make_state
 
@@ -87,3 +88,9 @@ def test_ecs_loss_analytic_matches_kraus():
 def test_ecs_loss_unit_transmittance_is_pure():
     st = ecs_loss_analytic(0.8, 1.0, 20)
     assert st.purity() == pytest.approx(1.0, abs=1e-10)
+
+
+def test_ecs_loss_analytic_rejects_nonpositive_gamma():
+    for gamma in (0.0, -0.5):
+        with pytest.raises(DomainError):
+            ecs_loss_analytic(gamma, 0.5, 12)

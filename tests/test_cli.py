@@ -6,10 +6,13 @@ import pytest
 from ngcorr.cli import (
     _parse_measure_id,
     build_parser,
+    main,
     measure_rows,
     parse_state_file,
     write_csv,
 )
+import ngcorr.cli
+import ngcorr.figures
 import ngcorr.measures
 from ngcorr.channels import apply_loss
 from ngcorr.errors import BadSpec, ConvergenceFailure
@@ -137,3 +140,118 @@ def test_csv_byte_determinism():
 def test_unknown_figure_rejected():
     with pytest.raises(ValueError):
         run_figure("fig9z")
+
+
+# (flags, rows = points x measures) at sizes small enough for the quick suite
+TINY_SWEEPS = {
+    "fig2a": (["--grid", "2"], 4 * 1),
+    "fig2b": (["--grid", "2"], 4 * 1),
+    "fig2cd": (["--grid", "2"], 4 * 2),
+    "fig2ef": (["--grid", "2"], 4 * 2),
+    "fig3": (["--grid", "3"], 3 * 1),
+    "fig4": (["--grid", "2", "--cutoff", "12"], 2 * 4),
+    "fig5": (["--samples", "3", "--seed", "1"], 3 * 2),
+    "fig6a": (["--grid", "2"], 4 * 1),
+    "fig6b": (["--samples", "3"], 3 * 2),
+    "fig6cd": (["--grid", "2"], 4 * 2),
+}
+
+
+def _run_cli(tmp_path, argv):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == ",".join(COLUMNS)
+    return [dict(zip(COLUMNS, line.split(","))) for line in lines[1:]]
+
+
+@pytest.mark.parametrize("figure", sorted(TINY_SWEEPS))
+def test_every_figure_runs_through_the_cli(tmp_path, figure):
+    flags, count = TINY_SWEEPS[figure]
+    rows = _run_cli(tmp_path, ["run_figure", figure, "--threads", "2", *flags])
+    assert len(rows) == count
+    assert {r["status"] for r in rows} <= {"ok", "infinity", "flagged"}
+    assert {r["figure"] for r in rows} == {figure}
+
+
+def test_failed_state_build_flags_every_measure_once_per_point(monkeypatch):
+    builds = []
+    original = ngcorr.figures.apply_loss
+
+    def counted(*args, **kwargs):
+        builds.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ngcorr.figures, "apply_loss", counted)
+    rows = run_figure("fig4", {"eta": (1.2, 1.3, 2), "cutoff": 12}, threads=1)
+    assert len(builds) == 2
+    assert [r["measure"] for r in rows] == ["ng_tr", "ng_lb1", "ng_lb2", "delta_vn"] * 2
+    assert all(r["status"] == "flagged" and math.isnan(r["value"]) for r in rows)
+
+
+def test_unnamed_exception_propagates(monkeypatch):
+    def buggy(*args, **kwargs):
+        raise RuntimeError("a bug, not a domain error")
+
+    monkeypatch.setattr(ngcorr.figures, "ng_correlation", buggy)
+    with pytest.raises(RuntimeError):
+        run_figure("fig6a", {"grid": 2}, threads=2)
+
+
+def test_fig4_extracts_the_moments_once_per_point(monkeypatch):
+    calls = []
+    original = ngcorr.figures.moments_from_fock
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (ngcorr.figures, ngcorr.measures):
+        monkeypatch.setattr(module, "moments_from_fock", counted)
+    rows = run_figure("fig4", {"eta": (0.2, 0.6, 3), "cutoff": 12}, threads=1)
+    assert len(calls) == 3
+    assert [r["status"] for r in rows] == ["ok"] * 12
+
+
+def test_range_flags_sweep_their_axes(tmp_path):
+    rows = _run_cli(tmp_path, ["run_figure", "fig6cd", "--grid", "2", "--x", "0.5:1:2"])
+    assert len(rows) == 2 * 2 * 2 * 2
+    assert sorted({r["x"] for r in rows}) == ["0.5", "1"]
+    rows = _run_cli(tmp_path, ["run_figure", "fig6a", "--grid", "2", "--r", "0.2:0.2:1"])
+    assert len(rows) == 2
+    assert {r["r"] for r in rows} == {"0.20000000000000001"}
+
+
+@pytest.mark.parametrize("figure, flag", [("fig6cd", "--eta"), ("fig4", "--x"),
+                                          ("fig5", "--gamma"), ("fig6a", "--alpha")])
+def test_range_flag_without_an_axis_is_a_usage_error(capsys, figure, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run_figure", figure, flag, "0.5:0.6:2"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"{figure} sweeps no {flag[2:]} axis" in err
+
+
+def test_fig2_domain_error_is_flagged():
+    rows = run_figure("fig2a", {"gamma": (0.0, 0.0, 1), "grid": 2}, threads=1)
+    assert [r["status"] for r in rows] == ["flagged", "flagged"]
+
+
+def test_fig3_cutoff_below_the_pnes_levels_is_flagged():
+    rows = run_figure("fig3", {"grid": 2, "cutoff": 2}, threads=1)
+    assert [r["status"] for r in rows] == ["flagged", "flagged"]
+
+
+def test_measure_state_error_is_reported_without_traceback(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "x.spec"
+    path.write_text("family = ecs\ngamma = 1.0\ncutoff = 12\n")
+    builds = []
+    monkeypatch.setattr(ngcorr.cli, "make_state", lambda spec: builds.append(spec))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["measure_state", str(path), "vn", "ng:nope"])
+    assert exit_info.value.code == 2
+    assert builds == []
+    assert capsys.readouterr().err == (
+        "ngcorr: error: unknown ng kind 'nope'; expected ('tr', 'fid', 'lb1', 'lb2')\n"
+    )

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ngcorr.errors import BadModeIndex, DimMismatch
+from ngcorr.errors import BadModeIndex, DimMismatch, DomainError, InvalidState
 from ngcorr.fock import (
     FockState,
     distance,
@@ -140,3 +140,12 @@ def test_truncate_state_preserves_moments():
     m1, cm1 = extract_moments(small)
     assert np.max(np.abs(cm1 - cm0)) < 1e-9
     assert np.max(np.abs(m1 - m0)) < 1e-9
+
+
+def test_validation_errors_are_named():
+    with pytest.raises(InvalidState):
+        FockState((2,), np.eye(2))
+    with pytest.raises(InvalidState):
+        FockState((2,), np.array([[0.5, 0.1], [0.0, 0.5]]))
+    with pytest.raises(DomainError):
+        matrix_power_on_support(pure_state(np.array([1.0, 0.0]), (2,)), math.inf)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ngcorr.errors import UnphysicalCM
+from ngcorr.errors import DomainError, UnphysicalCM
 from ngcorr.gaussian import (
     GaussianSpec,
     StandardFormCM,
@@ -172,3 +172,10 @@ def test_analytic_cm_pnes_matches_fock():
     spec = moments_from_fock(st)
     target = analytic_cm("pnes", coeffs=coeffs)
     assert np.max(np.abs(spec.cm - target.cm)) < 1e-12
+
+
+def test_analytic_cm_ecs_loss_domain():
+    # gamma = 0 divides by sinh(0); gamma = 20 overflows exp(2 gamma^2)
+    for gamma in (0.0, 20.0):
+        with pytest.raises(DomainError):
+            analytic_cm("ecs_loss", gamma=gamma, eta=1.0)

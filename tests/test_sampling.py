@@ -1,4 +1,7 @@
 import numpy as np
+import pytest
+
+import ngcorr.sampling
 
 from ngcorr.sampling import (
     random_density_matrix,
@@ -43,3 +46,12 @@ def test_determinism():
     a = random_xstate(np.random.default_rng(5))
     b = random_xstate(np.random.default_rng(5))
     assert a == b
+
+
+def test_random_standard_form_retries_only_unphysical_draws(rng, monkeypatch):
+    def broken(**kwargs):
+        raise RuntimeError("not a rejection")
+
+    monkeypatch.setattr(ngcorr.sampling, "StandardFormCM", broken)
+    with pytest.raises(RuntimeError):
+        random_standard_form(rng)

@@ -89,3 +89,11 @@ def test_displacement_unitary_and_action():
     from ngcorr.states import coherent_amps
 
     assert np.max(np.abs(moved - coherent_amps(0.4, 25))) < 1e-10
+
+
+def test_pnes_levels_must_fit_the_cutoff():
+    with pytest.raises(BadSpec):
+        make_state(StateSpec("pnes", {"coeffs": [0.6, 0.8, 0.0]}, cutoff=2))
+    with pytest.raises(BadSpec):
+        make_state(StateSpec("pnes", {"coeffs": [0.6, 0.8], "levels": [0, -1]},
+                             cutoff=4))
