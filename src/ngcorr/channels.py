@@ -22,7 +22,7 @@ class KrausSet:
     eta: float
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def loss_kraus(eta, cutoff):
     """Single-mode loss Kraus operators K_k = sqrt((1-eta)^k / k!) eta^(n/2) a^k.
 
@@ -47,6 +47,7 @@ def loss_kraus(eta, cutoff):
         coef = math.exp(0.5 * (k * math.log1p(-eta) - gammaln(k + 1))) if eta < 1.0 else (1.0 if k == 0 else 0.0)
         op = coef * (eta_half_n[:, None] * ak)
         if np.max(np.abs(op)) > 1e-300:
+            op.setflags(write=False)
             ops.append(op)
     return KrausSet(ops=tuple(ops), eta=float(eta))
 

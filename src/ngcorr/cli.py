@@ -51,42 +51,55 @@ def _parse_range(text):
     return float(parts[0]), float(parts[1]), int(parts[2])
 
 
+def _complex_or_real(text):
+    z = complex(text.strip())
+    return z.real if z.imag == 0 else z
+
+
+#: Value parsers of the non-float state-spec keys.
+_SPEC_VALUES = {
+    "cutoff": int,
+    "sign": int,
+    "modes": int,
+    "levels": lambda v: [int(x) for x in v.split(",") if x.strip()],
+    "coeffs": lambda v: [_complex_or_real(x) for x in v.split(",") if x.strip()],
+}
+
+
 def parse_state_file(path):
     """StateSpec plus optional loss transmittance from a key-value file."""
     keys = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise BadSpec(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            keys[key.strip().lower()] = value.strip()
+    try:
+        with open(path) as fh:
+            lines = list(fh)
+    except OSError as exc:
+        raise BadSpec(f"{path}: cannot read state-spec file: {exc.strerror}") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise BadSpec(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        keys[key.strip().lower()] = (value.strip(), lineno)
     if "family" not in keys:
         raise BadSpec(f"{path}: missing required key 'family'")
-    family = keys.pop("family")
+    family = keys.pop("family")[0]
     if family not in FAMILIES:
         raise BadSpec(f"{path}: unknown family {family!r}; expected {FAMILIES}")
-    cutoff = None
-    if "cutoff" in keys:
-        cutoff = int(keys.pop("cutoff"))
-    loss_eta = None
-    if "eta" in keys:
-        loss_eta = float(keys.pop("eta"))
-    params = {}
-    for key, value in keys.items():
-        if key in ("coeffs", "levels"):
-            items = [v for v in value.split(",") if v.strip()]
-            params[key] = (
-                [int(v) for v in items] if key == "levels"
-                else [complex(v.strip()).real if complex(v.strip()).imag == 0
-                      else complex(v.strip()) for v in items]
-            )
-        elif key in ("sign", "modes"):
-            params[key] = int(value)
-        else:
-            params[key] = float(value)
+
+    def number(key):
+        value, lineno = keys.pop(key)
+        try:
+            return _SPEC_VALUES.get(key, float)(value)
+        except ValueError:
+            raise BadSpec(
+                f"{path}:{lineno}: key {key!r}: value {value!r} is not numeric"
+            ) from None
+
+    cutoff = number("cutoff") if "cutoff" in keys else None
+    loss_eta = number("eta") if "eta" in keys else None
+    params = {key: number(key) for key in list(keys)}
     return StateSpec(family, params, cutoff=cutoff), loss_eta
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .channels import _bs_unitary_raw
 from .errors import BadSpec, ZeroWeight
-from .fock import FockState, hermitize
+from .fock import FockState, hermitize, spectra
 
 #: Branch probabilities below this are dropped from the eigendecomposition.
 BRANCH_FLOOR = 1e-14
@@ -77,16 +77,19 @@ def distill(state, config):
     da, db = state.dims
     ma = _projected_bs(da, config, config.x_c)
     mb = _projected_bs(db, config, config.x_d)
-    w, v = np.linalg.eigh(hermitize(state.rho))
+    (spec,) = spectra(state.dims, state.rho)
     out = np.zeros((da * db, da * db), dtype=complex)
     weight = 0.0
-    for p, vec in zip(w, v.T):
-        if p <= BRANCH_FLOOR:
-            continue
-        amp = ma @ vec.reshape(da, db) @ mb.T
-        flat = amp.ravel()
-        out += p * np.outer(flat, flat.conj())
-        weight += p * float(np.real(np.vdot(flat, flat)))
+    for idx, w, v in zip(spec.sectors, spec.values, spec.vectors):
+        branches = np.zeros((da * db, w.size), dtype=v.dtype)
+        branches[idx] = v
+        for p, vec in zip(w, branches.T):
+            if p <= BRANCH_FLOOR:
+                continue
+            amp = ma @ vec.reshape(da, db) @ mb.T
+            flat = amp.ravel()
+            out += p * np.outer(flat, flat.conj())
+            weight += p * float(np.real(np.vdot(flat, flat)))
     if weight < 1e-14:
         raise ZeroWeight(f"postselection weight {weight:.3e} vanishes")
     return FockState(state.dims, hermitize(out) / weight, validate=False), weight

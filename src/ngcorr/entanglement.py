@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .errors import TruncationError
-from .fock import DEFAULT_TAIL_TOL, hermitize, partial_transpose
+from .fock import DEFAULT_TAIL_TOL, partial_transpose, spectra
 
 
 def concurrence_two_qubit(params):
@@ -46,5 +46,5 @@ def log_negativity_fock(state, tail_tol=DEFAULT_TAIL_TOL):
             f"tail mass {state.tail_mass:.3e} >= {tail_tol}; negativity unreliable"
         )
     pt = partial_transpose(state, state.n_modes - 1)
-    w = np.linalg.eigvalsh(hermitize(pt.mat))
-    return max(0.0, float(math.log(np.sum(np.abs(w)))))
+    (spec,) = spectra(pt.dims, pt.mat, vectors=False)
+    return max(0.0, float(math.log(np.sum(np.abs(spec.eigenvalues())))))

@@ -2,6 +2,14 @@
 
 Conventions: hbar = 1, vacuum quadrature variance 1/2, natural logarithms.
 Mode 0 is always the slowest (leftmost) Kronecker factor.
+
+Every Hermitian eigensolve of a density-matrix-sized operand goes through
+``spectra``.  It solves the operands in real arithmetic, one block per
+total-photon-parity sector (even and odd n_1 + ... + n_k), when for every
+operand M what that split drops, the off-sector entries and the imaginary
+part, is within the dense solver's own backward error:
+||dropped||_F <= sqrt(d) eps ||M||_F.  Otherwise the operands are solved as
+one complex block by the same code.
 """
 
 from __future__ import annotations
@@ -130,6 +138,7 @@ def _ladder_raw(cutoff):
     a = np.zeros((cutoff, cutoff), dtype=complex)
     ks = np.arange(1, cutoff)
     a[ks - 1, ks] = np.sqrt(ks)
+    a.setflags(write=False)
     return a
 
 
@@ -172,6 +181,8 @@ def quadrature_ops(dims):
         ops = ladder_ops(d)
         out.append(_embed_single_mode(ops.q.mat, dims, m))
         out.append(_embed_single_mode(ops.p.mat, dims, m))
+    for op in out:
+        op.setflags(write=False)
     return tuple(out)
 
 
@@ -263,6 +274,62 @@ def truncate_state(state, tol=1e-9, minimum=4):
     return FockState(new_dims, rho, validate=False)
 
 
+class Spectrum(namedtuple("Spectrum", ["sectors", "real", "blocks", "values", "vectors"])):
+    """Eigensystem of one operand, sector by sector.
+
+    ``sectors`` holds the basis indices of each block, ``blocks`` the
+    hermitized blocks that were solved (real when ``real``), ``values`` their
+    ascending eigenvalues and ``vectors`` their eigenvectors as columns,
+    indexed within the sector (None when only eigenvalues were asked for).
+    """
+
+    __slots__ = ()
+
+    def eigenvalues(self):
+        """All eigenvalues, sector after sector."""
+        return np.concatenate(self.values)
+
+    def rank_floor(self):
+        """Numerical-rank threshold w_max d eps of the whole operand."""
+        w = self.eigenvalues()
+        return float(np.max(w)) * w.size * np.finfo(float).eps
+
+
+def spectra(dims, *mats, vectors=True):
+    """Hermitian eigensystems of same-dims operands, one Spectrum each.
+
+    All operands share one decision (see the module docstring): two real
+    total-photon-parity sectors, or one complex block.  Sharing it keeps the
+    sectors of several operands aligned, so their eigenvectors can be
+    combined sector by sector.
+    """
+    parity = np.indices(dims).sum(axis=0).ravel() % 2
+    off = parity[:, None] != parity[None, :]
+    bound = math.sqrt(parity.size) * np.finfo(float).eps
+    real = all(
+        math.hypot(np.linalg.norm(m.imag), np.linalg.norm(m.real[off]))
+        <= bound * np.linalg.norm(m)
+        for m in mats
+    )
+    if real:
+        sectors = tuple(
+            idx for idx in (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1))
+            if idx.size
+        )
+    else:
+        sectors = (np.arange(parity.size),)
+    out = []
+    for m in mats:
+        part = m.real if real else m
+        blocks = tuple(hermitize(part[np.ix_(s, s)]) for s in sectors)
+        if vectors:
+            values, vecs = zip(*(np.linalg.eigh(b) for b in blocks))
+        else:
+            values, vecs = tuple(np.linalg.eigvalsh(b) for b in blocks), None
+        out.append(Spectrum(sectors, real, blocks, tuple(values), vecs))
+    return tuple(out)
+
+
 def matrix_power_on_support(state, s):
     """Hermitian matrix power with eigenvalues below the support floor zeroed.
 
@@ -272,13 +339,15 @@ def matrix_power_on_support(state, s):
     mat, dims = _as_matrix(state)
     if not math.isfinite(s):
         raise DomainError("power must be finite")
-    w, v = np.linalg.eigh(hermitize(mat))
-    pw = np.zeros_like(w)
-    # positive powers tolerate arbitrarily small eigenvalues; the floor is
-    # only needed where they would be amplified
-    on = w > (0.0 if s >= 0 else EIG_SUPPORT_FLOOR)
-    pw[on] = w[on] ** s
-    out = (v * pw) @ v.conj().T
+    (spec,) = spectra(dims, mat)
+    out = np.zeros(mat.shape, dtype=float if spec.real else complex)
+    for idx, w, v in zip(spec.sectors, spec.values, spec.vectors):
+        pw = np.zeros_like(w)
+        # positive powers tolerate arbitrarily small eigenvalues; the floor
+        # is only needed where they would be amplified
+        on = w > (0.0 if s >= 0 else EIG_SUPPORT_FLOOR)
+        pw[on] = w[on] ** s
+        out[np.ix_(idx, idx)] = (v * pw) @ v.conj().T
     return OperatorMatrix(dims, hermitize(out), hermitian=True)
 
 
@@ -292,8 +361,8 @@ def distance(kind, a, b):
     _check_same_dims(a, b)
     delta = a.rho - b.rho
     if kind == "trace":
-        w = np.linalg.eigvalsh(hermitize(delta))
-        return float(0.5 * np.sum(np.abs(w)))
+        (spec,) = spectra(a.dims, delta, vectors=False)
+        return float(0.5 * np.sum(np.abs(spec.eigenvalues())))
     if kind == "hilbert_schmidt":
         return float(np.sqrt(np.sum(np.abs(delta) ** 2)))
     raise ValueError(f"unknown distance kind {kind!r}")
@@ -317,16 +386,19 @@ def fidelity(kind, a, b):
         # diag(sqrt(wb)) Vb^dag Va diag(sqrt(wa)) built from the separate
         # eigensystems; the singular values resolve the geometric tail of
         # the product spectrum without squaring it below the noise floor,
-        # which an eigensolve of the assembled kernel cannot do
-        eps = np.finfo(float).eps
-        wa, va = np.linalg.eigh(hermitize(a.rho))
-        ka = wa > float(wa[-1]) * wa.size * eps
-        wb, vb = np.linalg.eigh(hermitize(b.rho))
-        kb = wb > float(wb[-1]) * wb.size * eps
-        cross = (vb[:, kb].conj().T @ va[:, ka]) * np.sqrt(wa[ka])[None, :]
-        cross = np.sqrt(wb[kb])[:, None] * cross
-        s = np.linalg.svd(cross, compute_uv=False)
-        return float(np.sum(s) ** 2)
+        # which an eigensolve of the assembled kernel cannot do.  The
+        # matrix is block-diagonal in the shared sectors.
+        sa, sb = spectra(a.dims, a.rho, b.rho)
+        floor_a, floor_b = sa.rank_floor(), sb.rank_floor()
+        total = 0.0
+        for wa, va, wb, vb in zip(sa.values, sa.vectors, sb.values, sb.vectors):
+            ka = wa > floor_a
+            kb = wb > floor_b
+            cross = (vb[:, kb].conj().T @ va[:, ka]) * np.sqrt(wa[ka])[None, :]
+            cross = np.sqrt(wb[kb])[:, None] * cross
+            if cross.size:
+                total += np.sum(np.linalg.svd(cross, compute_uv=False))
+        return float(total**2)
     if kind == "super":
         ov = overlap(a, b)
         ia = math.sqrt(max(0.0, 1.0 - a.purity()))

@@ -21,8 +21,8 @@ from .fock import (
     FockState,
     distance,
     fidelity,
-    hermitize,
     partial_trace,
+    spectra,
 )
 from .gaussian import gaussian_mi, moments_from_fock, reference_gaussian_fock
 
@@ -65,7 +65,8 @@ def _result(value, kind, alpha, state, status="ok"):
 
 
 def _support_eigs(state):
-    w = np.linalg.eigvalsh(hermitize(state.rho))
+    (spec,) = spectra(state.dims, state.rho, vectors=False)
+    w = spec.eigenvalues()
     return w[w > EIG_SUPPORT_FLOOR]
 
 
@@ -102,27 +103,28 @@ def sandwiched_relative_entropy(rho, sigma, alpha):
     alpha = float(alpha)
     if alpha <= 0:
         raise DomainError("alpha must be positive")
-    if alpha == 1.0:
-        ws, vs = np.linalg.eigh(hermitize(sigma.rho))
-        on = ws > EIG_SUPPORT_FLOOR
-        leak = float(np.real(np.sum(vs[:, ~on].conj() * (rho.rho @ vs[:, ~on]))))
+    # each operand is decomposed once; both share the sectors
+    r, s = spectra(rho.dims, rho.rho, sigma.rho)
+    if alpha >= 1.0:
+        # populations of rho in the eigenbasis of sigma
+        pops = [
+            np.real(np.sum(v.conj() * (blk @ v), axis=0))
+            for blk, v in zip(r.blocks, s.vectors)
+        ]
+        leak = sum(
+            float(np.sum(q[w <= EIG_SUPPORT_FLOOR])) for q, w in zip(pops, s.values)
+        )
         if leak > SUPPORT_LEAK_TOL:
             return math.inf, "infinity"
-        logs = np.zeros_like(ws)
-        logs[on] = np.log(ws[on])
-        log_sigma = (vs * logs) @ vs.conj().T
-        wr, vr = np.linalg.eigh(hermitize(rho.rho))
-        onr = wr > EIG_SUPPORT_FLOOR
-        tr_rho_log_rho = float(np.sum(wr[onr] * np.log(wr[onr])))
-        tr_rho_log_sigma = float(np.real(np.sum(rho.rho * log_sigma.conj().T)))
-        return tr_rho_log_rho - tr_rho_log_sigma, "ok"
-    if alpha > 1.0:
-        ws, vs = np.linalg.eigh(hermitize(sigma.rho))
-        off = vs[:, ws <= EIG_SUPPORT_FLOOR]
-        if off.shape[1]:
-            leak = float(np.real(np.sum(off.conj() * (rho.rho @ off))))
-            if leak > SUPPORT_LEAK_TOL:
-                return math.inf, "infinity"
+    if alpha == 1.0:
+        wr = r.eigenvalues()
+        wr = wr[wr > EIG_SUPPORT_FLOOR]
+        # tr[rho log sigma] = sum_j <v_j|rho|v_j> log s_j
+        tr_rho_log_sigma = 0.0
+        for q, w in zip(pops, s.values):
+            on = w > EIG_SUPPORT_FLOOR
+            tr_rho_log_sigma += float(np.sum(q[on] * np.log(w[on])))
+        return float(np.sum(wr * np.log(wr))) - tr_rho_log_sigma, "ok"
     b = (1.0 - alpha) / (2.0 * alpha)
     # The kernel sigma^b rho sigma^b shares its nonzero spectrum with
     # A^dag A for A = diag(s^b) V^dag U diag(sqrt(p)), built entrywise from
@@ -131,18 +133,21 @@ def sandwiched_relative_entropy(rho, sigma, alpha):
     # resolve the geometric tail of the spectrum to absolute accuracy
     # ||A|| eps, which orders alpha < 1 need (tiny eigenvalues still carry
     # w**alpha weight there).  Eigensolver noise is removed per factor at the
-    # standard numerical-rank threshold.
-    pw, pu = np.linalg.eigh(hermitize(rho.rho))
-    keep_p = pw > float(pw[-1]) * pw.size * np.finfo(float).eps
-    sw, su = np.linalg.eigh(hermitize(sigma.rho))
-    # sigma keeps its whole positive spectrum: for alpha > 1 the negative
-    # power amplifies genuinely tiny eigenvalues whose contributions decay
-    # slowly, and a support floor would discard real weight (the structural
-    # support-leak case was already diverted to infinity above)
-    keep_s = sw > 0.0
-    a_mat = (sw[keep_s, None] ** b) * (su[:, keep_s].conj().T @ pu[:, keep_p])
-    a_mat = a_mat * np.sqrt(pw[keep_p])[None, :]
-    w = np.linalg.svd(a_mat, compute_uv=False) ** 2
+    # standard numerical-rank threshold.  A is block-diagonal in the sectors.
+    floor_p = r.rank_floor()
+    w = []
+    for pw, pu, sw, su in zip(r.values, r.vectors, s.values, s.vectors):
+        keep_p = pw > floor_p
+        # sigma keeps its whole positive spectrum: for alpha > 1 the negative
+        # power amplifies genuinely tiny eigenvalues whose contributions
+        # decay slowly, and a support floor would discard real weight (the
+        # structural support-leak case was already diverted to infinity)
+        keep_s = sw > 0.0
+        a_mat = (sw[keep_s, None] ** b) * (su[:, keep_s].conj().T @ pu[:, keep_p])
+        a_mat = a_mat * np.sqrt(pw[keep_p])[None, :]
+        if a_mat.size:
+            w.append(np.linalg.svd(a_mat, compute_uv=False) ** 2)
+    w = np.concatenate(w)
     w = w[w > 0.0]
     return float(math.log(np.sum(w**alpha)) / (alpha - 1.0)), "ok"
 

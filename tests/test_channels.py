@@ -94,3 +94,18 @@ def test_ecs_loss_analytic_rejects_nonpositive_gamma():
     for gamma in (0.0, -0.5):
         with pytest.raises(DomainError):
             ecs_loss_analytic(gamma, 0.5, 12)
+
+
+def test_loss_kraus_operators_are_read_only():
+    ks = loss_kraus(0.41, 6)
+    with pytest.raises(ValueError):
+        ks.ops[0][0, 0] = 2.0
+
+
+def test_loss_kraus_cache_stays_bounded_over_an_eta_sweep():
+    loss_kraus.cache_clear()
+    for eta in np.linspace(0.005, 0.995, 100):
+        loss_kraus(float(eta), 4)
+    info = loss_kraus.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize <= info.maxsize

@@ -255,3 +255,24 @@ def test_measure_state_error_is_reported_without_traceback(tmp_path, capsys, mon
     assert capsys.readouterr().err == (
         "ngcorr: error: unknown ng kind 'nope'; expected ('tr', 'fid', 'lb1', 'lb2')\n"
     )
+
+
+def test_non_numeric_spec_value_is_reported_with_its_line(tmp_path, capsys):
+    path = tmp_path / "x.spec"
+    path.write_text("family = ecs\ngamma = 1.0\ncutoff = abc\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["measure_state", str(path), "vn"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == (
+        f"ngcorr: error: {path}:3: key 'cutoff': value 'abc' is not numeric\n"
+    )
+
+
+def test_unreadable_spec_file_is_reported_without_traceback(tmp_path, capsys):
+    path = tmp_path / "missing.spec"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["measure_state", str(path), "vn"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == (
+        f"ngcorr: error: {path}: cannot read state-spec file: No such file or directory\n"
+    )

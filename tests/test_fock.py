@@ -6,6 +6,7 @@ import pytest
 from ngcorr.errors import BadModeIndex, DimMismatch, DomainError, InvalidState
 from ngcorr.fock import (
     FockState,
+    _ladder_raw,
     distance,
     expect,
     fidelity,
@@ -15,6 +16,7 @@ from ngcorr.fock import (
     partial_trace,
     partial_transpose,
     pure_state,
+    quadrature_ops,
     tensor,
     truncate_state,
 )
@@ -149,3 +151,11 @@ def test_validation_errors_are_named():
         FockState((2,), np.array([[0.5, 0.1], [0.0, 0.5]]))
     with pytest.raises(DomainError):
         matrix_power_on_support(pure_state(np.array([1.0, 0.0]), (2,)), math.inf)
+
+
+def test_cached_operator_arrays_are_read_only():
+    with pytest.raises(ValueError):
+        _ladder_raw(7)[0, 1] = 0.0
+    for op in quadrature_ops((3, 4)):
+        with pytest.raises(ValueError):
+            op[0, 0] = 1.0
