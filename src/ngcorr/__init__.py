@@ -11,7 +11,6 @@ beam-splitter/homodyne distillation protocol.
 """
 
 from .channels import (
-    KrausSet,
     apply_loss,
     beam_splitter,
     ecs_loss_analytic,
@@ -44,7 +43,6 @@ from .errors import (
 )
 from .fock import (
     FockState,
-    OperatorMatrix,
     distance,
     expect,
     fidelity,
@@ -105,11 +103,9 @@ __all__ = [
     "GaussianSpec",
     "InvalidCutoff",
     "InvalidState",
-    "KrausSet",
     "MeanMismatch",
     "MeasureResult",
     "NGCorrError",
-    "OperatorMatrix",
     "StandardFormCM",
     "StateSpec",
     "SupportMismatch",

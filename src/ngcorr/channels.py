@@ -3,23 +3,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
 
 from .errors import BadEta, DomainError, TruncationError
-from .fock import FockState, OperatorMatrix, _check_modes, _ladder_raw, hermitize
+from .fock import FockState, _check_modes, _ladder_raw, hermitize
 from .states import coherent_amps
-
-
-@dataclass(frozen=True)
-class KrausSet:
-    """Kraus decomposition of a single-mode loss channel at transmittance eta."""
-
-    ops: tuple
-    eta: float
 
 
 @lru_cache(maxsize=8)
@@ -49,7 +40,7 @@ def loss_kraus(eta, cutoff):
         if np.max(np.abs(op)) > 1e-300:
             op.setflags(write=False)
             ops.append(op)
-    return KrausSet(ops=tuple(ops), eta=float(eta))
+    return tuple(ops)
 
 
 def _apply_mode_kraus(rho, dims, mode, kraus):
@@ -73,14 +64,18 @@ def apply_loss(state, eta, modes=None):
     modes = _check_modes(state.dims, modes)
     rho = np.array(state.rho)
     for m in modes:
-        ks = loss_kraus(float(eta), state.dims[m])
-        rho = _apply_mode_kraus(rho, state.dims, m, ks.ops)
+        rho = _apply_mode_kraus(rho, state.dims, m, loss_kraus(float(eta), state.dims[m]))
     return FockState(state.dims, hermitize(rho), validate=False)
 
 
-@lru_cache(maxsize=None)
-def _bs_unitary_raw(eta, dims):
-    """Two-mode beam splitter with a -> sqrt(eta) a + sqrt(1-eta) b on coherent inputs."""
+@lru_cache(maxsize=8)
+def beam_splitter(eta, dims):
+    """Two-mode beam-splitter unitary on levels ``dims`` at transmittance eta,
+    with a -> sqrt(eta) a + sqrt(1-eta) b on coherent inputs.
+
+    Built through the eigendecomposition of the Hermitian generator, so it
+    is unitary to solver precision with no series truncation.
+    """
     if not 0.0 <= eta <= 1.0:
         raise BadEta(f"eta = {eta} outside [0, 1]")
     n1, n2 = dims
@@ -93,16 +88,6 @@ def _bs_unitary_raw(eta, dims):
     u = (v * np.exp(1j * theta * w)) @ v.conj().T
     u.setflags(write=False)
     return u
-
-
-def beam_splitter(eta, cutoff):
-    """Two-mode beam-splitter unitary at transmittance eta.
-
-    Built through the eigendecomposition of the Hermitian generator, so it
-    is unitary to solver precision with no series truncation.
-    """
-    u = _bs_unitary_raw(float(eta), (cutoff, cutoff))
-    return OperatorMatrix((cutoff, cutoff), u, unitary=True)
 
 
 def cat_norms(nbar):

@@ -18,7 +18,7 @@ import sys
 from .channels import apply_loss
 from .errors import BadSpec, NGCorrError
 from .figures import COLUMNS, FIGURE_IDS, FIGURES, measure, run_figure, sweep
-from .measures import MI_KINDS, NG_KINDS
+from .measures import MI_KINDS, NG_KINDS, ORDERED_KINDS
 from .states import FAMILIES, StateSpec, make_state
 
 _RANGE_KEYS = ("gamma", "alpha", "eta", "f", "r", "x")
@@ -42,13 +42,20 @@ def write_csv(rows, stream):
         stream.write(",".join(_fmt(row[c]) for c in COLUMNS) + "\n")
 
 
+def _count(text):
+    """A count of points or samples: an integer of at least 1."""
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"count {text!r} must be an integer >= 1")
+    return int(text)
+
+
 def _parse_range(text):
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
             f"range {text!r} must be start:stop:count"
         )
-    return float(parts[0]), float(parts[1]), int(parts[2])
+    return float(parts[0]), float(parts[1]), _count(parts[2])
 
 
 def _complex_or_real(text):
@@ -104,7 +111,8 @@ def parse_state_file(path):
 
 
 def _parse_measure_id(text):
-    """kind[:alpha] with optional delta:/ng: prefix -> (group, kind, alpha)."""
+    """kind[:alpha] with optional delta:/ng: prefix -> (group, kind, alpha);
+    alpha is required for the renyi and sandwiched kinds, refused otherwise."""
     parts = text.split(":")
     group = "mi"
     if parts[0] in ("delta", "ng"):
@@ -112,13 +120,22 @@ def _parse_measure_id(text):
         parts = parts[1:]
     if not parts or not parts[0]:
         raise BadSpec(f"empty measure id in {text!r}")
-    kind = parts[0]
-    alpha = float(parts[1]) if len(parts) > 1 else None
+    kind, *order = parts
     if group == "ng":
         if kind not in NG_KINDS:
             raise BadSpec(f"unknown ng kind {kind!r}; expected {NG_KINDS}")
     elif kind not in MI_KINDS:
         raise BadSpec(f"unknown measure kind {kind!r}; expected {MI_KINDS}")
+    ordered = group != "ng" and kind in ORDERED_KINDS
+    if len(order) != ordered:
+        need = "one order, as kind:A" if ordered else "no order"
+        raise BadSpec(f"measure id {text!r}: {kind} takes {need}")
+    try:
+        alpha = float(order[0]) if order else None
+    except ValueError:
+        alpha = math.nan
+    if order and not 0.0 < alpha < math.inf:
+        raise BadSpec(f"measure id {text!r}: order {order[0]!r} is not a positive number")
     return group, kind, alpha
 
 
@@ -195,8 +212,8 @@ def build_parser():
     p_fig.add_argument("id", choices=FIGURE_IDS)
     p_fig.add_argument("--out", help="output CSV path (default: stdout)")
     p_fig.add_argument("--cutoff", type=int, help="Fock cutoff override")
-    p_fig.add_argument("--grid", type=int, help="grid density override")
-    p_fig.add_argument("--samples", type=int, help="sample count override")
+    p_fig.add_argument("--grid", type=_count, help="grid density override")
+    p_fig.add_argument("--samples", type=_count, help="sample count override")
     p_fig.add_argument("--seed", type=int, default=0, help="sampling seed")
     p_fig.add_argument("--threads", type=int, default=None,
                        help="worker threads (default: NGCORR_THREADS or all cores)")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import _bs_unitary_raw
+from .channels import beam_splitter
 from .errors import BadSpec, ZeroWeight
 from .fock import FockState, hermitize, spectra
 
@@ -60,7 +60,7 @@ def quadrature_eigenvector(x, cutoff):
 
 def _projected_bs(dim, config, x):
     """Matrix M with M[j, i] = <x|_anc U_bs |i>|0>_anc restricted to one mode."""
-    u = _bs_unitary_raw(float(config.eta_bs), (dim, config.cutoff))
+    u = beam_splitter(float(config.eta_bs), (dim, config.cutoff))
     u4 = u.reshape(dim, config.cutoff, dim, config.cutoff)[:, :, :, 0]
     xvec = quadrature_eigenvector(x, config.cutoff)
     return np.tensordot(xvec.conj(), u4, axes=([0], [1]))

@@ -46,5 +46,5 @@ def log_negativity_fock(state, tail_tol=DEFAULT_TAIL_TOL):
             f"tail mass {state.tail_mass:.3e} >= {tail_tol}; negativity unreliable"
         )
     pt = partial_transpose(state, state.n_modes - 1)
-    (spec,) = spectra(pt.dims, pt.mat, vectors=False)
+    (spec,) = spectra(state.dims, pt, vectors=False)
     return max(0.0, float(math.log(np.sum(np.abs(spec.eigenvalues())))))

@@ -26,7 +26,7 @@ import numpy as np
 from .channels import apply_loss, ecs_loss_analytic
 from .distill import DistillConfig, distill
 from .entanglement import eof_two_qubit, log_negativity_fock
-from .errors import DomainError, NGCorrError
+from .errors import BadSpec, DomainError, NGCorrError
 from .fock import truncate_state
 from .gaussian import (
     analytic_cm,
@@ -70,10 +70,13 @@ FLAGGED = (NGCorrError, np.linalg.LinAlgError)
 
 
 def default_threads():
+    """NGCORR_THREADS, a positive integer, or else the core count."""
     env = os.environ.get("NGCORR_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    if not env.strip().isdigit() or int(env) < 1:
+        raise BadSpec(f"NGCORR_THREADS={env!r} is not a positive integer")
+    return int(env)
 
 
 def _pool_map(fn, items, threads):

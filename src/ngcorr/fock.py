@@ -96,40 +96,6 @@ class FockState:
         return f"FockState(dims={self.dims}, tail_mass={self.tail_mass:.3e})"
 
 
-class OperatorMatrix:
-    """Operator on a truncated multimode Fock space.
-
-    Hermitian/unitary tags are promises checked at construction time.
-    """
-
-    __slots__ = ("dims", "mat", "hermitian", "unitary")
-
-    def __init__(self, dims, mat, hermitian=False, unitary=False):
-        dims = tuple(int(d) for d in dims)
-        mat = np.asarray(mat, dtype=complex)
-        d = math.prod(dims)
-        if mat.shape != (d, d):
-            raise DimMismatch(f"mat shape {mat.shape} != ({d}, {d}) from dims {dims}")
-        if hermitian and np.max(np.abs(mat - mat.conj().T)) > 1e-10:
-            raise ValueError("operator tagged Hermitian is not")
-        if unitary:
-            err = np.max(np.abs(mat.conj().T @ mat - np.eye(d)))
-            if err > 1e-10:
-                raise ValueError(f"operator tagged unitary is not (defect {err:.3e})")
-        mat.setflags(write=False)
-        self.dims = dims
-        self.mat = mat
-        self.hermitian = hermitian
-        self.unitary = unitary
-
-    @property
-    def dim(self):
-        return self.mat.shape[0]
-
-    def __repr__(self):
-        return f"OperatorMatrix(dims={self.dims}, hermitian={self.hermitian}, unitary={self.unitary})"
-
-
 LadderOps = namedtuple("LadderOps", ["annihilation", "creation", "number", "q", "p"])
 
 
@@ -153,16 +119,11 @@ def ladder_ops(cutoff):
         raise InvalidCutoff(f"cutoff must be >= 2, got {cutoff}")
     a = _ladder_raw(cutoff)
     adag = a.conj().T
-    q = (a + adag) / np.sqrt(2)
-    p = (a - adag) / (1j * np.sqrt(2))
-    dims = (cutoff,)
-    return LadderOps(
-        annihilation=OperatorMatrix(dims, a),
-        creation=OperatorMatrix(dims, adag),
-        number=OperatorMatrix(dims, adag @ a, hermitian=True),
-        q=OperatorMatrix(dims, q, hermitian=True),
-        p=OperatorMatrix(dims, p, hermitian=True),
-    )
+    ops = LadderOps(a, adag, adag @ a, (a + adag) / np.sqrt(2),
+                    (a - adag) / (1j * np.sqrt(2)))
+    for op in ops:
+        op.setflags(write=False)
+    return ops
 
 
 def _embed_single_mode(op, dims, mode):
@@ -172,32 +133,23 @@ def _embed_single_mode(op, dims, mode):
     return np.kron(np.kron(left, op), right)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def quadrature_ops(dims):
     """Tuple (q_1, p_1, ..., q_n, p_n) of raw matrices on the full space."""
     dims = tuple(dims)
     out = []
     for m, d in enumerate(dims):
         ops = ladder_ops(d)
-        out.append(_embed_single_mode(ops.q.mat, dims, m))
-        out.append(_embed_single_mode(ops.p.mat, dims, m))
+        out.append(_embed_single_mode(ops.q, dims, m))
+        out.append(_embed_single_mode(ops.p, dims, m))
     for op in out:
         op.setflags(write=False)
     return tuple(out)
 
 
 def tensor(a, b):
-    """Kronecker product of two states or two operators; a is the slower factor."""
-    if isinstance(a, FockState) and isinstance(b, FockState):
-        return FockState(a.dims + b.dims, np.kron(a.rho, b.rho), validate=False)
-    if isinstance(a, OperatorMatrix) and isinstance(b, OperatorMatrix):
-        return OperatorMatrix(
-            a.dims + b.dims,
-            np.kron(a.mat, b.mat),
-            hermitian=a.hermitian and b.hermitian,
-            unitary=a.unitary and b.unitary,
-        )
-    raise TypeError("tensor operands must both be FockState or both OperatorMatrix")
+    """Kronecker product of two states; a is the slower factor."""
+    return FockState(a.dims + b.dims, np.kron(a.rho, b.rho), validate=False)
 
 
 def _check_modes(dims, modes):
@@ -232,17 +184,7 @@ def partial_transpose(state, mode):
     n = state.n_modes
     arr = state.rho.reshape(state.dims + state.dims)
     arr = np.swapaxes(arr, m, m + n)
-    mat = hermitize(arr.reshape(state.dim, state.dim))
-    return OperatorMatrix(state.dims, mat, hermitian=True)
-
-
-def _as_matrix(x):
-    if isinstance(x, FockState):
-        return x.rho, x.dims
-    if isinstance(x, OperatorMatrix):
-        return x.mat, x.dims
-    x = np.asarray(x, dtype=complex)
-    return x, (x.shape[0],)
+    return hermitize(arr.reshape(state.dim, state.dim))
 
 
 def truncate_state(state, tol=1e-9, minimum=4):
@@ -331,16 +273,16 @@ def spectra(dims, *mats, vectors=True):
 
 
 def matrix_power_on_support(state, s):
-    """Hermitian matrix power with eigenvalues below the support floor zeroed.
+    """Power rho^s of a state's density matrix, with eigenvalues below the
+    support floor zeroed.
 
     Eigenvalues below EIG_SUPPORT_FLOOR are excluded from the support, so
     negative powers act as pseudo-inverse powers.
     """
-    mat, dims = _as_matrix(state)
     if not math.isfinite(s):
         raise DomainError("power must be finite")
-    (spec,) = spectra(dims, mat)
-    out = np.zeros(mat.shape, dtype=float if spec.real else complex)
+    (spec,) = spectra(state.dims, state.rho)
+    out = np.zeros(state.rho.shape, dtype=float if spec.real else complex)
     for idx, w, v in zip(spec.sectors, spec.values, spec.vectors):
         pw = np.zeros_like(w)
         # positive powers tolerate arbitrarily small eigenvalues; the floor
@@ -348,7 +290,7 @@ def matrix_power_on_support(state, s):
         on = w > (0.0 if s >= 0 else EIG_SUPPORT_FLOOR)
         pw[on] = w[on] ** s
         out[np.ix_(idx, idx)] = (v * pw) @ v.conj().T
-    return OperatorMatrix(dims, hermitize(out), hermitian=True)
+    return hermitize(out)
 
 
 def _check_same_dims(a, b):
@@ -408,12 +350,8 @@ def fidelity(kind, a, b):
 
 
 def expect(op, state):
-    """<O> = tr[O rho]; real part returned for Hermitian operators."""
-    mat = op.mat if isinstance(op, OperatorMatrix) else np.asarray(op)
-    val = np.sum(mat.T * state.rho)
-    if isinstance(op, OperatorMatrix) and op.hermitian:
-        return float(val.real)
-    return complex(val)
+    """<O> = tr[O rho] for an operator array on the state's space."""
+    return complex(np.sum(op.T * state.rho))
 
 
 def pure_state(vec, dims, normalize=True, validate=True):

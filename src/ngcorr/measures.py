@@ -28,6 +28,8 @@ from .gaussian import gaussian_mi, moments_from_fock, reference_gaussian_fock
 
 MI_KINDS = ("vn", "renyi", "sandwiched", "hs", "tr", "bures")
 NG_KINDS = ("tr", "fid", "lb1", "lb2")
+#: The kinds that take an order alpha.
+ORDERED_KINDS = ("renyi", "sandwiched")
 
 #: Mass of rho outside supp(sigma) above which the alpha > 1 sandwiched
 #: divergence is reported as infinite.  Full-rank states with geometrically
@@ -163,7 +165,7 @@ def mutual_information(kind, state, alpha=None):
         raise ValueError(f"unknown mutual_information kind {kind!r}")
     if kind == "vn":
         kind, alpha = "renyi", 1.0
-    if kind in ("renyi", "sandwiched"):
+    if kind in ORDERED_KINDS:
         if alpha is None:
             raise DomainError("entropic kinds require alpha")
         alpha = float(alpha)

@@ -9,13 +9,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import BadSpec, TruncationError
-from .fock import (
-    DEFAULT_TAIL_TOL,
-    FockState,
-    OperatorMatrix,
-    _ladder_raw,
-    pure_state,
-)
+from .fock import DEFAULT_TAIL_TOL, FockState, _ladder_raw, pure_state
 
 FAMILIES = (
     "vacuum",
@@ -126,7 +120,8 @@ def displacement(alpha, cutoff):
     h = 1j * k  # Hermitian
     w, v = np.linalg.eigh(h)
     u = (v * np.exp(-1j * w)) @ v.conj().T
-    return OperatorMatrix((cutoff,), u, unitary=True)
+    u.setflags(write=False)
+    return u
 
 
 def _thermal_diag(nbar, cutoff):

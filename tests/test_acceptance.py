@@ -341,7 +341,7 @@ def test_criterion_8_property_suite():
         base = apply_loss(
             make_state(StateSpec("ecs", {"gamma": 0.8}, cutoff=25)), 0.7
         )
-        d = np.kron(displacement(0.3, 25).mat, displacement(-0.2j, 25).mat)
+        d = np.kron(displacement(0.3, 25), displacement(-0.2j, 25))
         moved = FockState(base.dims, d @ base.rho @ d.conj().T, validate=False)
         bref, mref = reference_state(base), reference_state(moved)
         for kind in ("tr", "fid", "lb1", "lb2"):

@@ -1,0 +1,56 @@
+"""Every ``lru_cache`` in the package is bounded, unless it is keyed by one
+integer, and hands out read-only arrays, so no caller can change what a
+later caller gets."""
+
+import importlib
+import pkgutil
+
+import numpy as np
+import pytest
+
+import ngcorr
+
+#: One call per cached function; a new cache must be listed here.
+CALLS = {
+    "ngcorr.channels.beam_splitter": (0.4, (3, 5)),
+    "ngcorr.channels.loss_kraus": (0.4, 5),
+    "ngcorr.fock._ladder_raw": (5,),
+    "ngcorr.fock.ladder_ops": (5,),
+    "ngcorr.fock.quadrature_ops": ((3, 4),),
+    "ngcorr.gaussian.omega": (2,),
+}
+
+#: Caches keyed by one integer (a cutoff or a mode count) may be unbounded.
+INTEGER_KEYED = {"ngcorr.fock._ladder_raw", "ngcorr.fock.ladder_ops", "ngcorr.gaussian.omega"}
+
+
+def _caches():
+    found = {}
+    for info in pkgutil.iter_modules(ngcorr.__path__):
+        module = importlib.import_module(f"ngcorr.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                found[f"{module.__name__}.{name}"] = obj
+    return found
+
+
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _arrays(item)
+
+
+def test_every_cache_is_listed():
+    assert set(_caches()) == set(CALLS)
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_cache_is_bounded_and_hands_out_read_only_arrays(name):
+    fn = _caches()[name]
+    if name not in INTEGER_KEYED:
+        assert fn.cache_info().maxsize is not None
+    arrays = list(_arrays(fn(*CALLS[name])))
+    assert arrays
+    assert not any(a.flags.writeable for a in arrays)

@@ -17,7 +17,7 @@ from ngcorr.states import StateSpec, coherent_amps, make_state
 
 def test_loss_kraus_completeness():
     ks = loss_kraus(0.63, 15)
-    total = sum(k.conj().T @ k for k in ks.ops)
+    total = sum(k.conj().T @ k for k in ks)
     assert np.max(np.abs(total - np.eye(15))) < 1e-12
 
 
@@ -50,10 +50,10 @@ def test_beam_splitter_on_coherent_vacuum():
     coh = pure_state(coherent_amps(g, cut), (cut,), validate=False)
     vac = make_state(StateSpec("vacuum", {"modes": 1}, cutoff=cut))
     joint = tensor(coh, vac)
-    u = beam_splitter(eta, cut)
+    u = beam_splitter(eta, (cut, cut))
     from ngcorr.fock import FockState
 
-    out = FockState(joint.dims, u.mat @ joint.rho @ u.mat.conj().T, validate=False)
+    out = FockState(joint.dims, u @ joint.rho @ u.conj().T, validate=False)
     ta = pure_state(coherent_amps(g * math.sqrt(eta), cut), (cut,), validate=False)
     tb = pure_state(coherent_amps(g * math.sqrt(1 - eta), cut), (cut,), validate=False)
     assert distance("trace", out, tensor(ta, tb)) < 1e-8
@@ -64,10 +64,19 @@ def test_hong_ou_mandel_null():
     vec = np.zeros((cut, cut), dtype=complex)
     vec[1, 1] = 1.0
     joint = pure_state(vec.ravel(), (cut, cut), validate=False)
-    u = beam_splitter(0.5, cut)
-    out = u.mat @ vec.ravel()
+    u = beam_splitter(0.5, (cut, cut))
+    out = u @ vec.ravel()
     out = out.reshape(cut, cut)
     assert abs(out[1, 1]) < 1e-12  # the coincidence amplitude cancels
+
+
+@pytest.mark.parametrize("dims", [(6, 6), (10, 12), (12, 12)])
+def test_beam_splitter_is_unitary(dims):
+    eye = np.eye(dims[0] * dims[1])
+    for eta in (0.0, 0.3, 0.9, 1.0):
+        u = beam_splitter(eta, dims)
+        assert np.max(np.abs(u.conj().T @ u - eye)) < 1e-10
+        assert not u.flags.writeable
 
 
 def test_ecs_weights_normalized():
@@ -99,7 +108,7 @@ def test_ecs_loss_analytic_rejects_nonpositive_gamma():
 def test_loss_kraus_operators_are_read_only():
     ks = loss_kraus(0.41, 6)
     with pytest.raises(ValueError):
-        ks.ops[0][0, 0] = 2.0
+        ks[0][0, 0] = 2.0
 
 
 def test_loss_kraus_cache_stays_bounded_over_an_eta_sweep():

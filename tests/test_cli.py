@@ -16,7 +16,7 @@ import ngcorr.figures
 import ngcorr.measures
 from ngcorr.channels import apply_loss
 from ngcorr.errors import BadSpec, ConvergenceFailure
-from ngcorr.figures import COLUMNS, run_figure
+from ngcorr.figures import COLUMNS, default_threads, run_figure
 from ngcorr.measures import delta_ng, ng_correlation
 from ngcorr.states import StateSpec, make_state
 
@@ -37,6 +37,7 @@ def test_measure_id_grammar():
     assert _parse_measure_id("renyi:2") == ("mi", "renyi", 2.0)
     assert _parse_measure_id("delta:hs") == ("delta", "hs", None)
     assert _parse_measure_id("ng:tr") == ("ng", "tr", None)
+    assert _parse_measure_id("delta:sandwiched:1.5") == ("delta", "sandwiched", 1.5)
     with pytest.raises(BadSpec):
         _parse_measure_id("ng:nope")
     with pytest.raises(BadSpec):
@@ -275,4 +276,46 @@ def test_unreadable_spec_file_is_reported_without_traceback(tmp_path, capsys):
     assert exit_info.value.code == 2
     assert capsys.readouterr().err == (
         f"ngcorr: error: {path}: cannot read state-spec file: No such file or directory\n"
+    )
+
+
+@pytest.mark.parametrize("text", ["renyi:abc", "renyi:0.5:7", "vn:2", "hs:2", "bures:2",
+                                  "ng:tr:3", "delta:vn:2", "renyi", "sandwiched",
+                                  "delta:renyi", "renyi:nan", "renyi:inf", "renyi:0",
+                                  "sandwiched:-1"])
+def test_malformed_measure_id_is_reported_before_the_state_is_built(
+        tmp_path, capsys, monkeypatch, text):
+    path = tmp_path / "x.spec"
+    path.write_text("family = ecs\ngamma = 1.0\ncutoff = 12\n")
+    builds = []
+    monkeypatch.setattr(ngcorr.cli, "make_state", lambda spec: builds.append(spec))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["measure_state", str(path), "vn", text])
+    assert exit_info.value.code == 2
+    assert builds == []
+    assert capsys.readouterr().err.startswith(f"ngcorr: error: measure id {text!r}: ")
+
+
+@pytest.mark.parametrize("args", [["fig3", "--eta", "0:1:-1"], ["fig3", "--eta", "0:1:0"],
+                                  ["fig3", "--grid", "0"], ["fig5", "--samples", "-1"],
+                                  ["fig5", "--samples", "0"]])
+def test_count_below_one_is_a_usage_error(capsys, args):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run_figure", *args])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "must be an integer >= 1" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-2"])
+def test_bad_thread_count_in_the_environment_is_reported(monkeypatch, capsys, value):
+    monkeypatch.setenv("NGCORR_THREADS", value)
+    with pytest.raises(BadSpec):
+        default_threads()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run_figure", "fig3", "--grid", "2"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == (
+        f"ngcorr: error: NGCORR_THREADS={value!r} is not a positive integer\n"
     )

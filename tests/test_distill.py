@@ -15,7 +15,7 @@ def test_quadrature_eigenvector_interior_rows():
     # on the interior rows only
     x, cut = 0.8, 40
     psi = quadrature_eigenvector(x, cut)
-    q = ladder_ops(cut).q.mat
+    q = ladder_ops(cut).q
     resid = (q @ psi - x * psi)[: cut - 1]
     assert np.max(np.abs(resid)) < 1e-12
 

@@ -26,14 +26,20 @@ from ngcorr.states import StateSpec, make_state
 
 def test_ladder_commutator_interior():
     ops = ladder_ops(12)
-    comm = ops.q.mat @ ops.p.mat - ops.p.mat @ ops.q.mat
+    comm = ops.q @ ops.p - ops.p @ ops.q
     # [q, p] = i away from the truncation edge
     assert np.allclose(comm[:10, :10], 1j * np.eye(12)[:10, :10])
 
 
 def test_number_operator():
     ops = ladder_ops(6)
-    assert np.allclose(np.diag(ops.number.mat).real, np.arange(6))
+    assert np.allclose(np.diag(ops.number).real, np.arange(6))
+
+
+def test_ladder_ops_are_read_only():
+    for op in ladder_ops(5):
+        with pytest.raises(ValueError):
+            op[0, 0] = 1.0
 
 
 def test_partial_trace_of_product(rng):
@@ -56,9 +62,16 @@ def test_partial_transpose_involution(rng):
     rho = random_density_matrix(rng, 9)
     st = FockState((3, 3), rho, validate=False)
     pt = partial_transpose(st, 1)
-    st2 = FockState((3, 3), pt.mat, validate=False)
+    st2 = FockState((3, 3), pt, validate=False)
     back = partial_transpose(st2, 1)
-    assert np.allclose(back.mat, rho, atol=1e-14)
+    assert np.allclose(back, rho, atol=1e-14)
+
+
+def test_partial_transpose_is_hermitian(rng):
+    st = FockState((3, 4), random_density_matrix(rng, 12), validate=False)
+    for mode in (0, 1):
+        pt = partial_transpose(st, mode)
+        assert np.max(np.abs(pt - pt.conj().T)) <= 1e-10
 
 
 def test_trace_distance_orthogonal_pure():
@@ -89,14 +102,14 @@ def test_superfidelity_upper_bounds_fidelity(rng):
 
 def test_matrix_power_roundtrip(rng):
     st = FockState((5,), random_density_matrix(rng, 5), validate=False)
-    sq = matrix_power_on_support(st, 0.5).mat
+    sq = matrix_power_on_support(st, 0.5)
     assert np.allclose(sq @ sq, st.rho, atol=1e-12)
 
 
 def test_matrix_power_pseudo_inverse():
     rho = np.diag([0.7, 0.3, 0.0]).astype(complex)
     st = FockState((3,), rho, validate=False)
-    inv = matrix_power_on_support(st, -1.0).mat
+    inv = matrix_power_on_support(st, -1.0)
     assert np.allclose(np.diag(inv).real, [1 / 0.7, 1 / 0.3, 0.0], atol=1e-12)
 
 

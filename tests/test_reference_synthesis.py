@@ -40,7 +40,7 @@ def gibbs_reference(spec, dims):
     betas = np.log((lambdas + 0.5) / (lambdas - 0.5))
     g = dec.S.T @ np.diag(np.repeat(betas, 2)) @ dec.S
     work = tuple(dm + GIBBS_MARGIN for dm in dims)
-    quads = [(ladder_ops(dm).q.mat, ladder_ops(dm).p.mat) for dm in work]
+    quads = [(ladder_ops(dm).q, ladder_ops(dm).p) for dm in work]
     d = math.prod(work)
     h = np.zeros((d, d), dtype=complex)
     for i in range(2 * n):
@@ -62,7 +62,7 @@ def gibbs_reference(spec, dims):
     disp = np.eye(1)
     for m in range(n):
         alpha = (spec.means[2 * m] + 1j * spec.means[2 * m + 1]) / math.sqrt(2.0)
-        disp = np.kron(disp, displacement(alpha, work[m]).mat)
+        disp = np.kron(disp, displacement(alpha, work[m]))
     rho = disp @ rho @ disp.conj().T
     sl = tuple(slice(0, dm) for dm in dims)
     dd = math.prod(dims)

@@ -134,7 +134,7 @@ def dense_mi(kind, state, alpha=None):
 
 def dense_log_negativity(state):
     pt = partial_transpose(state, state.n_modes - 1)
-    w = np.linalg.eigvalsh(_dense(pt.mat))
+    w = np.linalg.eigvalsh(_dense(pt))
     return max(0.0, float(math.log(np.sum(np.abs(w)))))
 
 

@@ -34,7 +34,7 @@ def test_ecs_marginal_rank_two():
 def test_tmsv_mean_photon():
     r = 0.4
     st = make_state(StateSpec("tmsv", {"r": r}, cutoff=20))
-    n = ladder_ops(20).number.mat
+    n = ladder_ops(20).number
     full_n = np.kron(n, np.eye(20))
     assert np.sum(full_n.T * st.rho).real == pytest.approx(math.sinh(r) ** 2, abs=1e-10)
 
@@ -82,10 +82,11 @@ def test_truncation_guard():
 
 def test_displacement_unitary_and_action():
     d = displacement(0.4, 25)
-    assert d.unitary
+    assert np.max(np.abs(d.conj().T @ d - np.eye(25))) < 1e-10
+    assert not d.flags.writeable
     vac = np.zeros(25, dtype=complex)
     vac[0] = 1.0
-    moved = d.mat @ vac
+    moved = d @ vac
     from ngcorr.states import coherent_amps
 
     assert np.max(np.abs(moved - coherent_amps(0.4, 25))) < 1e-10
