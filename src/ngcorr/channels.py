@@ -6,53 +6,53 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import BadEta, DomainError, TruncationError
 from .fock import FockState, _check_modes, _ladder_raw, hermitize
 from .states import coherent_amps
 
 
+def _loss_amplitudes(eta, dm):
+    """g[i, m] = <i|K_(m-i)|m> = sqrt(C(m, i) eta^i (1-eta)^(m-i)) for m >= i,
+    else 0; the binomials in log space, exact at eta = 0 and 1."""
+    lg = np.array([math.lgamma(k + 1) for k in range(dm)])
+    i, m = np.indices((dm, dm))
+    k = np.maximum(m - i, 0)
+    binom = np.exp(0.5 * (lg[m] - lg[i] - lg[k]))
+    return np.triu(binom * math.sqrt(eta) ** i * math.sqrt(1.0 - eta) ** k)
+
+
 @lru_cache(maxsize=8)
 def loss_kraus(eta, cutoff):
-    """Single-mode loss Kraus operators K_k = sqrt((1-eta)^k / k!) eta^(n/2) a^k.
-
-    Rank equals the cutoff, which is exact in the truncated space; the
-    completeness relation holds on levels unaffected by truncation.
+    """Single-mode loss Kraus operators K_k = sqrt((1-eta)^k / k!) eta^(n/2) a^k,
+    the k-th superdiagonal of ``_loss_amplitudes``; all-zero ones are left out.
     """
     if not 0.0 <= eta <= 1.0:
         raise BadEta(f"eta = {eta} outside [0, 1]")
-    a = _ladder_raw(cutoff)
-    n = np.arange(cutoff, dtype=float)
-    if eta == 0.0:
-        eta_half_n = np.where(n == 0, 1.0, 0.0)
-    else:
-        eta_half_n = eta ** (n / 2.0)
-    ops = []
-    ak = np.eye(cutoff, dtype=complex)
-    for k in range(cutoff):
-        if eta == 1.0 and k > 0:
-            break
-        if k > 0:
-            ak = a @ ak
-        coef = math.exp(0.5 * (k * math.log1p(-eta) - gammaln(k + 1))) if eta < 1.0 else (1.0 if k == 0 else 0.0)
-        op = coef * (eta_half_n[:, None] * ak)
-        if np.max(np.abs(op)) > 1e-300:
-            op.setflags(write=False)
-            ops.append(op)
-    return tuple(ops)
+    g = _loss_amplitudes(eta, cutoff)
+    ops = tuple(np.diag(np.diagonal(g, k), k).astype(complex) for k in range(cutoff)
+                if np.diagonal(g, k).any())
+    for op in ops:
+        op.setflags(write=False)
+    return ops
 
 
-def _apply_mode_kraus(rho, dims, mode, kraus):
-    left = math.prod(dims[:mode])
+def _apply_mode_loss(rho, dims, mode, g):
+    """rho'_ij = sum_k g[i, i+k] g[j, j+k] rho_(i+k)(j+k) on one mode
+    (Chuang, Leung & Yamamoto, PRA 56, 1114 (1997)): each diagonal i - j
+    maps through one real upper-triangular matrix, one GEMM per diagonal."""
     dm = dims[mode]
-    right = math.prod(dims[mode + 1 :])
-    arr = rho.reshape(left, dm, right, left, dm, right)
+    shape = (math.prod(dims[:mode]), dm, math.prod(dims[mode + 1 :]))
+    axes = (1, 4, 0, 2, 3, 5)
+    arr = np.ascontiguousarray(rho.reshape(shape + shape).transpose(axes))
+    arr = arr.reshape(dm * dm, -1)
     out = np.zeros_like(arr)
-    for k in kraus:
-        t = np.tensordot(k, arr, axes=([1], [1]))  # a,L,R,l,c,r
-        t = np.tensordot(t, k.conj(), axes=([4], [1]))  # a,L,R,l,r,d
-        out += t.transpose(1, 0, 2, 3, 5, 4)
+    for delta in range(1 - dm, dm):
+        i = np.arange(max(delta, 0), dm + min(delta, 0))
+        rows = slice(i[0] * (dm + 1) - delta, None, dm + 1)  # i dm + j, j = i - delta
+        trans = g[np.ix_(i, i)] * g[np.ix_(i - delta, i - delta)]
+        out[rows][: i.size].view(float)[...] = trans @ arr[rows][: i.size].view(float)
+    out = out.reshape(dm, dm, *shape[::2], *shape[::2]).transpose(np.argsort(axes))
     return out.reshape(rho.shape)
 
 
@@ -62,9 +62,9 @@ def apply_loss(state, eta, modes=None):
         raise BadEta(f"eta = {eta} outside [0, 1]")
     modes = range(state.n_modes) if modes is None else modes
     modes = _check_modes(state.dims, modes)
-    rho = np.array(state.rho)
+    rho = state.rho
     for m in modes:
-        rho = _apply_mode_kraus(rho, state.dims, m, loss_kraus(float(eta), state.dims[m]))
+        rho = _apply_mode_loss(rho, state.dims, m, _loss_amplitudes(float(eta), state.dims[m]))
     return FockState(state.dims, hermitize(rho), validate=False)
 
 

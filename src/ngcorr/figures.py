@@ -69,14 +69,18 @@ PNES_COEFFS = (0.986, 0.162, math.sqrt(1.0 - 0.986**2 - 0.162**2))
 FLAGGED = (NGCorrError, np.linalg.LinAlgError)
 
 
+def _count(value, name):
+    """A thread, grid, sample or range count: an integer of at least 1,
+    given as an int or its decimal string."""
+    if not str(value).strip().isdecimal() or int(value) < 1:
+        raise BadSpec(f"{name}={value!r} is not a positive integer")
+    return int(value)
+
+
 def default_threads():
     """NGCORR_THREADS, a positive integer, or else the core count."""
     env = os.environ.get("NGCORR_THREADS")
-    if not env:
-        return os.cpu_count() or 1
-    if not env.strip().isdigit() or int(env) < 1:
-        raise BadSpec(f"NGCORR_THREADS={env!r} is not a positive integer")
-    return int(env)
+    return _count(env, "NGCORR_THREADS") if env else os.cpu_count() or 1
 
 
 def _pool_map(fn, items, threads):
@@ -287,13 +291,13 @@ class Figure:
             rng = np.random.default_rng(seed)
             return [{**self.const, **{n: rng.uniform(lo, hi) for n, lo, hi in self.draws},
                      "seed": seed}
-                    for _ in range(int(_opt(options, "samples", 10_000)))]
-        grid = _opt(options, "grid", self.grid)
+                    for _ in range(_count(_opt(options, "samples", 10_000), "samples"))]
+        grid = _count(_opt(options, "grid", self.grid), "grid")
         names = [axis[0] for axis in self.axes]
         values = []
         for name, start, stop, count in self.axes:
             start, stop, count = _opt(options, name, (start, stop, count or grid))
-            values.append(np.linspace(start, stop, int(count)))
+            values.append(np.linspace(start, stop, _count(count, f"{name} count")))
         return [{**self.const, **dict(zip(names, v))} for v in itertools.product(*values)]
 
 
@@ -354,7 +358,7 @@ def run_figure(figure, options=None, threads=None):
         raise ValueError(f"unknown figure id {figure!r}; expected one of {FIGURE_IDS}")
     fig = FIGURES[figure]
     options = dict(options or {})
-    threads = default_threads() if threads is None else max(1, int(threads))
+    threads = default_threads() if threads is None else _count(threads, "threads")
     cutoff = options.get("cutoff")
     return sweep(figure, fig.points(options), fig.measures,
                  lambda p: fig.state(p, cutoff), threads)

@@ -190,9 +190,9 @@ def partial_transpose(state, mode):
 def truncate_state(state, tol=1e-9, minimum=4):
     """Shrink per-mode cutoffs so the population at and above the new top
     level stays below ``tol`` per mode.  Two margin levels are kept above
-    the support so quadratic operators are edge-clean (the top retained
-    level of a truncated quadrature operator misses its upward coupling).
-    Returns the input when nothing can be cut."""
+    the support.  The moments do not need them, being exact on the
+    zero-padded state; they fix the dims, and so the values, of the sweeps
+    that truncate (fig5).  Returns the input when nothing can be cut."""
     n = state.n_modes
     diag = np.real(np.diagonal(state.rho)).reshape(state.dims)
     new_dims = []

@@ -21,7 +21,7 @@ from .errors import (
     TruncationError,
     UnphysicalCM,
 )
-from .fock import FockState, quadrature_ops
+from .fock import FockState, partial_trace
 
 PHYSICALITY_TOL = 1e-9
 
@@ -104,19 +104,37 @@ class SymplecticDecomp:
 
 
 def extract_moments(state):
-    """Raw (means, cm) pair without the physicality gate of GaussianSpec."""
-    qp = quadrature_ops(state.dims)
-    rho = state.rho
-    n2 = len(qp)
-    means = np.array([np.sum(op.T * rho).real for op in qp])
-    prods = [op @ rho for op in qp]
-    cm = np.empty((n2, n2))
-    for i in range(n2):
-        for j in range(i, n2):
-            sym = np.sum(qp[j].T * prods[i]).real  # tr[Qj Qi rho]
-            ji = np.sum(qp[i].T * prods[j]).real
-            cm[i, j] = cm[j, i] = 0.5 * (sym + ji) - means[i] * means[j]
-    return means, cm
+    """Raw (means, cm) pair without the physicality gate of GaussianSpec.
+
+    <a_j>, <a_j a_k> and <a_j† a_k> come from shifted diagonals of the one-
+    and two-mode marginals, and <a_j a_j†> = <a_j† a_j> + 1 exactly: the
+    moments of the zero-padded state, so the covariance matrix is physical.
+    """
+    n = state.n_modes
+    roots = [np.sqrt(np.arange(1, d)) for d in state.dims]
+    first = np.empty(n, dtype=complex)
+    aa, ada = np.empty((2, n, n), dtype=complex)  # <a_j a_k>, <a_j† a_k>
+    for j, s in enumerate(roots):
+        r = partial_trace(state, [j]).rho
+        first[j] = s @ np.diagonal(r, -1)
+        aa[j, j] = (s[:-1] * s[1:]) @ np.diagonal(r, -2)
+        ada[j, j] = np.arange(s.size + 1) @ np.diagonal(r)
+        for k in range(j + 1, n):
+            pair = partial_trace(state, [j, k])
+            r2 = pair.rho.reshape(pair.dims + pair.dims)
+            # sqrt(x+1) sqrt(y+1) times <x+1, y+1|rho|x, y>, and <x, y+1|rho|x+1, y>
+            aa[j, k] = aa[k, j] = np.einsum("x,y,xyxy", s, roots[k], r2[1:, 1:, :-1, :-1])
+            ada[j, k] = np.einsum("x,y,xyxy", s, roots[k], r2[:-1, 1:, 1:, :-1])
+            ada[k, j] = np.conj(ada[j, k])
+    # symmetrized products of q = (a + a†)/sqrt(2), p = (a - a†)/(i sqrt(2));
+    # <a_j a_k†> = <a_k† a_j> + delta_jk gives the I/2
+    means = math.sqrt(2.0) * np.column_stack([first.real, first.imag]).ravel()
+    cm = np.empty((2 * n, 2 * n))
+    cm[::2, ::2] = (ada + aa).real + 0.5 * np.eye(n)
+    cm[1::2, 1::2] = (ada - aa).real + 0.5 * np.eye(n)
+    cm[::2, 1::2] = (ada + aa).imag
+    cm[1::2, ::2] = cm[::2, 1::2].T
+    return means, cm - np.outer(means, means)
 
 
 def moments_from_fock(state, tail_tol=None):

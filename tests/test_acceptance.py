@@ -230,8 +230,8 @@ def test_criterion_4_gaussian_oracle():
     "superposition state's Gaussian reference is a pure squeezed state whose "
     "Fock tail converges too slowly (errors 3e-6..1e-1 measured), and order-2 "
     "sandwiched values diverge on pure references; every error shrinks "
-    "monotonically with cutoff (see the convergence-evidence test and the "
-    "decisions ledger)",
+    "monotonically with cutoff (see the convergence-evidence test and "
+    "CHANGES.md)",
 )
 def test_criterion_4_unattainable_subcases():
     with criterion("4 (unattainable sub-cases)",
@@ -412,7 +412,7 @@ def test_criterion_9_scatter_correlations():
     "fraction range, converged in cutoff and robust to sign/phase/scale "
     "conventions of the homodyne projection (gains do appear for outcomes "
     "beyond 2.5, covered by a passing positive control in the distillation "
-    "suite); see the decisions ledger",
+    "suite); see CHANGES.md",
 )
 def test_criterion_9_distillation_window():
     with criterion("9 (distillation window)",

@@ -11,8 +11,10 @@ from ngcorr.channels import (
     loss_kraus,
 )
 from ngcorr.errors import DomainError
-from ngcorr.fock import distance, expect, ladder_ops, pure_state, tensor
+from ngcorr.fock import FockState, distance, expect, ladder_ops, pure_state, tensor
+from ngcorr.sampling import random_density_matrix
 from ngcorr.states import StateSpec, coherent_amps, make_state
+from oracles import kraus_loss
 
 
 def test_loss_kraus_completeness():
@@ -118,3 +120,24 @@ def test_loss_kraus_cache_stays_bounded_over_an_eta_sweep():
     info = loss_kraus.cache_info()
     assert info.maxsize is not None
     assert info.currsize <= info.maxsize
+
+
+def _random_state(dims, seed):
+    rho = random_density_matrix(np.random.default_rng(seed), math.prod(dims))
+    return FockState(dims, rho, validate=False)
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.3, 0.7, 1.0])
+@pytest.mark.parametrize("case", ["unequal", "one_mode", "three_modes", "near_pure_ecs"])
+def test_loss_matches_the_kraus_oracle(case, eta):
+    modes = None
+    if case == "unequal":
+        state = _random_state((5, 7), 1)
+    elif case == "one_mode":
+        state, modes = _random_state((5, 7), 2), [1]
+    elif case == "three_modes":
+        state = _random_state((3, 4, 5), 3)
+    else:
+        state = make_state(StateSpec("ecs", {"gamma": 1.0}, cutoff=16))
+    fast = apply_loss(state, eta, modes)
+    assert np.max(np.abs(fast.rho - kraus_loss(state, eta, modes).rho)) < 1e-12

@@ -16,7 +16,7 @@ import ngcorr.figures
 import ngcorr.measures
 from ngcorr.channels import apply_loss
 from ngcorr.errors import BadSpec, ConvergenceFailure
-from ngcorr.figures import COLUMNS, default_threads, run_figure
+from ngcorr.figures import COLUMNS, FIGURES, default_threads, run_figure
 from ngcorr.measures import delta_ng, ng_correlation
 from ngcorr.states import StateSpec, make_state
 
@@ -214,6 +214,16 @@ def test_fig4_extracts_the_moments_once_per_point(monkeypatch):
     assert [r["status"] for r in rows] == ["ok"] * 12
 
 
+def test_fig4_pure_state_at_cutoff_12_is_not_flagged():
+    # the truncated quadrature matrices gave the eta = 1 state an unphysical
+    # covariance matrix here; the zero-padded moments are exact
+    rows = run_figure("fig4", {"grid": 2, "cutoff": 12}, threads=1)
+    top = [r for r in rows if r["eta"] == 1.0]
+    assert [r["status"] for r in top] == ["ok"] * 4
+    assert top[0]["measure"] == "ng_tr"
+    assert top[0]["value"] == pytest.approx(0.4437, abs=1e-4)
+
+
 def test_range_flags_sweep_their_axes(tmp_path):
     rows = _run_cli(tmp_path, ["run_figure", "fig6cd", "--grid", "2", "--x", "0.5:1:2"])
     assert len(rows) == 2 * 2 * 2 * 2
@@ -319,3 +329,20 @@ def test_bad_thread_count_in_the_environment_is_reported(monkeypatch, capsys, va
     assert capsys.readouterr().err == (
         f"ngcorr: error: NGCORR_THREADS={value!r} is not a positive integer\n"
     )
+
+
+def test_thread_count_below_one_is_a_bad_spec(capsys):
+    with pytest.raises(BadSpec):
+        run_figure("fig3", {"grid": 2}, threads=0)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run_figure", "fig3", "--grid", "2", "--threads", "0"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == "ngcorr: error: threads=0 is not a positive integer\n"
+
+
+@pytest.mark.parametrize("figure, options", [("fig3", {"grid": 0}), ("fig5", {"samples": 0}),
+                                             ("fig3", {"eta": (0.0, 1.0, -1)}),
+                                             ("fig3", {"grid": 2.5})])
+def test_library_count_below_one_is_a_bad_spec(figure, options):
+    with pytest.raises(BadSpec):
+        FIGURES[figure].points(options)

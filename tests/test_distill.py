@@ -56,7 +56,7 @@ def test_distillation_gain_exists_at_strong_postselection():
     "the 10% beam-splitter attenuation always outweighs the postselection "
     "reweighting for squeezing 0.05 (measured loss 1e-4..1e-2 across the "
     "whole fraction range, converged in cutoff, robust to sign/phase/scale "
-    "conventions); see the decisions ledger",
+    "conventions); see CHANGES.md",
 )
 def test_distillation_gain_at_published_parameters():
     st = make_state(StateSpec("cv_werner", {"f": 0.5, "r": 0.05}, cutoff=14))

@@ -20,8 +20,10 @@ from ngcorr.gaussian import (
     symplectic_eigs,
     williamson,
 )
-from ngcorr.sampling import random_gaussian_spec, random_standard_form
+from ngcorr.fock import FockState, partial_trace
+from ngcorr.sampling import random_density_matrix, random_gaussian_spec, random_standard_form
 from ngcorr.states import StateSpec, make_state
+from oracles import dense_moments
 
 
 def test_vacuum_moments():
@@ -179,3 +181,49 @@ def test_analytic_cm_ecs_loss_domain():
     for gamma in (0.0, 20.0):
         with pytest.raises(DomainError):
             analytic_cm("ecs_loss", gamma=gamma, eta=1.0)
+
+
+def _padded_state(dims, seed, rank=None, pad=1):
+    """Random complex state on the lowest dims - pad levels of each mode,
+    zero-padded to dims, so the top ``pad`` levels are empty."""
+    inner = tuple(d - pad for d in dims)
+    rho = random_density_matrix(np.random.default_rng(seed), math.prod(inner), rank)
+    full = np.zeros(dims + dims, dtype=complex)
+    full[tuple(slice(0, k) for k in inner) * 2] = rho.reshape(inner + inner)
+    return FockState(dims, full.reshape(math.prod(dims), -1), validate=False)
+
+
+@pytest.mark.parametrize("dims", [(7,), (5, 7), (3, 4, 5)])
+@pytest.mark.parametrize("rank", [None, 1])
+def test_moments_match_the_dense_extraction_on_padded_states(dims, rank):
+    state = _padded_state(dims, seed=sum(dims), rank=rank)
+    assert state.tail_mass == 0.0
+    means, cm = extract_moments(state)
+    dense_means, dense_cm = dense_moments(state)
+    assert np.max(np.abs(means - dense_means)) < 1e-12
+    assert np.max(np.abs(cm - dense_cm)) < 1e-12
+
+
+def test_moments_of_the_near_pure_lossy_ecs_match_the_dense_extraction():
+    from ngcorr.channels import ecs_loss_analytic
+
+    state = ecs_loss_analytic(1.0, 0.999, 24)
+    assert state.tail_mass < 1e-16
+    means, cm = extract_moments(state)
+    dense_means, dense_cm = dense_moments(state)
+    assert np.max(np.abs(means - dense_means)) < 1e-12
+    assert np.max(np.abs(cm - dense_cm)) < 1e-12
+
+
+@pytest.mark.parametrize("dims", [(6,), (4, 5), (3, 4, 3)])
+def test_moments_use_the_commutator_exactly_when_the_top_level_is_populated(dims):
+    # (cm_qq + cm_pp + <q>^2 + <p>^2) / 2 = <a† a> + 1/2 holds on the padded
+    # state; the truncated quadrature matrices miss N p_(N-1) of it
+    state = _padded_state(dims, seed=len(dims), pad=0)
+    assert state.tail_mass > 1e-3
+    means, cm = extract_moments(state)
+    for j, d in enumerate(dims):
+        pops = np.diagonal(partial_trace(state, [j]).rho).real
+        second = cm[2 * j, 2 * j] + cm[2 * j + 1, 2 * j + 1]
+        second += means[2 * j] ** 2 + means[2 * j + 1] ** 2
+        assert abs(0.5 * second - (np.arange(d) @ pops + 0.5)) < 1e-12
