@@ -8,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BadEta, DomainError, TruncationError
-from .fock import FockState, _check_modes, _ladder_raw, hermitize
+from .fock import FockState, _check_modes, _ladder_raw, _tail_mass, hermitize, support_dims
 from .states import coherent_amps
 
 
@@ -65,7 +65,7 @@ def apply_loss(state, eta, modes=None):
     rho = state.rho
     for m in modes:
         rho = _apply_mode_loss(rho, state.dims, m, _loss_amplitudes(float(eta), state.dims[m]))
-    return FockState(state.dims, hermitize(rho), validate=False)
+    return FockState(state.dims, rho, validate=False)
 
 
 @lru_cache(maxsize=8)
@@ -136,18 +136,28 @@ def ecs_loss_branches(gamma, eta, cutoff):
     return bell, even
 
 
-def ecs_loss_analytic(gamma, eta, cutoff, tail_tol=1e-6):
-    """Closed-form lossy ECS: rank-2 mixture of a Bell branch and an even branch."""
+def ecs_loss_analytic(gamma, eta, cutoff, tail_tol=1e-6, support_tol=None):
+    """Closed-form lossy ECS: rank-2 mixture of a Bell branch and an even branch.
+
+    Raises ``TruncationError`` when the tail mass at ``cutoff`` reaches
+    ``tail_tol``.  ``support_tol`` cuts the state exactly as ``truncate_state``
+    does at that tolerance, but forms only the kept block; None cuts nothing.
+    """
     if not 0.0 <= eta <= 1.0:
         raise BadEta(f"eta = {eta} outside [0, 1]")
     if not float(gamma) > 0.0:
         raise DomainError("gamma must be > 0")
     w_bell, w_even = ecs_weights(gamma, eta)
     bell, even = ecs_loss_branches(gamma, eta, cutoff)
+    pops = (w_bell * (bell * bell.conj()) + w_even * (even * even.conj())).real
+    pops = pops.reshape(cutoff, cutoff)
+    tail = _tail_mass(pops)
+    if tail >= tail_tol:
+        raise TruncationError(f"lossy-ECS tail mass {tail:.3e} >= {tail_tol}")
+    dims = pops.shape if support_tol is None else support_dims(pops, support_tol)
+    bell, even = (v.reshape(pops.shape)[: dims[0], : dims[1]].ravel() for v in (bell, even))
     rho = w_bell * np.outer(bell, bell.conj()) + w_even * np.outer(even, even.conj())
-    state = FockState((cutoff, cutoff), hermitize(rho), validate=False)
-    if state.tail_mass >= tail_tol:
-        raise TruncationError(
-            f"lossy-ECS tail mass {state.tail_mass:.3e} >= {tail_tol}"
-        )
-    return state
+    rho = hermitize(rho)
+    if dims != pops.shape:
+        rho = rho / np.trace(rho).real
+    return FockState(dims, rho, validate=False)

@@ -36,6 +36,7 @@ from .gaussian import (
 )
 from .measures import (
     MeasureResult,
+    averaged_states,
     delta_ng,
     mutual_information,
     ng_correlation,
@@ -97,10 +98,10 @@ def _opt(options, key, default):
 
 
 class Point:
-    """One sweep point: its row parameters, and its state, moments and
-    Gaussian reference, each built on first use and kept.  A build that
-    fails with a flagged error is kept and re-raised, so it is attempted
-    once per point."""
+    """One sweep point: its row parameters, and its state, moments, Gaussian
+    reference and averaged pair, each built on first use and kept.  A build
+    that fails with a flagged error is kept and re-raised, so it is
+    attempted once per point."""
 
     def __init__(self, params, build):
         self.params = params
@@ -131,6 +132,10 @@ class Point:
         return self._get(
             "reference", lambda: reference_state(self.state, moments=self.moments)
         )
+
+    @property
+    def pair(self):
+        return self._get("pair", lambda: averaged_states(self.state, reference=self.reference))
 
 
 def _row(figure, name, params, res):
@@ -171,12 +176,12 @@ def sweep(figure, points, measures, build, threads=1):
 
 def measure(group, kind, alpha=None):
     """``fn(point)`` for one measure id: group 'mi', 'delta' or 'ng', a kind
-    and an optional order.  The reference and the moments come from the
-    point's memo, so every measure at a point shares them."""
+    and an optional order.  The reference, the moments and the averaged pair
+    come from the point's memo, so every measure at a point shares them."""
     if group == "mi":
         return lambda pt: mutual_information(kind, pt.state, alpha)
     if group == "ng":
-        return lambda pt: ng_correlation(kind, pt.state, reference=pt.reference)
+        return lambda pt: ng_correlation(kind, pt.state, pair=pt.pair)
     if kind in ("tr", "bures"):
         return lambda pt: delta_ng(kind, pt.state, alpha, reference=pt.reference)
     return lambda pt: delta_ng(kind, pt.state, alpha, moments=pt.moments)
@@ -226,10 +231,8 @@ def _sampled_lossy_ecs(p, cutoff):
     """Closed-form lossy superposition, cut to its converged support."""
     g, eta = p["gamma"], p["eta"]
     if eta * g * g > 1e-8:
-        state = ecs_loss_analytic(g, eta, cutoff or default_cutoff(g))
-    else:
-        state = _lossy_ecs(p, cutoff)
-    return truncate_state(state, tol=1e-10)
+        return ecs_loss_analytic(g, eta, cutoff or default_cutoff(g), support_tol=1e-10)
+    return truncate_state(_lossy_ecs(p, cutoff), tol=1e-10)
 
 
 def _ef_excess(pt):

@@ -38,15 +38,14 @@ def hermitize(mat):
     return 0.5 * (mat + mat.conj().T)
 
 
-def _tail_mass(rho, dims):
-    """Largest single-mode population of the highest retained level."""
-    n = len(dims)
-    diag = np.real(np.diagonal(rho)).reshape(dims)
+def _tail_mass(pops):
+    """Largest single-mode population of the top level of ``pops``, shaped as dims."""
+    n = pops.ndim
     worst = 0.0
     for m in range(n):
         sl = [slice(None)] * n
-        sl[m] = dims[m] - 1
-        worst = max(worst, float(np.sum(diag[tuple(sl)])))
+        sl[m] = pops.shape[m] - 1
+        worst = max(worst, float(np.sum(pops[tuple(sl)])))
     return worst
 
 
@@ -79,7 +78,7 @@ class FockState:
         rho.setflags(write=False)
         self.dims = dims
         self.rho = rho
-        self.tail_mass = _tail_mass(rho, dims)
+        self.tail_mass = _tail_mass(np.real(np.diagonal(rho)).reshape(dims))
 
     @property
     def dim(self):
@@ -187,33 +186,34 @@ def partial_transpose(state, mode):
     return hermitize(arr.reshape(state.dim, state.dim))
 
 
-def truncate_state(state, tol=1e-9, minimum=4):
-    """Shrink per-mode cutoffs so the population at and above the new top
-    level stays below ``tol`` per mode.  Two margin levels are kept above
-    the support.  The moments do not need them, being exact on the
-    zero-padded state; they fix the dims, and so the values, of the sweeps
-    that truncate (fig5).  Returns the input when nothing can be cut."""
-    n = state.n_modes
-    diag = np.real(np.diagonal(state.rho)).reshape(state.dims)
-    new_dims = []
+def support_dims(pops, tol, minimum=4):
+    """Per-mode cutoffs for the Fock populations ``pops`` (shaped as the
+    dims): the fewest levels, at least ``minimum``, that leave less than
+    ``tol`` of the mode's population at and above the top level, plus two
+    margin levels, capped at the current cutoff."""
+    n = pops.ndim
+    dims = []
     for m in range(n):
-        pops = np.apply_over_axes(np.sum, diag, [ax for ax in range(n) if ax != m])
-        pops = pops.ravel()
-        keep = state.dims[m]
-        while keep > minimum and pops[keep - 1 :].sum() < tol:
+        marg = np.apply_over_axes(np.sum, pops, [ax for ax in range(n) if ax != m]).ravel()
+        keep = pops.shape[m]
+        while keep > minimum and marg[keep - 1 :].sum() < tol:
             keep -= 1
-        keep = min(state.dims[m], keep + 2)
-        new_dims.append(keep)
-    new_dims = tuple(new_dims)
+        dims.append(min(pops.shape[m], keep + 2))
+    return tuple(dims)
+
+
+def truncate_state(state, tol=1e-9, minimum=4):
+    """Cut the state to ``support_dims`` of its populations and renormalise;
+    the input itself when nothing can be cut.  The two margin levels do not
+    protect the moments, which are exact on the zero-padded state; they fix
+    the dims, and so the values, of fig5, whose ``ecs_loss_analytic`` states
+    are cut by this rule at the branch level."""
+    new_dims = support_dims(np.real(np.diagonal(state.rho)).reshape(state.dims), tol, minimum)
     if new_dims == state.dims:
         return state
-    arr = state.rho.reshape(state.dims + state.dims)
-    sl = tuple(slice(0, d) for d in new_dims)
-    arr = arr[sl + sl]
-    d = math.prod(new_dims)
-    rho = arr.reshape(d, d)
-    rho = rho / np.trace(rho).real
-    return FockState(new_dims, rho, validate=False)
+    sl = tuple(slice(0, d) for d in new_dims) * 2
+    rho = state.rho.reshape(state.dims * 2)[sl].reshape(math.prod(new_dims), -1)
+    return FockState(new_dims, rho / np.trace(rho).real, validate=False)
 
 
 class Spectrum(namedtuple("Spectrum", ["sectors", "real", "blocks", "values", "vectors"])):

@@ -248,16 +248,17 @@ def averaged_states(state, reference=None):
     return rho_tilde, sigma_tilde
 
 
-def ng_correlation(kind, state, reference=None):
+def ng_correlation(kind, state, reference=None, pair=None):
     """Non-Gaussian-correlation measure from the averaged-state pair.
 
     kinds: 'tr' (trace distance), 'fid' (order-1/2 relative entropy from the
     Uhlmann fidelity), 'lb1' (superfidelity lower bound), 'lb2'
-    (Hilbert-Schmidt lower bound); fid >= lb1 >= lb2.
+    (Hilbert-Schmidt lower bound); fid >= lb1 >= lb2.  The reference, or
+    the ``averaged_states`` pair built from it, may be passed in.
     """
     if kind not in NG_KINDS:
         raise ValueError(f"unknown ng_correlation kind {kind!r}")
-    rt, st = averaged_states(state, reference=reference)
+    rt, st = averaged_states(state, reference=reference) if pair is None else pair
     if kind == "tr":
         return _result(distance("trace", rt, st), "ng_tr", None, state)
     if kind == "fid":

@@ -1,17 +1,27 @@
 """Dense reference routes that the library's direct kernels are tested against.
 
-Both are the routes that the library's direct kernels replaced: the loss
+They are the routes that the library's direct kernels replaced: the loss
 channel as a sum over Kraus operators built from powers of the ladder
-matrix, and the moments as traces against the full-space quadrature
-operators of ``fock.quadrature_ops``.  They are slow (O(N^6) and O(d^3))
-and kept only to check the fast routes.
+matrix, the moments as traces against the full-space quadrature operators
+of ``fock.quadrature_ops``, and fig5's sampled states built at the full
+cutoff and then truncated.  They are slow (O(N^6), O(d^3) and O(d^2)) and
+kept only to check the fast routes.
 """
 
 import math
 
 import numpy as np
 
-from ngcorr.fock import FockState, _check_modes, hermitize, ladder_ops, quadrature_ops
+from ngcorr.channels import apply_loss, ecs_loss_analytic
+from ngcorr.fock import (
+    FockState,
+    _check_modes,
+    hermitize,
+    ladder_ops,
+    quadrature_ops,
+    truncate_state,
+)
+from ngcorr.states import StateSpec, default_cutoff, make_state
 
 
 def kraus_ops(eta, cutoff):
@@ -62,3 +72,14 @@ def dense_moments(state):
             ji = np.sum(qp[i].T * prods[j]).real
             cm[i, j] = cm[j, i] = 0.5 * (sym + ji) - means[i] * means[j]
     return means, cm
+
+
+def dense_sampled_lossy_ecs(p, cutoff):
+    """fig5's state builder: the lossy superposition at the full cutoff, then
+    ``truncate_state`` at tolerance 1e-10."""
+    g, eta = p["gamma"], p["eta"]
+    if eta * g * g > 1e-8:
+        state = ecs_loss_analytic(g, eta, cutoff or default_cutoff(g))
+    else:
+        state = apply_loss(make_state(StateSpec("ecs", {"gamma": g}, cutoff=cutoff)), eta)
+    return truncate_state(state, tol=1e-10)

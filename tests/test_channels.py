@@ -10,10 +10,18 @@ from ngcorr.channels import (
     ecs_weights,
     loss_kraus,
 )
-from ngcorr.errors import DomainError
-from ngcorr.fock import FockState, distance, expect, ladder_ops, pure_state, tensor
+from ngcorr.errors import DomainError, TruncationError
+from ngcorr.fock import (
+    FockState,
+    distance,
+    expect,
+    ladder_ops,
+    pure_state,
+    tensor,
+    truncate_state,
+)
 from ngcorr.sampling import random_density_matrix
-from ngcorr.states import StateSpec, coherent_amps, make_state
+from ngcorr.states import StateSpec, coherent_amps, default_cutoff, make_state
 from oracles import kraus_loss
 
 
@@ -141,3 +149,35 @@ def test_loss_matches_the_kraus_oracle(case, eta):
         state = make_state(StateSpec("ecs", {"gamma": 1.0}, cutoff=16))
     fast = apply_loss(state, eta, modes)
     assert np.max(np.abs(fast.rho - kraus_loss(state, eta, modes).rho)) < 1e-12
+    # the kernel's own output is Hermitian; apply_loss does not hermitize it
+    assert np.max(np.abs(fast.rho - fast.rho.conj().T)) <= 1e-15 * np.max(np.abs(fast.rho))
+
+
+def _assert_same_state(a, b):
+    assert a.dims == b.dims
+    assert np.array_equal(a.rho, b.rho)
+    assert a.tail_mass == b.tail_mass
+
+
+@pytest.mark.parametrize("eta", [0.01, 0.5, 1.0])
+@pytest.mark.parametrize("gamma", [0.2, 0.8, 1.3, 1.5])
+def test_ecs_cut_on_the_branches_equals_the_truncated_dense_state(gamma, eta):
+    cutoff = default_cutoff(gamma)
+    full = ecs_loss_analytic(gamma, eta, cutoff)
+    assert full.dims == (cutoff, cutoff)
+    cut = ecs_loss_analytic(gamma, eta, cutoff, support_tol=1e-10)
+    assert max(cut.dims) < cutoff
+    _assert_same_state(cut, truncate_state(full, tol=1e-10))
+
+
+def test_ecs_with_nothing_to_cut_is_the_full_state():
+    full = ecs_loss_analytic(1.5, 0.5, 12)
+    assert truncate_state(full, tol=1e-10) is full
+    _assert_same_state(ecs_loss_analytic(1.5, 0.5, 12, support_tol=1e-10), full)
+
+
+def test_ecs_cut_checks_the_tail_at_the_full_cutoff():
+    with pytest.raises(TruncationError):
+        truncate_state(ecs_loss_analytic(1.5, 1.0, 12), tol=1e-10)
+    with pytest.raises(TruncationError):
+        ecs_loss_analytic(1.5, 1.0, 12, support_tol=1e-10)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -19,6 +20,7 @@ from ngcorr.errors import BadSpec, ConvergenceFailure
 from ngcorr.figures import COLUMNS, FIGURES, default_threads, run_figure
 from ngcorr.measures import delta_ng, ng_correlation
 from ngcorr.states import StateSpec, make_state
+from oracles import dense_sampled_lossy_ecs
 
 
 def test_parse_range_flag():
@@ -212,6 +214,35 @@ def test_fig4_extracts_the_moments_once_per_point(monkeypatch):
     rows = run_figure("fig4", {"eta": (0.2, 0.6, 3), "cutoff": 12}, threads=1)
     assert len(calls) == 3
     assert [r["status"] for r in rows] == ["ok"] * 12
+
+
+def test_fig4_builds_the_averaged_pair_once_per_point(monkeypatch):
+    calls = []
+    original = ngcorr.measures.averaged_states
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (ngcorr.figures, ngcorr.measures):
+        monkeypatch.setattr(module, "averaged_states", counted, raising=False)
+    rows = run_figure("fig4", {"grid": 2}, threads=1)
+    assert len(calls) == 2
+    assert [r["status"] for r in rows] == ["ok"] * 8
+
+
+@pytest.mark.parametrize("options", [{"samples": 40, "seed": 3},
+                                     {"samples": 40, "seed": 4, "cutoff": 12}])
+def test_fig5_rows_match_the_dense_state_builder(monkeypatch, options):
+    rows = run_figure("fig5", options, threads=1)
+    dense = dataclasses.replace(FIGURES["fig5"], state=dense_sampled_lossy_ecs)
+    monkeypatch.setitem(FIGURES, "fig5", dense)
+    expected = run_figure("fig5", options, threads=1)
+    assert [r.keys() for r in rows] == [r.keys() for r in expected]
+    for row, ref in zip(rows, expected):
+        assert [repr(row[c]) for c in COLUMNS] == [repr(ref[c]) for c in COLUMNS]
+    flagged = sum(r["status"] == "flagged" for r in rows)
+    assert flagged == (4 if "cutoff" in options else 0)
 
 
 def test_fig4_pure_state_at_cutoff_12_is_not_flagged():
