@@ -8,14 +8,22 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BadEta, DomainError, TruncationError
-from .fock import FockState, _check_modes, _ladder_raw, _tail_mass, hermitize, support_dims
-from .states import coherent_amps
+from .fock import (
+    DEFAULT_TAIL_TOL,
+    FockState,
+    _check_modes,
+    _ladder_raw,
+    _tail_mass,
+    hermitize,
+    support_dims,
+)
+from .states import coherent_amps, log_factorials
 
 
 def _loss_amplitudes(eta, dm):
     """g[i, m] = <i|K_(m-i)|m> = sqrt(C(m, i) eta^i (1-eta)^(m-i)) for m >= i,
     else 0; the binomials in log space, exact at eta = 0 and 1."""
-    lg = np.array([math.lgamma(k + 1) for k in range(dm)])
+    lg = log_factorials(dm)
     i, m = np.indices((dm, dm))
     k = np.maximum(m - i, 0)
     binom = np.exp(0.5 * (lg[m] - lg[i] - lg[k]))
@@ -136,12 +144,13 @@ def ecs_loss_branches(gamma, eta, cutoff):
     return bell, even
 
 
-def ecs_loss_analytic(gamma, eta, cutoff, tail_tol=1e-6, support_tol=None):
+def ecs_loss_analytic(gamma, eta, cutoff, support_tol=None):
     """Closed-form lossy ECS: rank-2 mixture of a Bell branch and an even branch.
 
     Raises ``TruncationError`` when the tail mass at ``cutoff`` reaches
-    ``tail_tol``.  ``support_tol`` cuts the state exactly as ``truncate_state``
-    does at that tolerance, but forms only the kept block; None cuts nothing.
+    ``DEFAULT_TAIL_TOL``.  ``support_tol`` cuts the state exactly as
+    ``truncate_state`` does at that tolerance, but forms only the kept block;
+    None cuts nothing.
     """
     if not 0.0 <= eta <= 1.0:
         raise BadEta(f"eta = {eta} outside [0, 1]")
@@ -152,12 +161,12 @@ def ecs_loss_analytic(gamma, eta, cutoff, tail_tol=1e-6, support_tol=None):
     pops = (w_bell * (bell * bell.conj()) + w_even * (even * even.conj())).real
     pops = pops.reshape(cutoff, cutoff)
     tail = _tail_mass(pops)
-    if tail >= tail_tol:
-        raise TruncationError(f"lossy-ECS tail mass {tail:.3e} >= {tail_tol}")
+    if tail >= DEFAULT_TAIL_TOL:
+        raise TruncationError(f"lossy-ECS tail mass {tail:.3e} >= {DEFAULT_TAIL_TOL}")
     dims = pops.shape if support_tol is None else support_dims(pops, support_tol)
     bell, even = (v.reshape(pops.shape)[: dims[0], : dims[1]].ravel() for v in (bell, even))
+    # real branch vectors make the rank-2 sum exactly Hermitian
     rho = w_bell * np.outer(bell, bell.conj()) + w_even * np.outer(even, even.conj())
-    rho = hermitize(rho)
     if dims != pops.shape:
         rho = rho / np.trace(rho).real
     return FockState(dims, rho, validate=False)

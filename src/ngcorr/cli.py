@@ -15,6 +15,7 @@ import argparse
 import math
 import sys
 
+from . import figures
 from .channels import apply_loss
 from .errors import BadSpec, NGCorrError
 from .figures import COLUMNS, FIGURE_IDS, FIGURES, measure, run_figure, sweep
@@ -43,10 +44,11 @@ def write_csv(rows, stream):
 
 
 def _count(text):
-    """A count of points or samples: an integer of at least 1."""
-    if not text.strip().isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"count {text!r} must be an integer >= 1")
-    return int(text)
+    """``figures._count`` as an argparse type: a bad count is a usage error."""
+    try:
+        return figures._count(text, "count")
+    except BadSpec:
+        raise argparse.ArgumentTypeError(f"count {text!r} must be an integer >= 1") from None
 
 
 def _parse_range(text):

@@ -41,20 +41,8 @@ class ConvergenceFailure(NGCorrError):
     """A numerical decomposition failed its self-check."""
 
 
-class MeanMismatch(NGCorrError):
-    """Gaussian composition requires equal first moments."""
-
-
 class DomainError(NGCorrError, ValueError):
     """Scalar argument outside the domain of a closed-form expression."""
-
-
-class SupportMismatch(NGCorrError):
-    """supp(rho) not contained in supp(sigma) where required."""
-
-
-class CaseNotApplicable(NGCorrError):
-    """Requested fast path's structural precondition does not hold."""
 
 
 class ZeroWeight(NGCorrError):

@@ -22,6 +22,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+# imported eagerly: numpy loads numpy.random on first use, which would put
+# that import inside the first sampled sweep instead of the package import
+from numpy.random import default_rng
 
 from .channels import apply_loss, ecs_loss_analytic
 from .distill import DistillConfig, distill
@@ -291,7 +294,7 @@ class Figure:
     def points(self, options):
         if self.draws:
             seed = int(_opt(options, "seed", 0))
-            rng = np.random.default_rng(seed)
+            rng = default_rng(seed)
             return [{**self.const, **{n: rng.uniform(lo, hi) for n, lo, hi in self.draws},
                      "seed": seed}
                     for _ in range(_count(_opt(options, "samples", 10_000), "samples"))]

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadModeIndex, DimMismatch, DomainError, InvalidCutoff, InvalidState
+from .errors import BadModeIndex, DimMismatch, InvalidCutoff, InvalidState
 
 #: Eigenvalues below this are treated as exactly zero in fractional or
 #: negative matrix powers (double-precision eigensolver noise scale).
@@ -186,29 +186,29 @@ def partial_transpose(state, mode):
     return hermitize(arr.reshape(state.dim, state.dim))
 
 
-def support_dims(pops, tol, minimum=4):
+def support_dims(pops, tol):
     """Per-mode cutoffs for the Fock populations ``pops`` (shaped as the
-    dims): the fewest levels, at least ``minimum``, that leave less than
-    ``tol`` of the mode's population at and above the top level, plus two
-    margin levels, capped at the current cutoff."""
+    dims): the fewest levels, at least four, that leave less than ``tol`` of
+    the mode's population at and above the top level, plus two margin
+    levels, capped at the current cutoff."""
     n = pops.ndim
     dims = []
     for m in range(n):
         marg = np.apply_over_axes(np.sum, pops, [ax for ax in range(n) if ax != m]).ravel()
         keep = pops.shape[m]
-        while keep > minimum and marg[keep - 1 :].sum() < tol:
+        while keep > 4 and marg[keep - 1 :].sum() < tol:
             keep -= 1
         dims.append(min(pops.shape[m], keep + 2))
     return tuple(dims)
 
 
-def truncate_state(state, tol=1e-9, minimum=4):
+def truncate_state(state, tol=1e-9):
     """Cut the state to ``support_dims`` of its populations and renormalise;
     the input itself when nothing can be cut.  The two margin levels do not
     protect the moments, which are exact on the zero-padded state; they fix
     the dims, and so the values, of fig5, whose ``ecs_loss_analytic`` states
     are cut by this rule at the branch level."""
-    new_dims = support_dims(np.real(np.diagonal(state.rho)).reshape(state.dims), tol, minimum)
+    new_dims = support_dims(np.real(np.diagonal(state.rho)).reshape(state.dims), tol)
     if new_dims == state.dims:
         return state
     sl = tuple(slice(0, d) for d in new_dims) * 2
@@ -272,27 +272,6 @@ def spectra(dims, *mats, vectors=True):
     return tuple(out)
 
 
-def matrix_power_on_support(state, s):
-    """Power rho^s of a state's density matrix, with eigenvalues below the
-    support floor zeroed.
-
-    Eigenvalues below EIG_SUPPORT_FLOOR are excluded from the support, so
-    negative powers act as pseudo-inverse powers.
-    """
-    if not math.isfinite(s):
-        raise DomainError("power must be finite")
-    (spec,) = spectra(state.dims, state.rho)
-    out = np.zeros(state.rho.shape, dtype=float if spec.real else complex)
-    for idx, w, v in zip(spec.sectors, spec.values, spec.vectors):
-        pw = np.zeros_like(w)
-        # positive powers tolerate arbitrarily small eigenvalues; the floor
-        # is only needed where they would be amplified
-        on = w > (0.0 if s >= 0 else EIG_SUPPORT_FLOOR)
-        pw[on] = w[on] ** s
-        out[np.ix_(idx, idx)] = (v * pw) @ v.conj().T
-    return hermitize(out)
-
-
 def _check_same_dims(a, b):
     if a.dims != b.dims:
         raise DimMismatch(f"dims {a.dims} != {b.dims}")
@@ -349,14 +328,8 @@ def fidelity(kind, a, b):
     raise ValueError(f"unknown fidelity kind {kind!r}")
 
 
-def expect(op, state):
-    """<O> = tr[O rho] for an operator array on the state's space."""
-    return complex(np.sum(op.T * state.rho))
-
-
-def pure_state(vec, dims, normalize=True, validate=True):
-    """|psi><psi| as a FockState from a flat amplitude vector."""
+def pure_state(vec, dims, validate=True):
+    """|psi><psi| as a FockState from a flat amplitude vector, normalised."""
     vec = np.asarray(vec, dtype=complex).ravel()
-    if normalize:
-        vec = vec / np.linalg.norm(vec)
+    vec = vec / np.linalg.norm(vec)
     return FockState(dims, np.outer(vec, vec.conj()), validate=validate)

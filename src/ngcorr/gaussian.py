@@ -11,16 +11,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
-from .errors import (
-    BadSpec,
-    ConvergenceFailure,
-    DomainError,
-    MeanMismatch,
-    TruncationError,
-    UnphysicalCM,
-)
+from .errors import BadSpec, ConvergenceFailure, DomainError, UnphysicalCM
 from .fock import FockState, partial_trace
 
 PHYSICALITY_TOL = 1e-9
@@ -95,14 +87,6 @@ class StandardFormCM:
         return GaussianSpec(np.zeros(4), self.assemble())
 
 
-@dataclass(frozen=True)
-class SymplecticDecomp:
-    """Symplectic S and thermal eigenvalues with S Gamma S^T = diag(lambda_j I_2)."""
-
-    S: np.ndarray
-    lambdas: tuple
-
-
 def extract_moments(state):
     """Raw (means, cm) pair without the physicality gate of GaussianSpec.
 
@@ -137,12 +121,8 @@ def extract_moments(state):
     return means, cm - np.outer(means, means)
 
 
-def moments_from_fock(state, tail_tol=None):
+def moments_from_fock(state):
     """Extract first moments and the symmetrized covariance matrix."""
-    if tail_tol is not None and state.tail_mass >= tail_tol:
-        raise TruncationError(
-            f"tail mass {state.tail_mass:.3e} >= {tail_tol}; moments unreliable"
-        )
     return GaussianSpec(*extract_moments(state))
 
 
@@ -222,60 +202,6 @@ def _symplectic_eigs_raw(cm):
     return np.array(reps)
 
 
-def symplectic_eigs(spec):
-    """Symplectic spectrum of a physical covariance matrix, descending."""
-    ev = _symplectic_eigs_raw(spec.cm)
-    if np.max(np.abs(ev.imag)) > 1e-8:
-        raise UnphysicalCM("complex symplectic spectrum")
-    lam = ev.real
-    if lam.size and lam[-1] < 0.5 - PHYSICALITY_TOL:
-        raise UnphysicalCM(f"symplectic eigenvalue {lam[-1]} < 1/2")
-    return [float(x) for x in lam]
-
-
-def williamson(spec):
-    """Williamson normal form via the real Schur form of Gamma^-1/2 Omega Gamma^-1/2.
-
-    Self-verifies S Omega S^T = Omega and S Gamma S^T = diag(lambda_j I_2)
-    on every call.
-    """
-    cm = spec.cm
-    n = spec.n_modes
-    w, v = np.linalg.eigh(cm)
-    if w[0] <= 0:
-        raise UnphysicalCM("covariance matrix not positive definite")
-    inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.T
-    b = inv_sqrt @ omega(n) @ inv_sqrt
-    b = 0.5 * (b - b.T)
-    t, r = scipy.linalg.schur(b, output="real")
-    lambdas = []
-    r = r.copy()
-    for j in range(n):
-        i = 2 * j
-        bj = t[i, i + 1]
-        if bj < 0:
-            r[:, [i, i + 1]] = r[:, [i + 1, i]]
-            bj = -bj
-        if bj <= 0:
-            raise ConvergenceFailure("degenerate Schur block in Williamson step")
-        lambdas.append(1.0 / bj)
-    order = sorted(range(n), key=lambda j: -lambdas[j])
-    perm = []
-    for j in order:
-        perm.extend([2 * j, 2 * j + 1])
-    r = r[:, perm]
-    lambdas = [lambdas[j] for j in order]
-    delta_sqrt = np.diag(np.repeat(np.sqrt(lambdas), 2))
-    s = delta_sqrt @ r.T @ inv_sqrt
-    # self-check both decomposition invariants
-    if np.max(np.abs(s @ omega(n) @ s.T - omega(n))) > 1e-8:
-        raise ConvergenceFailure("Williamson S is not symplectic")
-    target = np.diag(np.repeat(lambdas, 2))
-    if np.max(np.abs(s @ cm @ s.T - target)) > 1e-7 * max(1.0, np.max(np.abs(cm))):
-        raise ConvergenceFailure("Williamson S does not diagonalize Gamma")
-    return SymplecticDecomp(S=s, lambdas=tuple(float(x) for x in lambdas))
-
-
 def _hermite_tensor(a_mat, y, shape):
     """H_k for all k < shape from H_0 = 1 and the recurrence
     H_(k+e_i) = (y_i H_k + sum_j A_ij sqrt(k_j) H_(k-e_j)) / sqrt(k_i + 1).
@@ -307,7 +233,7 @@ def _hermite_tensor(a_mat, y, shape):
     return h
 
 
-def reference_gaussian_fock(spec, cutoff, tail_tol=None, check_moments=True):
+def reference_gaussian_fock(spec, cutoff):
     """Synthesize the Gaussian state with the given moments in Fock basis.
 
     With beta = (alpha, alpha*) the means and sigma the covariance matrix in
@@ -335,11 +261,7 @@ def reference_gaussian_fock(spec, cutoff, tail_tol=None, check_moments=True):
     rho += rho.conj().T
     rho *= 1.0 / np.trace(rho).real
     state = FockState(dims, rho, validate=False)
-    if tail_tol is not None and state.tail_mass >= tail_tol:
-        raise TruncationError(
-            f"reference-state tail mass {state.tail_mass:.3e} >= {tail_tol}"
-        )
-    if check_moments and state.tail_mass < 1e-7:
+    if state.tail_mass < 1e-7:
         back_means, back_cm = extract_moments(state)
         err = max(
             np.max(np.abs(back_cm - spec.cm)), np.max(np.abs(back_means - spec.means))
@@ -392,23 +314,6 @@ def _h_compose(cm1, cm2):
     i2 = 0.5j * om
     inv = np.linalg.inv(cm1 + cm2)
     return -i2 + (cm2 + i2) @ inv @ (cm1 + i2)
-
-
-def compose_rule(spec1, spec2):
-    """Gaussian product rule sigma1 sigma2 = prefactor * gaussian(h).
-
-    Requires equal means; the prefactor is det(Gamma1 + Gamma2)^(-1/2).
-    """
-    if np.max(np.abs(spec1.means - spec2.means)) > 1e-9:
-        raise MeanMismatch("composition rule requires equal first moments")
-    det = np.linalg.det(spec1.cm + spec2.cm)
-    if det <= 0:
-        raise UnphysicalCM("det(Gamma1 + Gamma2) <= 0")
-    pref = 1.0 / math.sqrt(det)
-    h = _h_compose(spec1.cm, spec2.cm)
-    if np.max(np.abs(h.imag)) > 1e-9 * max(1.0, np.max(np.abs(h.real))):
-        raise UnphysicalCM("composed covariance matrix is not real (non-commuting pair)")
-    return pref, GaussianSpec(spec1.means, 0.5 * (h.real + h.real.T))
 
 
 def _standard_of(spec_or_sf):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSpec, CaseNotApplicable, DomainError
+from .errors import BadSpec, DomainError
 from .fock import (
     EIG_SUPPORT_FLOOR,
     FockState,
@@ -193,13 +193,13 @@ def mutual_information(kind, state, alpha=None):
     return _result(math.sqrt(max(0.0, 2.0 * (1.0 - math.sqrt(f)))), kind, None, state)
 
 
-def reference_state(state, tail_tol=None, moments=None):
+def reference_state(state, moments=None):
     """Gaussian state with the same first and second moments, on the same dims.
 
     ``moments`` may pass in the state's already extracted moments.
     """
     spec = moments_from_fock(state) if moments is None else moments
-    return reference_gaussian_fock(spec, state.dims, tail_tol=tail_tol)
+    return reference_gaussian_fock(spec, state.dims)
 
 
 def delta_ng(kind, state, alpha=None, reference=None, moments=None):
@@ -269,46 +269,6 @@ def ng_correlation(kind, state, reference=None, pair=None):
         return _result(-math.log(max(g, 1e-300)), "ng_lb1", None, state)
     d2 = distance("hilbert_schmidt", rt, st) ** 2
     return _result(-math.log(max(1.0 - 0.5 * d2, 1e-300)), "ng_lb2", None, state)
-
-
-#: Preconditions of the reduced two-state evaluations of the lb2 measure.
-PRODUCT_CM_TOL = 1e-7
-LOCAL_GAUSSIAN_TOL = 1e-6
-
-
-def ng_lb2_fast(case, state, reference=None):
-    """Two-state shortcuts for the Hilbert-Schmidt lower bound.
-
-    case 'product_reference': valid when the reference covariance matrix has
-    no cross-mode block, so sigma_AB = sigma_A x sigma_B and
-    lb2 = -ln(1 - D_HS^2[rho, rho_A x rho_B] / 8).
-    case 'local_gaussian': valid when both marginals are Gaussian, so
-    lb2 = -ln(1 - D_HS^2[rho, sigma_AB] / 8).
-    """
-    spec = moments_from_fock(state)
-    if case == "product_reference":
-        off = np.max(np.abs(spec.cm[:2, 2:]))
-        if off >= PRODUCT_CM_TOL:
-            raise CaseNotApplicable(
-                f"reference is correlated: off-block max {off:.3e}"
-            )
-        other = _marginal_product(state)
-    elif case == "local_gaussian":
-        ra, rb = _marginals(state)
-        for m in (ra, rb):
-            mref = reference_gaussian_fock(moments_from_fock(m), m.dims)
-            f = fidelity("uhlmann", m, mref)
-            if f < 1.0 - LOCAL_GAUSSIAN_TOL:
-                raise CaseNotApplicable(
-                    f"marginal is non-Gaussian: fidelity to reference {f!r}"
-                )
-        other = reference_state(state) if reference is None else reference
-    else:
-        raise ValueError(f"unknown ng_lb2_fast case {case!r}")
-    d2 = distance("hilbert_schmidt", state, other) ** 2
-    return _result(
-        -math.log(max(1.0 - 0.125 * d2, 1e-300)), "ng_lb2", None, state
-    )
 
 
 def superfidelity_chain(a, b):

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import BadSpec, TruncationError
 from .fock import DEFAULT_TAIL_TOL, FockState, _ladder_raw, pure_state
@@ -77,6 +76,11 @@ def thermal_cutoff(nbar, tol=1e-6, minimum=8, maximum=80):
     return int(min(max(minimum, n), maximum))
 
 
+def log_factorials(count):
+    """ln n! for n = 0 .. count - 1."""
+    return np.array([math.lgamma(k + 1) for k in range(count)])
+
+
 def coherent_amps(gamma, cutoff):
     """Fock amplitudes of |gamma>, truncated (not renormalized)."""
     n = np.arange(cutoff)
@@ -86,12 +90,13 @@ def coherent_amps(gamma, cutoff):
         amps[0] = 1.0
         return amps
     # log-domain magnitude avoids overflow of gamma**n / sqrt(n!)
-    logmag = n * math.log(abs(gamma)) - 0.5 * gammaln(n + 1.0) - 0.5 * abs(gamma) ** 2
-    phase = np.exp(1j * n * np.angle(gamma))
+    logmag = n * math.log(abs(gamma)) - 0.5 * log_factorials(cutoff) - 0.5 * abs(gamma) ** 2
+    # powers by repeated multiplication: exactly (-1)^n for a real negative gamma
+    phase = np.cumprod(np.r_[1.0, np.full(cutoff - 1, gamma / abs(gamma))])
     return np.exp(logmag) * phase
 
 
-def cat_basis(gamma, cutoff, tail_tol=DEFAULT_TAIL_TOL):
+def cat_basis(gamma, cutoff):
     """Orthonormal even/odd cat vectors built from |gamma> and |-gamma>."""
     g = complex(gamma)
     if g == 0:
@@ -103,8 +108,8 @@ def cat_basis(gamma, cutoff, tail_tol=DEFAULT_TAIL_TOL):
     plus = plus / np.linalg.norm(plus)
     minus = minus / np.linalg.norm(minus)
     tail = max(abs(plus[-1]) ** 2, abs(minus[-1]) ** 2)
-    if tail >= tail_tol:
-        raise TruncationError(f"cat-basis tail mass {tail:.3e} >= {tail_tol}")
+    if tail >= DEFAULT_TAIL_TOL:
+        raise TruncationError(f"cat-basis tail mass {tail:.3e} >= {DEFAULT_TAIL_TOL}")
     return plus, minus
 
 
@@ -141,11 +146,11 @@ def _tmsv_vec(r, cutoff):
     return vec.ravel()
 
 
-def make_state(spec, tail_tol=DEFAULT_TAIL_TOL):
+def make_state(spec):
     """Build the FockState described by ``spec``.
 
     Raises TruncationError when the top-level population meets or exceeds
-    ``tail_tol``, signalling that the requested cutoff is too small.
+    ``DEFAULT_TAIL_TOL``, signalling that the requested cutoff is too small.
     """
     fam = spec.family
     p = spec.params
@@ -161,14 +166,14 @@ def make_state(spec, tail_tol=DEFAULT_TAIL_TOL):
         state = pure_state(coherent_amps(g, cut), (cut,), validate=False)
     elif fam == "thermal":
         nbar = float(p["nbar"])
-        cut = spec.cutoff or thermal_cutoff(nbar, tail_tol * 1e-2)
+        cut = spec.cutoff or thermal_cutoff(nbar, DEFAULT_TAIL_TOL * 1e-2)
         d = _thermal_diag(nbar, cut)
         state = FockState((cut,), np.diag(d / d.sum()).astype(complex), validate=False)
     elif fam == "cat":
         g = complex(p["gamma"])
         sign = int(p.get("sign", +1))
         cut = spec.cutoff or default_cutoff(g)
-        plus, minus = cat_basis(g, cut, tail_tol=tail_tol)
+        plus, minus = cat_basis(g, cut)
         state = pure_state(plus if sign >= 0 else minus, (cut,), validate=False)
     elif fam == "ecs":
         g = complex(p["gamma"])
@@ -189,12 +194,12 @@ def make_state(spec, tail_tol=DEFAULT_TAIL_TOL):
         state = pure_state(vec.ravel(), (cut, cut), validate=False)
     elif fam == "tmsv":
         r = float(p["r"])
-        cut = spec.cutoff or thermal_cutoff(math.sinh(r) ** 2, tail_tol * 1e-2)
+        cut = spec.cutoff or thermal_cutoff(math.sinh(r) ** 2, DEFAULT_TAIL_TOL * 1e-2)
         state = pure_state(_tmsv_vec(r, cut), (cut, cut), validate=False)
     elif fam == "cv_werner":
         f = float(p["f"])
         r = float(p["r"])
-        cut = spec.cutoff or thermal_cutoff(math.sinh(r) ** 2, tail_tol * 1e-2)
+        cut = spec.cutoff or thermal_cutoff(math.sinh(r) ** 2, DEFAULT_TAIL_TOL * 1e-2)
         vac = np.zeros(cut * cut, dtype=complex)
         vac[0] = 1.0
         phi = _tmsv_vec(r, cut)
@@ -203,7 +208,7 @@ def make_state(spec, tail_tol=DEFAULT_TAIL_TOL):
         state = FockState((cut, cut), rho, validate=False)
     elif fam == "photon_correlated":
         nbar = float(p["nbar"])
-        cut = spec.cutoff or thermal_cutoff(nbar, tail_tol * 1e-2)
+        cut = spec.cutoff or thermal_cutoff(nbar, DEFAULT_TAIL_TOL * 1e-2)
         d = _thermal_diag(nbar, cut)
         d = d / d.sum()
         rho = np.zeros((cut * cut, cut * cut), dtype=complex)
@@ -212,8 +217,8 @@ def make_state(spec, tail_tol=DEFAULT_TAIL_TOL):
         state = FockState((cut, cut), rho, validate=False)
     else:  # pragma: no cover - guarded by StateSpec
         raise BadSpec(f"unknown family {fam!r}")
-    if state.tail_mass >= tail_tol:
+    if state.tail_mass >= DEFAULT_TAIL_TOL:
         raise TruncationError(
-            f"{fam} tail mass {state.tail_mass:.3e} >= {tail_tol}; increase cutoff"
+            f"{fam} tail mass {state.tail_mass:.3e} >= {DEFAULT_TAIL_TOL}; increase cutoff"
         )
     return state

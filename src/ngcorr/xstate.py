@@ -1,6 +1,5 @@
-"""Closed-form mutual informations for X-form two-qubit states and
-Schmidt-diagonal pure states, plus the cat-basis embedding of the lossy
-entangled coherent state.
+"""Closed-form mutual informations for X-form two-qubit states, plus the
+cat-basis embedding of the lossy entangled coherent state.
 
 These serve as independent oracles against the Fock-basis numerics.
 """
@@ -137,11 +136,6 @@ def xstate_mi(kind, params, alpha=None):
     raise ValueError(f"unknown xstate_mi kind {kind!r}")
 
 
-def bell_params():
-    """X-state parameters of (|+->+|-+>)/sqrt(2)."""
-    return XStateParams(a=0.0, b=0.5, c=0.5, d=0.0, u=0.5, v=0.0)
-
-
 def ecs_to_xstate(gamma, eta):
     """Lossy entangled coherent state in the attenuated-cat qubit basis.
 
@@ -166,28 +160,3 @@ def ecs_to_xstate(gamma, eta):
         v=w_even * big_a * big_b,
     )
 
-
-def pure_schmidt_mi(kind, coeffs, alpha=None):
-    """Mutual information of sum_k c_k |k>|k> from its Schmidt weights."""
-    c = np.abs(np.asarray(coeffs, dtype=complex))
-    w = c**2
-    if abs(w.sum() - 1.0) > 1e-12:
-        raise DomainError("Schmidt coefficients must satisfy sum |c_k|^2 = 1")
-    w = w[w > 0.0]
-    if kind == "hs":
-        s4 = float(np.sum(w**2))
-        s6 = float(np.sum(w**3))
-        return math.sqrt(max(0.0, 1.0 + s4 * s4 - 2.0 * s6))
-    if alpha is None:
-        raise DomainError("entropic kinds require alpha")
-    alpha = float(alpha)
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
-    if alpha == 1.0:
-        return float(-2.0 * np.sum(w * np.log(w)))
-    if kind == "renyi":
-        return float(2.0 / (1.0 - alpha) * math.log(np.sum(w**alpha)))
-    if kind == "sandwiched":
-        e = (2.0 - alpha) / alpha
-        return float(alpha / (alpha - 1.0) * math.log(np.sum(w**e)))
-    raise ValueError(f"unknown pure_schmidt_mi kind {kind!r}")

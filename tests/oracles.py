@@ -1,27 +1,47 @@
-"""Dense reference routes that the library's direct kernels are tested against.
+"""Reference routes and closed forms that the library is tested against.
 
-They are the routes that the library's direct kernels replaced: the loss
-channel as a sum over Kraus operators built from powers of the ladder
-matrix, the moments as traces against the full-space quadrature operators
-of ``fock.quadrature_ops``, and fig5's sampled states built at the full
-cutoff and then truncated.  They are slow (O(N^6), O(d^3) and O(d^2)) and
-kept only to check the fast routes.
+The dense routes are the ones that the library's direct kernels replaced:
+the loss channel as a sum over Kraus operators built from powers of the
+ladder matrix, the moments as traces against the full-space quadrature
+operators of ``fock.quadrature_ops``, and fig5's sampled states built at
+the full cutoff and then truncated.  They are slow (O(N^6), O(d^3) and
+O(d^2)) and kept only to check the fast routes.
+
+The rest are independent routes with no library caller: the Williamson
+decomposition (through a real Schur form, the only use of scipy.linalg),
+the symplectic spectrum of a covariance matrix, the Schmidt-weight mutual
+informations of pure states, the X-state parameters of a Bell state, the
+expectation value tr[O rho], and two-state shortcuts for the lb2 measure.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from ngcorr.channels import apply_loss, ecs_loss_analytic
+from ngcorr.errors import ConvergenceFailure, DomainError, UnphysicalCM
 from ngcorr.fock import (
     FockState,
     _check_modes,
+    distance,
+    fidelity,
     hermitize,
     ladder_ops,
     quadrature_ops,
     truncate_state,
 )
+from ngcorr.gaussian import (
+    PHYSICALITY_TOL,
+    _symplectic_eigs_raw,
+    moments_from_fock,
+    omega,
+    reference_gaussian_fock,
+)
+from ngcorr.measures import _marginal_product, _marginals, _result, reference_state
 from ngcorr.states import StateSpec, default_cutoff, make_state
+from ngcorr.xstate import XStateParams
 
 
 def kraus_ops(eta, cutoff):
@@ -83,3 +103,145 @@ def dense_sampled_lossy_ecs(p, cutoff):
     else:
         state = apply_loss(make_state(StateSpec("ecs", {"gamma": g}, cutoff=cutoff)), eta)
     return truncate_state(state, tol=1e-10)
+
+
+def expect(op, state):
+    """<O> = tr[O rho] for an operator array on the state's space."""
+    return complex(np.sum(op.T * state.rho))
+
+
+def symplectic_eigs(spec):
+    """Symplectic spectrum of a physical covariance matrix, descending."""
+    ev = _symplectic_eigs_raw(spec.cm)
+    if np.max(np.abs(ev.imag)) > 1e-8:
+        raise UnphysicalCM("complex symplectic spectrum")
+    lam = ev.real
+    if lam.size and lam[-1] < 0.5 - PHYSICALITY_TOL:
+        raise UnphysicalCM(f"symplectic eigenvalue {lam[-1]} < 1/2")
+    return [float(x) for x in lam]
+
+
+@dataclass(frozen=True)
+class SymplecticDecomp:
+    """Symplectic S and thermal eigenvalues with S Gamma S^T = diag(lambda_j I_2)."""
+
+    S: np.ndarray
+    lambdas: tuple
+
+
+def williamson(spec):
+    """Williamson normal form via the real Schur form of Gamma^-1/2 Omega Gamma^-1/2.
+
+    Self-verifies S Omega S^T = Omega and S Gamma S^T = diag(lambda_j I_2)
+    on every call.
+    """
+    cm = spec.cm
+    n = spec.n_modes
+    w, v = np.linalg.eigh(cm)
+    if w[0] <= 0:
+        raise UnphysicalCM("covariance matrix not positive definite")
+    inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.T
+    b = inv_sqrt @ omega(n) @ inv_sqrt
+    b = 0.5 * (b - b.T)
+    t, r = scipy.linalg.schur(b, output="real")
+    lambdas = []
+    r = r.copy()
+    for j in range(n):
+        i = 2 * j
+        bj = t[i, i + 1]
+        if bj < 0:
+            r[:, [i, i + 1]] = r[:, [i + 1, i]]
+            bj = -bj
+        if bj <= 0:
+            raise ConvergenceFailure("degenerate Schur block in Williamson step")
+        lambdas.append(1.0 / bj)
+    order = sorted(range(n), key=lambda j: -lambdas[j])
+    perm = []
+    for j in order:
+        perm.extend([2 * j, 2 * j + 1])
+    r = r[:, perm]
+    lambdas = [lambdas[j] for j in order]
+    delta_sqrt = np.diag(np.repeat(np.sqrt(lambdas), 2))
+    s = delta_sqrt @ r.T @ inv_sqrt
+    # self-check both decomposition invariants
+    if np.max(np.abs(s @ omega(n) @ s.T - omega(n))) > 1e-8:
+        raise ConvergenceFailure("Williamson S is not symplectic")
+    target = np.diag(np.repeat(lambdas, 2))
+    if np.max(np.abs(s @ cm @ s.T - target)) > 1e-7 * max(1.0, np.max(np.abs(cm))):
+        raise ConvergenceFailure("Williamson S does not diagonalize Gamma")
+    return SymplecticDecomp(S=s, lambdas=tuple(float(x) for x in lambdas))
+
+
+def bell_params():
+    """X-state parameters of (|+->+|-+>)/sqrt(2)."""
+    return XStateParams(a=0.0, b=0.5, c=0.5, d=0.0, u=0.5, v=0.0)
+
+
+def pure_schmidt_mi(kind, coeffs, alpha=None):
+    """Mutual information of sum_k c_k |k>|k> from its Schmidt weights."""
+    c = np.abs(np.asarray(coeffs, dtype=complex))
+    w = c**2
+    if abs(w.sum() - 1.0) > 1e-12:
+        raise DomainError("Schmidt coefficients must satisfy sum |c_k|^2 = 1")
+    w = w[w > 0.0]
+    if kind == "hs":
+        s4 = float(np.sum(w**2))
+        s6 = float(np.sum(w**3))
+        return math.sqrt(max(0.0, 1.0 + s4 * s4 - 2.0 * s6))
+    if alpha is None:
+        raise DomainError("entropic kinds require alpha")
+    alpha = float(alpha)
+    if alpha <= 0:
+        raise DomainError("alpha must be positive")
+    if alpha == 1.0:
+        return float(-2.0 * np.sum(w * np.log(w)))
+    if kind == "renyi":
+        return float(2.0 / (1.0 - alpha) * math.log(np.sum(w**alpha)))
+    if kind == "sandwiched":
+        e = (2.0 - alpha) / alpha
+        return float(alpha / (alpha - 1.0) * math.log(np.sum(w**e)))
+    raise ValueError(f"unknown pure_schmidt_mi kind {kind!r}")
+
+
+#: Preconditions of the reduced two-state evaluations of the lb2 measure.
+PRODUCT_CM_TOL = 1e-7
+LOCAL_GAUSSIAN_TOL = 1e-6
+
+
+class CaseNotApplicable(Exception):
+    """The structural precondition of an ``ng_lb2_fast`` case does not hold."""
+
+
+def ng_lb2_fast(case, state, reference=None):
+    """Two-state shortcuts for the Hilbert-Schmidt lower bound.
+
+    case 'product_reference': valid when the reference covariance matrix has
+    no cross-mode block, so sigma_AB = sigma_A x sigma_B and
+    lb2 = -ln(1 - D_HS^2[rho, rho_A x rho_B] / 8).
+    case 'local_gaussian': valid when both marginals are Gaussian, so
+    lb2 = -ln(1 - D_HS^2[rho, sigma_AB] / 8).
+    """
+    spec = moments_from_fock(state)
+    if case == "product_reference":
+        off = np.max(np.abs(spec.cm[:2, 2:]))
+        if off >= PRODUCT_CM_TOL:
+            raise CaseNotApplicable(
+                f"reference is correlated: off-block max {off:.3e}"
+            )
+        other = _marginal_product(state)
+    elif case == "local_gaussian":
+        ra, rb = _marginals(state)
+        for m in (ra, rb):
+            mref = reference_gaussian_fock(moments_from_fock(m), m.dims)
+            f = fidelity("uhlmann", m, mref)
+            if f < 1.0 - LOCAL_GAUSSIAN_TOL:
+                raise CaseNotApplicable(
+                    f"marginal is non-Gaussian: fidelity to reference {f!r}"
+                )
+        other = reference_state(state) if reference is None else reference
+    else:
+        raise ValueError(f"unknown ng_lb2_fast case {case!r}")
+    d2 = distance("hilbert_schmidt", state, other) ** 2
+    return _result(
+        -math.log(max(1.0 - 0.125 * d2, 1e-300)), "ng_lb2", None, state
+    )

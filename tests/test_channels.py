@@ -14,7 +14,6 @@ from ngcorr.errors import DomainError, TruncationError
 from ngcorr.fock import (
     FockState,
     distance,
-    expect,
     ladder_ops,
     pure_state,
     tensor,
@@ -181,3 +180,14 @@ def test_ecs_cut_checks_the_tail_at_the_full_cutoff():
         truncate_state(ecs_loss_analytic(1.5, 1.0, 12), tol=1e-10)
     with pytest.raises(TruncationError):
         ecs_loss_analytic(1.5, 1.0, 12, support_tol=1e-10)
+
+
+@pytest.mark.parametrize("support_tol", [None, 1e-10])
+def test_ecs_loss_analytic_is_exactly_hermitian(support_tol):
+    rho = ecs_loss_analytic(0.8, 0.5, 20, support_tol=support_tol).rho
+    assert np.array_equal(rho, rho.conj().T)
+
+
+def test_full_loss_of_the_ecs_has_a_real_trace():
+    state = make_state(StateSpec("ecs", {"gamma": 1.0}, cutoff=20))
+    assert np.trace(apply_loss(state, 0.0).rho).imag == 0.0

@@ -1,6 +1,9 @@
 import dataclasses
 import io
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -377,3 +380,12 @@ def test_thread_count_below_one_is_a_bad_spec(capsys):
 def test_library_count_below_one_is_a_bad_spec(figure, options):
     with pytest.raises(BadSpec):
         FIGURES[figure].points(options)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = ("import sys, ngcorr.cli; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": "src"})
+    assert out.stdout == "[]\n"

@@ -11,7 +11,8 @@ from ngcorr.entanglement import (
 from ngcorr.fock import tensor
 from ngcorr.sampling import random_xstate
 from ngcorr.states import StateSpec, make_state
-from ngcorr.xstate import XStateParams, bell_params
+from ngcorr.xstate import XStateParams
+from oracles import bell_params
 
 _SY_SY = np.kron(
     np.array([[0.0, -1.0j], [1.0j, 0.0]]), np.array([[0.0, -1.0j], [1.0j, 0.0]])

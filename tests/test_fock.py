@@ -3,15 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from ngcorr.errors import BadModeIndex, DimMismatch, DomainError, InvalidState
+from ngcorr.errors import BadModeIndex, DimMismatch, InvalidState
 from ngcorr.fock import (
     FockState,
     _ladder_raw,
     distance,
-    expect,
     fidelity,
     ladder_ops,
-    matrix_power_on_support,
     overlap,
     partial_trace,
     partial_transpose,
@@ -22,6 +20,7 @@ from ngcorr.fock import (
 )
 from ngcorr.sampling import random_density_matrix
 from ngcorr.states import StateSpec, make_state
+from oracles import expect
 
 
 def test_ladder_commutator_interior():
@@ -100,19 +99,6 @@ def test_superfidelity_upper_bounds_fidelity(rng):
         assert fidelity("super", a, b) >= fidelity("uhlmann", a, b) - 1e-10
 
 
-def test_matrix_power_roundtrip(rng):
-    st = FockState((5,), random_density_matrix(rng, 5), validate=False)
-    sq = matrix_power_on_support(st, 0.5)
-    assert np.allclose(sq @ sq, st.rho, atol=1e-12)
-
-
-def test_matrix_power_pseudo_inverse():
-    rho = np.diag([0.7, 0.3, 0.0]).astype(complex)
-    st = FockState((3,), rho, validate=False)
-    inv = matrix_power_on_support(st, -1.0)
-    assert np.allclose(np.diag(inv).real, [1 / 0.7, 1 / 0.3, 0.0], atol=1e-12)
-
-
 def test_overlap_matches_trace(rng):
     a = random_density_matrix(rng, 5)
     b = random_density_matrix(rng, 5)
@@ -162,8 +148,6 @@ def test_validation_errors_are_named():
         FockState((2,), np.eye(2))
     with pytest.raises(InvalidState):
         FockState((2,), np.array([[0.5, 0.1], [0.0, 0.5]]))
-    with pytest.raises(DomainError):
-        matrix_power_on_support(pure_state(np.array([1.0, 0.0]), (2,)), math.inf)
 
 
 def test_cached_operator_arrays_are_read_only():

@@ -8,7 +8,6 @@ from ngcorr.gaussian import (
     GaussianSpec,
     StandardFormCM,
     analytic_cm,
-    compose_rule,
     extract_moments,
     gaussian_log_negativity,
     gaussian_mi,
@@ -17,13 +16,11 @@ from ngcorr.gaussian import (
     reference_gaussian_fock,
     standard_form,
     standard_form_symplectic_eigs,
-    symplectic_eigs,
-    williamson,
 )
 from ngcorr.fock import FockState, partial_trace
 from ngcorr.sampling import random_density_matrix, random_gaussian_spec, random_standard_form
 from ngcorr.states import StateSpec, make_state
-from oracles import dense_moments
+from oracles import dense_moments, symplectic_eigs, williamson
 
 
 def test_vacuum_moments():
@@ -146,16 +143,6 @@ def test_gaussian_log_negativity_tmsv():
 def test_gaussian_log_negativity_separable_zero():
     spec = analytic_cm("ecs_loss", gamma=1.0, eta=0.8)
     assert gaussian_log_negativity(spec) == 0.0
-
-
-def test_compose_rule_thermal_overlap():
-    # tr[rho1 rho2] for single-mode thermals: geometric series
-    # sum_n p1_n p2_n = 1 / ((n1+1)(n2+1) - n1 n2) = 1 / (n1 + n2 + 1)
-    n1, n2 = 0.4, 0.9
-    s1 = GaussianSpec(np.zeros(2), (n1 + 0.5) * np.eye(2))
-    s2 = GaussianSpec(np.zeros(2), (n2 + 0.5) * np.eye(2))
-    pref, _ = compose_rule(s1, s2)
-    assert pref == pytest.approx(1.0 / (n1 + n2 + 1.0), abs=1e-12)
 
 
 def test_analytic_cm_ecs_loss_matches_fock():

@@ -17,10 +17,10 @@ from ngcorr.gaussian import (
     GaussianSpec,
     StandardFormCM,
     reference_gaussian_fock,
-    williamson,
 )
 from ngcorr.sampling import random_gaussian_spec
 from ngcorr.states import StateSpec, displacement, make_state
+from oracles import williamson
 
 #: Near-pure symplectic eigenvalues are capped at 1/2 + this margin before
 #: forming the Gibbs exponent, which is infinite for a pure state.
@@ -109,7 +109,7 @@ def test_matches_gibbs_oracle_single_mode_displaced_squeezed():
 def test_pure_tmsv_reference_is_exact_at_large_cutoff(r):
     ch, sh = 0.5 * math.cosh(2 * r), 0.5 * math.sinh(2 * r)
     spec = StandardFormCM(ch, ch, sh, -sh).to_spec()
-    got = reference_gaussian_fock(spec, (60, 60), check_moments=False)
+    got = reference_gaussian_fock(spec, (60, 60))
     assert np.all(np.isfinite(got.rho))
     want = make_state(StateSpec("tmsv", {"r": r}, cutoff=60)).rho
     want = want / np.trace(want).real

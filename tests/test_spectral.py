@@ -17,6 +17,7 @@ import ngcorr.measures as measures
 from ngcorr.channels import apply_loss
 from ngcorr.distill import BRANCH_FLOOR, DistillConfig, _projected_bs, distill
 from ngcorr.entanglement import log_negativity_fock
+from ngcorr.figures import FIGURES, Point
 from ngcorr.fock import (
     EIG_SUPPORT_FLOOR,
     FockState,
@@ -346,3 +347,10 @@ def test_lossy_ecs_makes_no_complex_lapack_call(monkeypatch):
     mutual_information("sandwiched", state, 1.5)
     assert {name for name, _ in calls} == {"eigh", "svd"}
     assert [name for name, is_complex in calls if is_complex] == []
+
+
+def test_fig4_full_loss_ng_operand_takes_the_real_route():
+    point = Point({"gamma": 1.0, "eta": 0.0}, lambda p: FIGURES["fig4"].state(p, None))
+    rt, st = point.pair
+    (spec,) = spectra(rt.dims, rt.rho - st.rho, vectors=False)
+    assert spec.real

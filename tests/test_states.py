@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from ngcorr.errors import BadSpec, TruncationError
-from ngcorr.fock import expect, ladder_ops, partial_trace
-from ngcorr.states import StateSpec, cat_basis, displacement, make_state
+from ngcorr.fock import ladder_ops, partial_trace
+from ngcorr.states import StateSpec, cat_basis, coherent_amps, displacement, make_state
+from oracles import expect
 
 
 def test_coherent_mean_photon():
@@ -87,8 +88,6 @@ def test_displacement_unitary_and_action():
     vac = np.zeros(25, dtype=complex)
     vac[0] = 1.0
     moved = d @ vac
-    from ngcorr.states import coherent_amps
-
     assert np.max(np.abs(moved - coherent_amps(0.4, 25))) < 1e-10
 
 
@@ -98,3 +97,10 @@ def test_pnes_levels_must_fit_the_cutoff():
     with pytest.raises(BadSpec):
         make_state(StateSpec("pnes", {"coeffs": [0.6, 0.8], "levels": [0, -1]},
                              cutoff=4))
+
+
+@pytest.mark.parametrize("cutoff", [20, 120])
+def test_real_negative_amplitude_has_exact_signs(cutoff):
+    amps = coherent_amps(-0.8, cutoff)
+    assert not np.any(amps.imag)
+    assert np.array_equal(np.sign(amps.real), (-1.0) ** np.arange(cutoff))

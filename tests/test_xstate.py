@@ -8,13 +8,8 @@ from ngcorr.fock import FockState
 from ngcorr.measures import mutual_information
 from ngcorr.sampling import random_xstate
 from ngcorr.states import StateSpec, make_state
-from ngcorr.xstate import (
-    XStateParams,
-    bell_params,
-    ecs_to_xstate,
-    pure_schmidt_mi,
-    xstate_mi,
-)
+from ngcorr.xstate import XStateParams, ecs_to_xstate, xstate_mi
+from oracles import bell_params, pure_schmidt_mi
 
 TWO_LN_2 = 2.0 * math.log(2.0)
 
