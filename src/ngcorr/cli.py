@@ -3,10 +3,11 @@ and the self-test oracle suites.  All data output is CSV.
 
 State-spec file grammar (measure subcommand): one ``key = value`` pair per
 line, ``#`` comments allowed.  Keys: ``family`` (required), ``cutoff``
-(optional integer), and the family parameters (``gamma``, ``eta``, ``f``,
-``r``, ``nbar``, ``coeffs`` as a comma-separated list, ``levels``
-likewise, ``sign``, ``modes``).  ``eta`` applies a symmetric loss channel
-after construction.  One state per file.
+(optional integer >= 1), ``eta`` (optional), and the family's parameters
+(``states.FAMILY_PARAMS``: ``gamma``, ``f``, ``r``, ``nbar``, ``coeffs`` as a
+comma-separated list, ``levels`` likewise, ``sign``, ``modes``); a missing
+required parameter or one the family does not take is refused.  ``eta``
+applies a symmetric loss channel after construction.  One state per file.
 """
 
 from __future__ import annotations
@@ -15,12 +16,11 @@ import argparse
 import math
 import sys
 
-from . import figures
 from .channels import apply_loss
 from .errors import BadSpec, NGCorrError
 from .figures import COLUMNS, FIGURE_IDS, FIGURES, measure, run_figure, sweep
 from .measures import MI_KINDS, NG_KINDS, ORDERED_KINDS
-from .states import FAMILIES, StateSpec, make_state
+from .states import FAMILIES, StateSpec, _count, make_state
 
 _RANGE_KEYS = ("gamma", "alpha", "eta", "f", "r", "x")
 
@@ -43,10 +43,10 @@ def write_csv(rows, stream):
         stream.write(",".join(_fmt(row[c]) for c in COLUMNS) + "\n")
 
 
-def _count(text):
-    """``figures._count`` as an argparse type: a bad count is a usage error."""
+def _count_arg(text):
+    """``states._count`` as an argparse type: a bad count is a usage error."""
     try:
-        return figures._count(text, "count")
+        return _count(text, "count")
     except BadSpec:
         raise argparse.ArgumentTypeError(f"count {text!r} must be an integer >= 1") from None
 
@@ -57,7 +57,7 @@ def _parse_range(text):
         raise argparse.ArgumentTypeError(
             f"range {text!r} must be start:stop:count"
         )
-    return float(parts[0]), float(parts[1]), _count(parts[2])
+    return float(parts[0]), float(parts[1]), _count_arg(parts[2])
 
 
 def _complex_or_real(text):
@@ -213,9 +213,9 @@ def build_parser():
     p_fig = sub.add_parser("run_figure", help="emit the data behind one figure")
     p_fig.add_argument("id", choices=FIGURE_IDS)
     p_fig.add_argument("--out", help="output CSV path (default: stdout)")
-    p_fig.add_argument("--cutoff", type=int, help="Fock cutoff override")
-    p_fig.add_argument("--grid", type=_count, help="grid density override")
-    p_fig.add_argument("--samples", type=_count, help="sample count override")
+    p_fig.add_argument("--cutoff", type=_count_arg, help="Fock cutoff override")
+    p_fig.add_argument("--grid", type=_count_arg, help="grid density override")
+    p_fig.add_argument("--samples", type=_count_arg, help="sample count override")
     p_fig.add_argument("--seed", type=int, default=0, help="sampling seed")
     p_fig.add_argument("--threads", type=int, default=None,
                        help="worker threads (default: NGCORR_THREADS or all cores)")

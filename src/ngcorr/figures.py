@@ -30,7 +30,6 @@ from .channels import apply_loss, ecs_loss_analytic
 from .distill import DistillConfig, distill
 from .entanglement import eof_two_qubit, log_negativity_fock
 from .errors import BadSpec, DomainError, NGCorrError
-from .fock import truncate_state
 from .gaussian import (
     analytic_cm,
     gaussian_log_negativity,
@@ -38,14 +37,16 @@ from .gaussian import (
     moments_from_fock,
 )
 from .measures import (
+    FOCK_REFERENCE_KINDS,
     MeasureResult,
     averaged_states,
     delta_ng,
     mutual_information,
     ng_correlation,
     reference_state,
+    status_of,
 )
-from .states import StateSpec, default_cutoff, make_state
+from .states import StateSpec, _count, default_cutoff, make_state
 from .xstate import ecs_to_xstate, xstate_mi
 
 COLUMNS = (
@@ -71,14 +72,6 @@ PNES_COEFFS = (0.986, 0.162, math.sqrt(1.0 - 0.986**2 - 0.162**2))
 
 #: Exceptions that flag a row: named domain errors and failed decompositions.
 FLAGGED = (NGCorrError, np.linalg.LinAlgError)
-
-
-def _count(value, name):
-    """A thread, grid, sample or range count: an integer of at least 1,
-    given as an int or its decimal string."""
-    if not str(value).strip().isdecimal() or int(value) < 1:
-        raise BadSpec(f"{name}={value!r} is not a positive integer")
-    return int(value)
 
 
 def default_threads():
@@ -146,11 +139,11 @@ def _row(figure, name, params, res):
     row.update(params, figure=figure, measure=name)
     if res is None:
         row.update(value=math.nan, status="flagged")
-    elif isinstance(res, MeasureResult):
-        row.update(value=res.value, cutoff=max(res.cutoff),
-                   tail_mass=res.tail_mass, status=res.status)
-    else:
-        row.update(value=res, status="infinity" if math.isinf(res) else "ok")
+        return row
+    if isinstance(res, MeasureResult):
+        row.update(cutoff=max(res.cutoff), tail_mass=res.tail_mass)
+        res = res.value
+    row.update(value=res, status=status_of(res))
     return row
 
 
@@ -159,8 +152,8 @@ def sweep(figure, points, measures, build, threads=1):
 
     ``points`` are dicts of row parameters; ``build(params)`` makes a
     point's state.  ``measures`` are (name, fn) pairs; ``fn(point)`` returns
-    a closed-form float (no cutoff, status 'infinity' when infinite) or a
-    MeasureResult, whose cutoff, tail mass and status go into the row.
+    a closed-form float (no cutoff) or a MeasureResult, whose cutoff and
+    tail mass go into the row; either row's status follows from its value.
     """
 
     def work(params):
@@ -185,27 +178,17 @@ def measure(group, kind, alpha=None):
         return lambda pt: mutual_information(kind, pt.state, alpha)
     if group == "ng":
         return lambda pt: ng_correlation(kind, pt.state, pair=pt.pair)
-    if kind in ("tr", "bures"):
+    if kind in FOCK_REFERENCE_KINDS:
         return lambda pt: delta_ng(kind, pt.state, alpha, reference=pt.reference)
     return lambda pt: delta_ng(kind, pt.state, alpha, moments=pt.moments)
-
-
-def _on(state, value):
-    """A value derived from ``state``, reported at its cutoff and tail mass."""
-    return MeasureResult(float(value), "", None, state.dims, state.tail_mass)
-
-
-def _minus_ref(target, ref):
-    """target - ref, or -inf where the Gaussian reference value diverges."""
-    return -math.inf if math.isinf(ref) else target - ref
 
 
 def _pure_delta(kind):
     """Pure superposition: the target is 2 ln 2 for every order, so only the
     Gaussian closed form is evaluated."""
-    return lambda pt: _minus_ref(TWO_LN_2, gaussian_mi(
+    return lambda pt: TWO_LN_2 - gaussian_mi(
         kind, analytic_cm("ecs_loss", gamma=pt.params["gamma"], eta=1.0),
-        pt.params["alpha"]))
+        pt.params["alpha"])
 
 
 def _unless_full_loss(fn):
@@ -218,8 +201,8 @@ def _lossy_delta(kind):
 
     def fn(pt):
         g, eta, al = pt.params["gamma"], pt.params["eta"], pt.params.get("alpha")
-        return _minus_ref(xstate_mi(kind, ecs_to_xstate(g, eta), al), gaussian_mi(
-            kind, analytic_cm("ecs_loss", gamma=g, eta=eta), al))
+        return xstate_mi(kind, ecs_to_xstate(g, eta), al) - gaussian_mi(
+            kind, analytic_cm("ecs_loss", gamma=g, eta=eta), al)
 
     return _unless_full_loss(fn)
 
@@ -232,19 +215,16 @@ def _lossy_ecs(p, cutoff):
 
 def _sampled_lossy_ecs(p, cutoff):
     """Closed-form lossy superposition, cut to its converged support."""
-    g, eta = p["gamma"], p["eta"]
-    if eta * g * g > 1e-8:
-        return ecs_loss_analytic(g, eta, cutoff or default_cutoff(g), support_tol=1e-10)
-    return truncate_state(_lossy_ecs(p, cutoff), tol=1e-10)
+    g = p["gamma"]
+    return ecs_loss_analytic(g, p["eta"], cutoff or default_cutoff(g), support_tol=1e-10)
 
 
 def _ef_excess(pt):
     """Entanglement-of-formation excess over a separable Gaussian reference."""
-    g, eta = pt.params["gamma"], pt.params["eta"]
     if gaussian_log_negativity(pt.moments) > 1e-9:
         raise DomainError("Gaussian reference is entangled: E_F excess ill-defined")
-    excess = eof_two_qubit(ecs_to_xstate(g, eta)) if eta * g * g > 1e-8 else 0.0
-    return _on(pt.state, excess)
+    excess = eof_two_qubit(ecs_to_xstate(pt.params["gamma"], pt.params["eta"]))
+    return MeasureResult.on(pt.state, excess)
 
 
 def _werner(default):
@@ -255,13 +235,13 @@ def _werner(default):
 
 def _en(pt):
     """Log-negativity of the point's state."""
-    return _on(pt.state, log_negativity_fock(pt.state))
+    return MeasureResult.on(pt.state, log_negativity_fock(pt.state))
 
 
 def _en_excess(pt):
     """Log-negativity in excess of the Gaussian reference's closed form."""
     excess = log_negativity_fock(pt.state) - gaussian_log_negativity(pt.moments)
-    return _on(pt.state, excess)
+    return MeasureResult.on(pt.state, excess)
 
 
 def _en_distilled(pt):
@@ -269,7 +249,7 @@ def _en_distilled(pt):
     x = pt.params["x"]
     config = DistillConfig(pt.params["eta"], x, x, cutoff=max(pt.state.dims))
     dist, _weight = distill(pt.state, config)
-    return _on(dist, log_negativity_fock(dist))
+    return MeasureResult.on(dist, log_negativity_fock(dist))
 
 
 @dataclass(frozen=True)
@@ -366,5 +346,6 @@ def run_figure(figure, options=None, threads=None):
     options = dict(options or {})
     threads = default_threads() if threads is None else _count(threads, "threads")
     cutoff = options.get("cutoff")
+    cutoff = None if cutoff is None else _count(cutoff, "cutoff")
     return sweep(figure, fig.points(options), fig.measures,
                  lambda p: fig.state(p, cutoff), threads)

@@ -272,6 +272,24 @@ def spectra(dims, *mats, vectors=True):
     return tuple(out)
 
 
+def sandwich_singular_values(rho, sigma, b, floor):
+    """Singular values of A = diag(s^b) V^dag U diag(sqrt(p)), sector by sector,
+    for the ``Spectrum``s rho = U diag(p) U^dag and sigma = V diag(s) V^dag:
+    the square roots of the nonzero spectrum of sigma^b rho sigma^b, resolved
+    to absolute accuracy ||A|| eps where an eigensolve of that product would
+    square its geometric tail below the noise floor.  rho keeps eigenvalues
+    above its numerical-rank threshold, sigma those above ``floor``."""
+    floor_p = rho.rank_floor()
+    out = [np.zeros(0)]
+    for pw, pu, sw, su in zip(rho.values, rho.vectors, sigma.values, sigma.vectors):
+        kp, ks = pw > floor_p, sw > floor
+        mat = (sw[ks, None] ** b) * (su[:, ks].conj().T @ pu[:, kp])
+        mat = mat * np.sqrt(pw[kp])[None, :]
+        if mat.size:
+            out.append(np.linalg.svd(mat, compute_uv=False))
+    return np.concatenate(out)
+
+
 def _check_same_dims(a, b):
     if a.dims != b.dims:
         raise DimMismatch(f"dims {a.dims} != {b.dims}")
@@ -303,23 +321,9 @@ def fidelity(kind, a, b):
     """
     _check_same_dims(a, b)
     if kind == "uhlmann":
-        # tr sqrt(sqrt(A) B sqrt(A)) equals the nuclear norm of
-        # diag(sqrt(wb)) Vb^dag Va diag(sqrt(wa)) built from the separate
-        # eigensystems; the singular values resolve the geometric tail of
-        # the product spectrum without squaring it below the noise floor,
-        # which an eigensolve of the assembled kernel cannot do.  The
-        # matrix is block-diagonal in the shared sectors.
+        # tr sqrt(sqrt(A) B sqrt(A)) is the sum of the b = 1/2 values
         sa, sb = spectra(a.dims, a.rho, b.rho)
-        floor_a, floor_b = sa.rank_floor(), sb.rank_floor()
-        total = 0.0
-        for wa, va, wb, vb in zip(sa.values, sa.vectors, sb.values, sb.vectors):
-            ka = wa > floor_a
-            kb = wb > floor_b
-            cross = (vb[:, kb].conj().T @ va[:, ka]) * np.sqrt(wa[ka])[None, :]
-            cross = np.sqrt(wb[kb])[:, None] * cross
-            if cross.size:
-                total += np.sum(np.linalg.svd(cross, compute_uv=False))
-        return float(total**2)
+        return float(np.sum(sandwich_singular_values(sa, sb, 0.5, sb.rank_floor())) ** 2)
     if kind == "super":
         ov = overlap(a, b)
         ia = math.sqrt(max(0.0, 1.0 - a.purity()))

@@ -22,6 +22,7 @@ from .fock import (
     distance,
     fidelity,
     partial_trace,
+    sandwich_singular_values,
     spectra,
 )
 from .gaussian import gaussian_mi, moments_from_fock, reference_gaussian_fock
@@ -30,6 +31,8 @@ MI_KINDS = ("vn", "renyi", "sandwiched", "hs", "tr", "bures")
 NG_KINDS = ("tr", "fid", "lb1", "lb2")
 #: The kinds that take an order alpha.
 ORDERED_KINDS = ("renyi", "sandwiched")
+#: Delta kinds whose reference value needs the synthesized Fock reference.
+FOCK_REFERENCE_KINDS = ("tr", "bures")
 
 #: Mass of rho outside supp(sigma) above which the alpha > 1 sandwiched
 #: divergence is reported as infinite.  Full-rank states with geometrically
@@ -39,31 +42,27 @@ ORDERED_KINDS = ("renyi", "sandwiched")
 SUPPORT_LEAK_TOL = 1e-6
 
 
+def status_of(value):
+    """Status of a computed value: 'infinity' for a signed infinity, else 'ok'."""
+    return "infinity" if math.isinf(value) else "ok"
+
+
 @dataclass(frozen=True)
 class MeasureResult:
     """Scalar measure value with the truncation context it was computed at."""
 
     value: float
-    kind: str
-    alpha: float | None
     cutoff: tuple
     tail_mass: float
-    status: str = "ok"
+
+    @classmethod
+    def on(cls, state, value):
+        """A value derived from ``state``, reported at its cutoff and tail mass."""
+        return cls(float(value), state.dims, state.tail_mass)
 
     @property
-    def finite(self):
-        return self.status == "ok"
-
-
-def _result(value, kind, alpha, state, status="ok"):
-    return MeasureResult(
-        value=float(value),
-        kind=kind,
-        alpha=None if alpha is None else float(alpha),
-        cutoff=state.dims,
-        tail_mass=state.tail_mass,
-        status=status,
-    )
+    def status(self):
+        return status_of(self.value)
 
 
 def _support_eigs(state):
@@ -98,9 +97,8 @@ def _marginal_product(state):
 def sandwiched_relative_entropy(rho, sigma, alpha):
     """Order-alpha sandwiched relative entropy of rho with respect to sigma.
 
-    Returns (value, status); status is 'infinity' when alpha > 1 and rho
-    leaks outside the support of sigma.  alpha = 1 gives the ordinary
-    relative entropy.
+    Infinite when alpha >= 1 and rho leaks outside the support of sigma.
+    alpha = 1 gives the ordinary relative entropy.
     """
     alpha = float(alpha)
     if alpha <= 0:
@@ -117,7 +115,7 @@ def sandwiched_relative_entropy(rho, sigma, alpha):
             float(np.sum(q[w <= EIG_SUPPORT_FLOOR])) for q, w in zip(pops, s.values)
         )
         if leak > SUPPORT_LEAK_TOL:
-            return math.inf, "infinity"
+            return math.inf
     if alpha == 1.0:
         wr = r.eigenvalues()
         wr = wr[wr > EIG_SUPPORT_FLOOR]
@@ -126,32 +124,12 @@ def sandwiched_relative_entropy(rho, sigma, alpha):
         for q, w in zip(pops, s.values):
             on = w > EIG_SUPPORT_FLOOR
             tr_rho_log_sigma += float(np.sum(q[on] * np.log(w[on])))
-        return float(np.sum(wr * np.log(wr))) - tr_rho_log_sigma, "ok"
-    b = (1.0 - alpha) / (2.0 * alpha)
-    # The kernel sigma^b rho sigma^b shares its nonzero spectrum with
-    # A^dag A for A = diag(s^b) V^dag U diag(sqrt(p)), built entrywise from
-    # the separate eigensystems rho = U diag(p) U^dag, sigma = V diag(s) V^dag.
-    # Unlike an eigensolve of the assembled kernel, the singular values of A
-    # resolve the geometric tail of the spectrum to absolute accuracy
-    # ||A|| eps, which orders alpha < 1 need (tiny eigenvalues still carry
-    # w**alpha weight there).  Eigensolver noise is removed per factor at the
-    # standard numerical-rank threshold.  A is block-diagonal in the sectors.
-    floor_p = r.rank_floor()
-    w = []
-    for pw, pu, sw, su in zip(r.values, r.vectors, s.values, s.vectors):
-        keep_p = pw > floor_p
-        # sigma keeps its whole positive spectrum: for alpha > 1 the negative
-        # power amplifies genuinely tiny eigenvalues whose contributions
-        # decay slowly, and a support floor would discard real weight (the
-        # structural support-leak case was already diverted to infinity)
-        keep_s = sw > 0.0
-        a_mat = (sw[keep_s, None] ** b) * (su[:, keep_s].conj().T @ pu[:, keep_p])
-        a_mat = a_mat * np.sqrt(pw[keep_p])[None, :]
-        if a_mat.size:
-            w.append(np.linalg.svd(a_mat, compute_uv=False) ** 2)
-    w = np.concatenate(w)
+        return float(np.sum(wr * np.log(wr))) - tr_rho_log_sigma
+    # sigma keeps its whole positive spectrum: at alpha > 1 a support floor
+    # would drop real weight (a structural leak is already infinite above)
+    w = sandwich_singular_values(r, s, (1.0 - alpha) / (2.0 * alpha), 0.0) ** 2
     w = w[w > 0.0]
-    return float(math.log(np.sum(w**alpha)) / (alpha - 1.0)), "ok"
+    return float(math.log(np.sum(w**alpha)) / (alpha - 1.0))
 
 
 def mutual_information(kind, state, alpha=None):
@@ -178,19 +156,17 @@ def mutual_information(kind, state, alpha=None):
             + _renyi_entropy(rb, alpha)
             - _renyi_entropy(state, alpha)
         )
-        out_kind = "vn" if alpha == 1.0 else "renyi"
-        return _result(val, out_kind, alpha, state)
-    if kind == "sandwiched":
-        val, status = sandwiched_relative_entropy(state, _marginal_product(state), alpha)
-        return _result(val, kind, alpha, state, status=status)
+        return MeasureResult.on(state, val)
     prod = _marginal_product(state)
+    if kind == "sandwiched":
+        return MeasureResult.on(state, sandwiched_relative_entropy(state, prod, alpha))
     if kind == "hs":
-        return _result(distance("hilbert_schmidt", state, prod), kind, None, state)
+        return MeasureResult.on(state, distance("hilbert_schmidt", state, prod))
     if kind == "tr":
-        return _result(distance("trace", state, prod), kind, None, state)
+        return MeasureResult.on(state, distance("trace", state, prod))
     # bures
     f = min(1.0, fidelity("uhlmann", state, prod))
-    return _result(math.sqrt(max(0.0, 2.0 * (1.0 - math.sqrt(f)))), kind, None, state)
+    return MeasureResult.on(state, math.sqrt(max(0.0, 2.0 * (1.0 - math.sqrt(f)))))
 
 
 def reference_state(state, moments=None):
@@ -212,9 +188,9 @@ def delta_ng(kind, state, alpha=None, reference=None, moments=None):
     their construction across kinds.
     """
     target = mutual_information(kind, state, alpha)
-    if not target.finite:
+    if math.isinf(target.value):  # the delta, where inf - inf would be nan
         return target
-    if kind in ("tr", "bures"):
+    if kind in FOCK_REFERENCE_KINDS:
         ref = reference_state(state) if reference is None else reference
         ref_val = mutual_information(kind, ref).value
     else:
@@ -225,7 +201,7 @@ def delta_ng(kind, state, alpha=None, reference=None, moments=None):
             ref_val = gaussian_mi("hilbert_schmidt", spec)
         else:
             ref_val = gaussian_mi(kind, spec, float(alpha))
-    return _result(target.value - ref_val, f"delta_{target.kind}", alpha, state)
+    return MeasureResult.on(state, target.value - ref_val)
 
 
 def averaged_states(state, reference=None):
@@ -260,15 +236,15 @@ def ng_correlation(kind, state, reference=None, pair=None):
         raise ValueError(f"unknown ng_correlation kind {kind!r}")
     rt, st = averaged_states(state, reference=reference) if pair is None else pair
     if kind == "tr":
-        return _result(distance("trace", rt, st), "ng_tr", None, state)
+        return MeasureResult.on(state, distance("trace", rt, st))
     if kind == "fid":
         f = min(1.0, fidelity("uhlmann", rt, st))
-        return _result(-math.log(max(f, 1e-300)), "ng_fid", None, state)
+        return MeasureResult.on(state, -math.log(max(f, 1e-300)))
     if kind == "lb1":
         g = min(1.0, fidelity("super", rt, st))
-        return _result(-math.log(max(g, 1e-300)), "ng_lb1", None, state)
+        return MeasureResult.on(state, -math.log(max(g, 1e-300)))
     d2 = distance("hilbert_schmidt", rt, st) ** 2
-    return _result(-math.log(max(1.0 - 0.5 * d2, 1e-300)), "ng_lb2", None, state)
+    return MeasureResult.on(state, -math.log(max(1.0 - 0.5 * d2, 1e-300)))
 
 
 def superfidelity_chain(a, b):

@@ -10,22 +10,33 @@ import numpy as np
 from .errors import BadSpec, TruncationError
 from .fock import DEFAULT_TAIL_TOL, FockState, _ladder_raw, pure_state
 
-FAMILIES = (
-    "vacuum",
-    "coherent",
-    "thermal",
-    "cat",
-    "ecs",
-    "pnes",
-    "tmsv",
-    "cv_werner",
-    "photon_correlated",
-)
+#: The required and the optional parameters of each state family.
+FAMILY_PARAMS = {
+    "vacuum": ((), ("modes",)),
+    "coherent": (("gamma",), ()),
+    "thermal": (("nbar",), ()),
+    "cat": (("gamma",), ("sign",)),
+    "ecs": (("gamma",), ()),
+    "pnes": (("coeffs",), ("levels",)),
+    "tmsv": (("r",), ()),
+    "cv_werner": (("f", "r"), ()),
+    "photon_correlated": (("nbar",), ()),
+}
+FAMILIES = tuple(FAMILY_PARAMS)
+
+
+def _count(value, name):
+    """A cutoff, mode, thread, grid, sample or range count: an integer of at
+    least 1, given as an int or its decimal string."""
+    if not str(value).strip().isdecimal() or int(value) < 1:
+        raise BadSpec(f"{name}={value!r} is not a positive integer")
+    return int(value)
 
 
 @dataclass(frozen=True)
 class StateSpec:
-    """Named state family with parameters and an optional per-mode cutoff."""
+    """Named state family, its parameters (``FAMILY_PARAMS``) and an optional
+    per-mode cutoff."""
 
     family: str
     params: dict = field(default_factory=dict)
@@ -34,9 +45,21 @@ class StateSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise BadSpec(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        required, optional = FAMILY_PARAMS[self.family]
         p = self.params
+        missing = [key for key in required if key not in p]
+        if missing:
+            raise BadSpec(f"{self.family} requires parameter(s) {missing}")
+        unknown = sorted(set(p) - set(required) - set(optional))
+        if unknown:
+            raise BadSpec(f"{self.family} takes no parameter(s) {unknown}; "
+                          f"it takes {list(required + optional)}")
+        if self.cutoff is not None:
+            object.__setattr__(self, "cutoff", _count(self.cutoff, "cutoff"))
+        if "modes" in p:
+            _count(p["modes"], "modes")
         if self.family == "pnes":
-            coeffs = np.asarray(p.get("coeffs", ()), dtype=complex)
+            coeffs = np.asarray(p["coeffs"], dtype=complex)
             if coeffs.size < 1:
                 raise BadSpec("pnes requires a nonempty coefficient list")
             if abs(np.sum(np.abs(coeffs) ** 2) - 1.0) > 1e-12:
@@ -45,16 +68,16 @@ class StateSpec:
             if levels is not None and len(levels) != coeffs.size:
                 raise BadSpec("pnes levels must match coefficient count")
         if self.family == "cv_werner":
-            f = float(p.get("f", -1.0))
-            r = float(p.get("r", -1.0))
+            f = float(p["f"])
+            r = float(p["r"])
             if not 0.0 <= f <= 1.0:
                 raise BadSpec(f"cv_werner fraction f = {f} outside [0, 1]")
             if r < 0.0:
                 raise BadSpec(f"cv_werner squeezing r = {r} must be >= 0")
         if self.family in ("thermal", "photon_correlated"):
-            if float(p.get("nbar", -1.0)) < 0.0:
+            if float(p["nbar"]) < 0.0:
                 raise BadSpec("mean photon number nbar must be >= 0")
-        if self.family in ("cat", "ecs") and not abs(complex(p.get("gamma", 0))) > 0:
+        if self.family in ("cat", "ecs") and not abs(complex(p["gamma"])) > 0:
             raise BadSpec(f"{self.family} requires a nonzero amplitude gamma")
 
 
@@ -68,12 +91,13 @@ def default_cutoff(gamma):
     return 40
 
 
-def thermal_cutoff(nbar, tol=1e-6, minimum=8, maximum=80):
-    """Smallest cutoff with geometric tail mass below tol."""
+def thermal_cutoff(nbar):
+    """Smallest cutoff, from 8 to 80, with geometric tail mass below
+    ``DEFAULT_TAIL_TOL * 1e-2``."""
     if nbar <= 1e-9:
-        return minimum
-    n = math.ceil(math.log(tol) / math.log(nbar / (nbar + 1.0)))
-    return int(min(max(minimum, n), maximum))
+        return 8
+    n = math.ceil(math.log(DEFAULT_TAIL_TOL * 1e-2) / math.log(nbar / (nbar + 1.0)))
+    return int(min(max(8, n), 80))
 
 
 def log_factorials(count):
@@ -166,7 +190,7 @@ def make_state(spec):
         state = pure_state(coherent_amps(g, cut), (cut,), validate=False)
     elif fam == "thermal":
         nbar = float(p["nbar"])
-        cut = spec.cutoff or thermal_cutoff(nbar, DEFAULT_TAIL_TOL * 1e-2)
+        cut = spec.cutoff or thermal_cutoff(nbar)
         d = _thermal_diag(nbar, cut)
         state = FockState((cut,), np.diag(d / d.sum()).astype(complex), validate=False)
     elif fam == "cat":
@@ -194,12 +218,12 @@ def make_state(spec):
         state = pure_state(vec.ravel(), (cut, cut), validate=False)
     elif fam == "tmsv":
         r = float(p["r"])
-        cut = spec.cutoff or thermal_cutoff(math.sinh(r) ** 2, DEFAULT_TAIL_TOL * 1e-2)
+        cut = spec.cutoff or thermal_cutoff(math.sinh(r) ** 2)
         state = pure_state(_tmsv_vec(r, cut), (cut, cut), validate=False)
     elif fam == "cv_werner":
         f = float(p["f"])
         r = float(p["r"])
-        cut = spec.cutoff or thermal_cutoff(math.sinh(r) ** 2, DEFAULT_TAIL_TOL * 1e-2)
+        cut = spec.cutoff or thermal_cutoff(math.sinh(r) ** 2)
         vac = np.zeros(cut * cut, dtype=complex)
         vac[0] = 1.0
         phi = _tmsv_vec(r, cut)
@@ -208,7 +232,7 @@ def make_state(spec):
         state = FockState((cut, cut), rho, validate=False)
     elif fam == "photon_correlated":
         nbar = float(p["nbar"])
-        cut = spec.cutoff or thermal_cutoff(nbar, DEFAULT_TAIL_TOL * 1e-2)
+        cut = spec.cutoff or thermal_cutoff(nbar)
         d = _thermal_diag(nbar, cut)
         d = d / d.sum()
         rho = np.zeros((cut * cut, cut * cut), dtype=complex)

@@ -10,8 +10,9 @@ O(d^2)) and kept only to check the fast routes.
 The rest are independent routes with no library caller: the Williamson
 decomposition (through a real Schur form, the only use of scipy.linalg),
 the symplectic spectrum of a covariance matrix, the Schmidt-weight mutual
-informations of pure states, the X-state parameters of a Bell state, the
-expectation value tr[O rho], and two-state shortcuts for the lb2 measure.
+informations of pure states, the X-state parameters of a Bell state,
+Wootters' spin-flip concurrence, the expectation value tr[O rho], and
+two-state shortcuts for the lb2 measure.
 """
 
 import math
@@ -39,7 +40,7 @@ from ngcorr.gaussian import (
     omega,
     reference_gaussian_fock,
 )
-from ngcorr.measures import _marginal_product, _marginals, _result, reference_state
+from ngcorr.measures import MeasureResult, _marginal_product, _marginals, reference_state
 from ngcorr.states import StateSpec, default_cutoff, make_state
 from ngcorr.xstate import XStateParams
 
@@ -172,6 +173,19 @@ def williamson(spec):
     return SymplecticDecomp(S=s, lambdas=tuple(float(x) for x in lambdas))
 
 
+_SY_SY = np.kron(
+    np.array([[0.0, -1.0j], [1.0j, 0.0]]), np.array([[0.0, -1.0j], [1.0j, 0.0]])
+)
+
+
+def spin_flip_concurrence(params):
+    """Wootters' concurrence from square roots of the spectrum of rho rho~."""
+    rho = params.to_matrix()
+    w = np.linalg.eigvals(rho @ _SY_SY @ rho.conj() @ _SY_SY)
+    roots = np.sort(np.sqrt(np.clip(np.real(w), 0.0, None)))
+    return max(0.0, roots[-1] - roots[0] - roots[1] - roots[2])
+
+
 def bell_params():
     """X-state parameters of (|+->+|-+>)/sqrt(2)."""
     return XStateParams(a=0.0, b=0.5, c=0.5, d=0.0, u=0.5, v=0.0)
@@ -242,6 +256,4 @@ def ng_lb2_fast(case, state, reference=None):
     else:
         raise ValueError(f"unknown ng_lb2_fast case {case!r}")
     d2 = distance("hilbert_schmidt", state, other) ** 2
-    return _result(
-        -math.log(max(1.0 - 0.125 * d2, 1e-300)), "ng_lb2", None, state
-    )
+    return MeasureResult.on(state, -math.log(max(1.0 - 0.125 * d2, 1e-300)))

@@ -8,18 +8,16 @@ silently weakened.
 
 import contextlib
 import math
-import sys
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from ngcorr.channels import apply_loss, ecs_loss_analytic, loss_kraus
+from ngcorr.channels import apply_loss, ecs_loss_analytic
 from ngcorr.entanglement import log_negativity_fock
 from ngcorr.fock import FockState, distance, tensor
 from ngcorr.distill import DistillConfig, distill
 from ngcorr.gaussian import (
-    GaussianSpec,
     analytic_cm,
     gaussian_mi,
     moments_from_fock,

@@ -14,7 +14,6 @@ from ngcorr.errors import DomainError, TruncationError
 from ngcorr.fock import (
     FockState,
     distance,
-    ladder_ops,
     pure_state,
     tensor,
     truncate_state,

@@ -18,12 +18,15 @@ from ngcorr.cli import (
 import ngcorr.cli
 import ngcorr.figures
 import ngcorr.measures
+import numpy as np
+
 from ngcorr.channels import apply_loss
 from ngcorr.errors import BadSpec, ConvergenceFailure
-from ngcorr.figures import COLUMNS, FIGURES, default_threads, run_figure
+from ngcorr.figures import COLUMNS, FIGURES, default_threads, run_figure, sweep
 from ngcorr.measures import delta_ng, ng_correlation
 from ngcorr.states import StateSpec, make_state
-from oracles import dense_sampled_lossy_ecs
+from ngcorr.xstate import ecs_to_xstate
+from oracles import dense_sampled_lossy_ecs, spin_flip_concurrence
 
 
 def test_parse_range_flag():
@@ -248,6 +251,34 @@ def test_fig5_rows_match_the_dense_state_builder(monkeypatch, options):
     assert flagged == (4 if "cutoff" in options else 0)
 
 
+#: fig5 states with no loss or next to none, where the closed form once
+#: gave way to the Kraus channel; the last eta is just below 1e-8 / gamma^2
+SMALL_LOSS_ETAS = (0.0, 1e-300, 1e-14, 1e-10, 2.4e-9)
+
+
+@pytest.mark.parametrize("gamma", [0.2, 1.0, 1.5])
+def test_fig5_closed_form_matches_the_channel_at_small_eta(gamma):
+    for eta in (*SMALL_LOSS_ETAS, np.nextafter(1e-8 / gamma**2, 0.0)):
+        params = {"gamma": gamma, "eta": eta}
+        got = FIGURES["fig5"].state(params, None)
+        want = dense_sampled_lossy_ecs(params, None)
+        assert got.dims == want.dims, eta
+        assert np.max(np.abs(got.rho - want.rho)) <= 1e-15, eta
+
+
+def test_fig5_ef_excess_just_below_the_old_small_loss_threshold():
+    params = {"gamma": 0.2, "eta": 2.4975e-7}
+    fig = FIGURES["fig5"]
+    rows = sweep("fig5", [params], fig.measures, lambda p: fig.state(p, None))
+    (row,) = [r for r in rows if r["measure"] == "delta_ef"]
+    c = spin_flip_concurrence(ecs_to_xstate(0.2, 2.4975e-7))
+    # Wootters' h((1 + sqrt(1 - c^2))/2), evaluated as the library does
+    p = 0.5 * (1.0 + math.sqrt(1.0 - c * c))
+    want = -p * math.log(p) - (1.0 - p) * math.log(1.0 - p)
+    assert row["status"] == "ok" and row["value"] > 0.0
+    assert row["value"] == pytest.approx(want, rel=1e-9)
+
+
 def test_fig4_pure_state_at_cutoff_12_is_not_flagged():
     # the truncated quadrature matrices gave the eta = 1 state an unphysical
     # covariance matrix here; the zero-padded moments are exact
@@ -380,6 +411,68 @@ def test_thread_count_below_one_is_a_bad_spec(capsys):
 def test_library_count_below_one_is_a_bad_spec(figure, options):
     with pytest.raises(BadSpec):
         FIGURES[figure].points(options)
+
+
+@pytest.mark.parametrize("cutoff", ["0", "-3"])
+def test_cutoff_below_one_is_refused_on_every_route(tmp_path, capsys, cutoff):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run_figure", "fig3", "--grid", "2", "--cutoff", cutoff])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "must be an integer >= 1" in err
+    path = tmp_path / "x.spec"
+    path.write_text(f"family = ecs\ngamma = 1.0\ncutoff = {cutoff}\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["measure_state", str(path), "vn"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == (
+        f"ngcorr: error: cutoff={int(cutoff)} is not a positive integer\n")
+    with pytest.raises(BadSpec):
+        run_figure("fig3", {"grid": 2, "cutoff": int(cutoff)}, threads=1)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("family = tmsv\n", "tmsv requires parameter(s) ['r']"),
+    ("family = coherent\n", "coherent requires parameter(s) ['gamma']"),
+    ("family = vacuum\nmodes = -1\n", "modes=-1 is not a positive integer"),
+    ("family = ecs\ngamma = 1.0\nfoo = 3\n",
+     "ecs takes no parameter(s) ['foo']; it takes ['gamma']"),
+], ids=["tmsv-without-r", "coherent-without-gamma", "vacuum-negative-modes",
+        "ecs-unknown-key"])
+def test_spec_file_the_family_cannot_build_is_reported(tmp_path, capsys, text, message):
+    path = tmp_path / "x.spec"
+    path.write_text(text)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["measure_state", str(path), "vn"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == f"ngcorr: error: {message}\n"
+
+
+#: One id of every kind, delta and ng ids included.
+ALL_MEASURE_IDS = ("vn", "renyi:0.5", "renyi:2", "sandwiched:0.5", "sandwiched:2.5",
+                   "hs", "tr", "bures", "delta:vn", "delta:renyi:2",
+                   "delta:sandwiched:2.5", "delta:hs", "delta:tr", "delta:bures",
+                   "ng:tr", "ng:fid", "ng:lb1", "ng:lb2")
+
+
+def _assert_status_follows_value(rows):
+    for row in rows:
+        if row["status"] != "flagged":
+            value = float(row["value"])
+            assert (row["status"] == "infinity") == math.isinf(value), row
+            assert row["status"] in ("ok", "infinity"), row
+
+
+def test_row_status_is_infinity_exactly_when_the_value_is_infinite(tmp_path):
+    for figure, (flags, _rows) in sorted(TINY_SWEEPS.items()):
+        _assert_status_follows_value(_run_cli(tmp_path, ["run_figure", figure, *flags]))
+    path = tmp_path / "ecs.spec"
+    path.write_text("family = ecs\ngamma = 1.0\ncutoff = 20\n")
+    rows = _run_cli(tmp_path, ["measure_state", str(path), *ALL_MEASURE_IDS])
+    assert [r["measure"] for r in rows] == list(ALL_MEASURE_IDS)
+    _assert_status_follows_value(rows)
+    (pure_delta,) = [r for r in rows if r["measure"] == "delta:sandwiched:2.5"]
+    assert (pure_delta["value"], pure_delta["status"]) == ("-inf", "infinity")
 
 
 def test_importing_the_cli_loads_no_scipy():

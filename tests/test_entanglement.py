@@ -12,19 +12,7 @@ from ngcorr.fock import tensor
 from ngcorr.sampling import random_xstate
 from ngcorr.states import StateSpec, make_state
 from ngcorr.xstate import XStateParams
-from oracles import bell_params
-
-_SY_SY = np.kron(
-    np.array([[0.0, -1.0j], [1.0j, 0.0]]), np.array([[0.0, -1.0j], [1.0j, 0.0]])
-)
-
-
-def _spin_flip_concurrence(params):
-    """Wootters' concurrence from square roots of the spectrum of rho rho~."""
-    rho = params.to_matrix()
-    w = np.linalg.eigvals(rho @ _SY_SY @ rho.conj() @ _SY_SY)
-    roots = np.sort(np.sqrt(np.clip(np.real(w), 0.0, None)))
-    return max(0.0, roots[-1] - roots[0] - roots[1] - roots[2])
+from oracles import bell_params, spin_flip_concurrence
 
 
 def test_bell_state_maximal():
@@ -56,7 +44,7 @@ def test_closed_form_matches_spin_flip_spectrum(rng):
     for _ in range(500):
         params = random_xstate(rng)
         assert concurrence_two_qubit(params) == pytest.approx(
-            _spin_flip_concurrence(params), abs=1e-8
+            spin_flip_concurrence(params), abs=1e-8
         )
 
 

@@ -277,8 +277,8 @@ def test_relative_entropy_of_complex_states():
     a, b = ginibre((3, 3), seed=3), ginibre((3, 3), seed=4)
     want = float(np.real(np.trace(
         a.rho @ (scipy_linalg.logm(a.rho) - scipy_linalg.logm(b.rho)))))
-    got, status = sandwiched_relative_entropy(a, b, 1.0)
-    assert status == "ok"
+    got = sandwiched_relative_entropy(a, b, 1.0)
+    assert math.isfinite(got)
     assert got == pytest.approx(want, abs=1e-12)
     assert dense_sandwiched(a, b, 1.0) == pytest.approx(want, abs=1e-12)
 

@@ -76,6 +76,24 @@ def test_unknown_family_rejected():
         StateSpec("squeezed_cat", {})
 
 
+@pytest.mark.parametrize("family, params", [
+    ("tmsv", {}),
+    ("coherent", {}),
+    ("vacuum", {"modes": -1}),
+    ("ecs", {"gamma": 1.0, "foo": 3}),
+], ids=["tmsv-without-r", "coherent-without-gamma", "vacuum-negative-modes",
+        "ecs-unknown-key"])
+def test_spec_rejects_what_it_cannot_build(family, params):
+    with pytest.raises(BadSpec):
+        StateSpec(family, params)
+
+
+@pytest.mark.parametrize("cutoff", [0, -2])
+def test_spec_cutoff_below_one_is_a_bad_spec(cutoff):
+    with pytest.raises(BadSpec, match="cutoff"):
+        StateSpec("ecs", {"gamma": 1.0}, cutoff=cutoff)
+
+
 def test_truncation_guard():
     with pytest.raises(TruncationError):
         make_state(StateSpec("coherent", {"gamma": 3.0}, cutoff=5))

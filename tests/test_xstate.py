@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ngcorr.channels import apply_loss
-from ngcorr.fock import FockState
 from ngcorr.measures import mutual_information
 from ngcorr.sampling import random_xstate
 from ngcorr.states import StateSpec, make_state
