@@ -16,7 +16,7 @@ import numpy as np
 
 from .channels import beam_splitter
 from .errors import BadSpec, ZeroWeight
-from .fock import FockState, hermitize, spectra
+from .fock import FockState, hermitize
 
 #: Branch probabilities below this are dropped from the eigendecomposition.
 BRANCH_FLOOR = 1e-14
@@ -77,7 +77,7 @@ def distill(state, config):
     da, db = state.dims
     ma = _projected_bs(da, config, config.x_c)
     mb = _projected_bs(db, config, config.x_d)
-    (spec,) = spectra(state.dims, state.rho)
+    spec = state.spectrum()
     out = np.zeros((da * db, da * db), dtype=complex)
     weight = 0.0
     for idx, w, v in zip(spec.sectors, spec.values, spec.vectors):

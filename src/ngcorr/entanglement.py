@@ -23,20 +23,16 @@ def concurrence_two_qubit(params):
     )
 
 
-def _binary_entropy(p):
-    q = 1.0 - p
-    out = 0.0
-    if p > 0.0:
-        out -= p * math.log(p)
-    if q > 0.0:
-        out -= q * math.log(q)
-    return out
-
-
 def eof_two_qubit(params):
-    """Entanglement of formation of a two-qubit state, in nats."""
+    """Entanglement of formation of a two-qubit state, in nats: the binary
+    entropy h(q) of q = (1 - sqrt(1 - c^2))/2, formed as
+    c^2 / (2 (1 + sqrt(1 - c^2))) and with (1 - q) ln(1 - q) through log1p,
+    so both keep full relative precision at small concurrence c."""
     c = concurrence_two_qubit(params)
-    return _binary_entropy(0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - c * c))))
+    q = c * c / (2.0 * (1.0 + math.sqrt(max(0.0, 1.0 - c * c))))
+    if q <= 0.0:
+        return 0.0
+    return -q * math.log(q) - (1.0 - q) * math.log1p(-q)
 
 
 def log_negativity_fock(state, tail_tol=DEFAULT_TAIL_TOL):
@@ -46,5 +42,5 @@ def log_negativity_fock(state, tail_tol=DEFAULT_TAIL_TOL):
             f"tail mass {state.tail_mass:.3e} >= {tail_tol}; negativity unreliable"
         )
     pt = partial_transpose(state, state.n_modes - 1)
-    (spec,) = spectra(state.dims, pt, vectors=False)
+    spec = spectra(state.dims, pt, vectors=False)
     return max(0.0, float(math.log(np.sum(np.abs(spec.eigenvalues())))))

@@ -41,6 +41,7 @@ from .measures import (
     MeasureResult,
     averaged_states,
     delta_ng,
+    marginal_product,
     mutual_information,
     ng_correlation,
     reference_state,
@@ -94,10 +95,10 @@ def _opt(options, key, default):
 
 
 class Point:
-    """One sweep point: its row parameters, and its state, moments, Gaussian
-    reference and averaged pair, each built on first use and kept.  A build
-    that fails with a flagged error is kept and re-raised, so it is
-    attempted once per point."""
+    """One sweep point: its row parameters, and its state, marginal product,
+    moments, Gaussian reference and averaged pair, each built on first use
+    and kept.  A build that fails with a flagged error is kept and
+    re-raised, so it is attempted once per point."""
 
     def __init__(self, params, build):
         self.params = params
@@ -118,6 +119,10 @@ class Point:
     @property
     def state(self):
         return self._get("state", lambda: self._build(self.params))
+
+    @property
+    def product(self):
+        return self._get("product", lambda: marginal_product(self.state))
 
     @property
     def moments(self):
@@ -172,10 +177,11 @@ def sweep(figure, points, measures, build, threads=1):
 
 def measure(group, kind, alpha=None):
     """``fn(point)`` for one measure id: group 'mi', 'delta' or 'ng', a kind
-    and an optional order.  The reference, the moments and the averaged pair
-    come from the point's memo, so every measure at a point shares them."""
+    and an optional order.  The marginal product, the reference, the moments
+    and the averaged pair come from the point's memo, so every measure at a
+    point shares them."""
     if group == "mi":
-        return lambda pt: mutual_information(kind, pt.state, alpha)
+        return lambda pt: mutual_information(kind, pt.state, alpha, product=pt.product)
     if group == "ng":
         return lambda pt: ng_correlation(kind, pt.state, pair=pt.pair)
     if kind in FOCK_REFERENCE_KINDS:

@@ -4,12 +4,17 @@ Conventions: hbar = 1, vacuum quadrature variance 1/2, natural logarithms.
 Mode 0 is always the slowest (leftmost) Kronecker factor.
 
 Every Hermitian eigensolve of a density-matrix-sized operand goes through
-``spectra``.  It solves the operands in real arithmetic, one block per
-total-photon-parity sector (even and odd n_1 + ... + n_k), when for every
-operand M what that split drops, the off-sector entries and the imaginary
-part, is within the dense solver's own backward error:
-||dropped||_F <= sqrt(d) eps ||M||_F.  Otherwise the operands are solved as
-one complex block by the same code.
+``spectra``.  It solves an operand M in real arithmetic, one block per
+total-photon-parity sector (even and odd n_1 + ... + n_k), when what that
+split drops, the off-sector entries and the imaginary part, is within the
+dense solver's own backward error: ||dropped||_F <= sqrt(d) eps ||M||_F.
+Otherwise M is solved as one complex block by the same code.
+
+A ``FockState`` solves its density matrix once and keeps the result
+(``FockState.spectrum``); a ``tensor`` product builds its eigensystem from
+its factors' through ``kron_spectrum`` instead of solving it.  ``paired``
+lines up two such eigensystems so their eigenvectors combine sector by
+sector.
 """
 
 from __future__ import annotations
@@ -57,12 +62,13 @@ class FockState:
     product space, with mode 0 as the slower Kronecker index.
     ``tail_mass`` records the worst single-mode top-level population;
     convergence-sensitive operations compare it against a tolerance
-    instead of silently truncating.
+    instead of silently truncating.  ``factors`` are the states whose
+    Kronecker product this is, if it was built as one by ``tensor``.
     """
 
-    __slots__ = ("dims", "rho", "tail_mass")
+    __slots__ = ("dims", "rho", "tail_mass", "factors", "_spectra")
 
-    def __init__(self, dims, rho, validate=True):
+    def __init__(self, dims, rho, validate=True, factors=None):
         dims = tuple(int(d) for d in dims)
         rho = np.asarray(rho, dtype=complex)
         d = math.prod(dims)
@@ -79,6 +85,8 @@ class FockState:
         self.dims = dims
         self.rho = rho
         self.tail_mass = _tail_mass(np.real(np.diagonal(rho)).reshape(dims))
+        self.factors = factors
+        self._spectra = {}
 
     @property
     def dim(self):
@@ -87,6 +95,21 @@ class FockState:
     @property
     def n_modes(self):
         return len(self.dims)
+
+    def spectrum(self, vectors=True):
+        """Eigensystem of rho, solved on first use and kept; its arrays are
+        read-only.  ``vectors=False`` is a values-only solve of its own,
+        never read off the vector solve, so a value does not depend on which
+        of the two was asked for first.  A ``tensor`` product builds its
+        eigensystem from its factors' instead of solving it."""
+        vectors = bool(vectors)
+        if vectors not in self._spectra:
+            if vectors and self.factors:
+                spec = kron_spectrum(*(f.spectrum() for f in self.factors))
+            else:
+                spec = spectra(self.dims, self.rho, vectors=vectors)
+            self._spectra[vectors] = spec
+        return self._spectra[vectors]
 
     def purity(self):
         return float(np.sum(np.abs(self.rho) ** 2))
@@ -148,7 +171,8 @@ def quadrature_ops(dims):
 
 def tensor(a, b):
     """Kronecker product of two states; a is the slower factor."""
-    return FockState(a.dims + b.dims, np.kron(a.rho, b.rho), validate=False)
+    return FockState(a.dims + b.dims, np.kron(a.rho, b.rho), validate=False,
+                     factors=(a, b))
 
 
 def _check_modes(dims, modes):
@@ -216,13 +240,15 @@ def truncate_state(state, tol=1e-9):
     return FockState(new_dims, rho / np.trace(rho).real, validate=False)
 
 
-class Spectrum(namedtuple("Spectrum", ["sectors", "real", "blocks", "values", "vectors"])):
+class Spectrum(namedtuple("Spectrum", ["sectors", "real", "values", "vectors"])):
     """Eigensystem of one operand, sector by sector.
 
-    ``sectors`` holds the basis indices of each block, ``blocks`` the
-    hermitized blocks that were solved (real when ``real``), ``values`` their
-    ascending eigenvalues and ``vectors`` their eigenvectors as columns,
-    indexed within the sector (None when only eigenvalues were asked for).
+    ``sectors`` holds the basis indices of each block; ``real`` says whether
+    the operand took the real parity split, whose sector k holds the basis
+    states of total parity k, and whose vectors are real.  ``values`` holds
+    each block's ascending eigenvalues and ``vectors`` its eigenvectors as
+    columns, indexed within the sector (None when only eigenvalues were
+    asked for).
     """
 
     __slots__ = ()
@@ -236,23 +262,36 @@ class Spectrum(namedtuple("Spectrum", ["sectors", "real", "blocks", "values", "v
         w = self.eigenvalues()
         return float(np.max(w)) * w.size * np.finfo(float).eps
 
+    def one_block(self):
+        """The same eigensystem as one full-basis block, each sector's
+        vectors placed at its indices.  Exact, with no re-solve."""
+        if len(self.sectors) == 1:
+            return self
+        d = sum(idx.size for idx in self.sectors)
+        vectors = np.zeros((d, d))
+        start = 0
+        for idx, vecs in zip(self.sectors, self.vectors):
+            vectors[idx, start : start + idx.size] = vecs
+            start += idx.size
+        return _read_only(Spectrum((np.arange(d),), False, (self.eigenvalues(),), (vectors,)))
 
-def spectra(dims, *mats, vectors=True):
-    """Hermitian eigensystems of same-dims operands, one Spectrum each.
 
-    All operands share one decision (see the module docstring): two real
-    total-photon-parity sectors, or one complex block.  Sharing it keeps the
-    sectors of several operands aligned, so their eigenvectors can be
-    combined sector by sector.
-    """
+def _read_only(spec):
+    for group in (spec.sectors, spec.values, spec.vectors):
+        for arr in group or ():
+            arr.setflags(write=False)
+    return spec
+
+
+def spectra(dims, mat, vectors=True):
+    """Hermitian eigensystem of one operand on ``dims``, as a Spectrum with
+    read-only arrays: two real total-photon-parity sectors, or one complex
+    block (see the module docstring)."""
     parity = np.indices(dims).sum(axis=0).ravel() % 2
     off = parity[:, None] != parity[None, :]
     bound = math.sqrt(parity.size) * np.finfo(float).eps
-    real = all(
-        math.hypot(np.linalg.norm(m.imag), np.linalg.norm(m.real[off]))
-        <= bound * np.linalg.norm(m)
-        for m in mats
-    )
+    real = bool(math.hypot(np.linalg.norm(mat.imag), np.linalg.norm(mat.real[off]))
+                <= bound * np.linalg.norm(mat))
     if real:
         sectors = tuple(
             idx for idx in (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1))
@@ -260,16 +299,61 @@ def spectra(dims, *mats, vectors=True):
         )
     else:
         sectors = (np.arange(parity.size),)
-    out = []
-    for m in mats:
-        part = m.real if real else m
-        blocks = tuple(hermitize(part[np.ix_(s, s)]) for s in sectors)
-        if vectors:
-            values, vecs = zip(*(np.linalg.eigh(b) for b in blocks))
-        else:
-            values, vecs = tuple(np.linalg.eigvalsh(b) for b in blocks), None
-        out.append(Spectrum(sectors, real, blocks, tuple(values), vecs))
-    return tuple(out)
+    part = mat.real if real else mat
+    blocks = tuple(hermitize(part[np.ix_(s, s)]) for s in sectors)
+    if vectors:
+        values, vecs = zip(*(np.linalg.eigh(b) for b in blocks))
+    else:
+        values, vecs = tuple(np.linalg.eigvalsh(b) for b in blocks), None
+    return _read_only(Spectrum(sectors, real, tuple(values), vecs))
+
+
+def kron_spectrum(a, b):
+    """Spectrum of the Kronecker product of two operands, built from theirs
+    with no eigensolve: eigenvalues w_a w_b and eigenvectors u_a (x) u_b.
+
+    When both took the real parity split, the products of a's sector k_a
+    and b's sector k_b form part of the total-parity sector
+    (k_a + k_b) mod 2, laid out as ``spectra`` lays it out; otherwise the
+    product is one full-basis block.  The small products keep full relative
+    precision, where a solve of the assembled product resolves eigenvalues
+    only to about w_max d eps.
+    """
+    real = a.real and b.real
+    if not real:
+        a, b = a.one_block(), b.one_block()
+    nb = sum(idx.size for idx in b.sectors)
+    parts = ([], [])
+    for ka, (ia, wa, ua) in enumerate(zip(a.sectors, a.values, a.vectors)):
+        for kb, (ib, wb, ub) in enumerate(zip(b.sectors, b.values, b.vectors)):
+            flat = (ia[:, None] * nb + ib[None, :]).ravel()
+            parts[(ka + kb) % 2].append((flat, np.outer(wa, wb).ravel(), ua, ub))
+    dtype = np.result_type(a.vectors[0], b.vectors[0])
+    sectors, values, vectors = [], [], []
+    for group in parts:
+        if not group:
+            continue
+        idx = np.sort(np.concatenate([flat for flat, *_ in group]))
+        w = np.concatenate([wab for _, wab, *_ in group])
+        v = np.zeros((idx.size, idx.size), dtype=dtype)
+        start = 0
+        for flat, wab, ua, ub in group:
+            v[np.searchsorted(idx, flat), start : start + wab.size] = np.kron(ua, ub)
+            start += wab.size
+        order = np.argsort(w, kind="stable")
+        sectors.append(idx)
+        values.append(w[order])
+        vectors.append(v[:, order])
+    return _read_only(Spectrum(tuple(sectors), real, tuple(values), tuple(vectors)))
+
+
+def paired(a, b):
+    """Two same-dims Spectrums on shared sectors, so their eigenvectors
+    combine sector by sector: as they are when both took the real parity
+    split, else each as one full-basis block (``Spectrum.one_block``)."""
+    if a.real and b.real:
+        return a, b
+    return a.one_block(), b.one_block()
 
 
 def sandwich_singular_values(rho, sigma, b, floor):
@@ -300,7 +384,7 @@ def distance(kind, a, b):
     _check_same_dims(a, b)
     delta = a.rho - b.rho
     if kind == "trace":
-        (spec,) = spectra(a.dims, delta, vectors=False)
+        spec = spectra(a.dims, delta, vectors=False)
         return float(0.5 * np.sum(np.abs(spec.eigenvalues())))
     if kind == "hilbert_schmidt":
         return float(np.sqrt(np.sum(np.abs(delta) ** 2)))
@@ -322,7 +406,7 @@ def fidelity(kind, a, b):
     _check_same_dims(a, b)
     if kind == "uhlmann":
         # tr sqrt(sqrt(A) B sqrt(A)) is the sum of the b = 1/2 values
-        sa, sb = spectra(a.dims, a.rho, b.rho)
+        sa, sb = paired(a.spectrum(), b.spectrum())
         return float(np.sum(sandwich_singular_values(sa, sb, 0.5, sb.rank_floor())) ** 2)
     if kind == "super":
         ov = overlap(a, b)

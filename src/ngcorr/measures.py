@@ -21,9 +21,10 @@ from .fock import (
     FockState,
     distance,
     fidelity,
+    paired,
     partial_trace,
     sandwich_singular_values,
-    spectra,
+    tensor,
 )
 from .gaussian import gaussian_mi, moments_from_fock, reference_gaussian_fock
 
@@ -66,8 +67,7 @@ class MeasureResult:
 
 
 def _support_eigs(state):
-    (spec,) = spectra(state.dims, state.rho, vectors=False)
-    w = spec.eigenvalues()
+    w = state.spectrum(vectors=False).eigenvalues()
     return w[w > EIG_SUPPORT_FLOOR]
 
 
@@ -89,9 +89,10 @@ def _marginals(state):
     return partial_trace(state, [0]), partial_trace(state, [1])
 
 
-def _marginal_product(state):
-    ra, rb = _marginals(state)
-    return FockState(state.dims, np.kron(ra.rho, rb.rho), validate=False)
+def marginal_product(state):
+    """rho_A x rho_B of a two-mode state, whose eigensystem is built from
+    the marginals' (``fock.kron_spectrum``)."""
+    return tensor(*_marginals(state))
 
 
 def sandwiched_relative_entropy(rho, sigma, alpha):
@@ -103,13 +104,12 @@ def sandwiched_relative_entropy(rho, sigma, alpha):
     alpha = float(alpha)
     if alpha <= 0:
         raise DomainError("alpha must be positive")
-    # each operand is decomposed once; both share the sectors
-    r, s = spectra(rho.dims, rho.rho, sigma.rho)
+    r, s = paired(rho.spectrum(), sigma.spectrum())
     if alpha >= 1.0:
-        # populations of rho in the eigenbasis of sigma
+        # populations sum_k p_k |<v_j|u_k>|^2 of rho in the eigenbasis of sigma
         pops = [
-            np.real(np.sum(v.conj() * (blk @ v), axis=0))
-            for blk, v in zip(r.blocks, s.vectors)
+            (np.abs(v.conj().T @ u) ** 2) @ w
+            for w, u, v in zip(r.values, r.vectors, s.vectors)
         ]
         leak = sum(
             float(np.sum(q[w <= EIG_SUPPORT_FLOOR])) for q, w in zip(pops, s.values)
@@ -132,12 +132,13 @@ def sandwiched_relative_entropy(rho, sigma, alpha):
     return float(math.log(np.sum(w**alpha)) / (alpha - 1.0))
 
 
-def mutual_information(kind, state, alpha=None):
+def mutual_information(kind, state, alpha=None, product=None):
     """Correlation content of a two-mode state against its marginal product.
 
     kinds: 'vn' and 'renyi' (entropy combinations), 'sandwiched'
     (relative-entropy type), 'hs' and 'tr' (distance type), 'bures'
-    (fidelity type, the metric sqrt(2(1 - sqrt(F)))).
+    (fidelity type, the metric sqrt(2(1 - sqrt(F)))).  The state's
+    ``marginal_product`` may be passed in to share it across kinds.
     """
     if kind not in MI_KINDS:
         raise ValueError(f"unknown mutual_information kind {kind!r}")
@@ -157,7 +158,7 @@ def mutual_information(kind, state, alpha=None):
             - _renyi_entropy(state, alpha)
         )
         return MeasureResult.on(state, val)
-    prod = _marginal_product(state)
+    prod = marginal_product(state) if product is None else product
     if kind == "sandwiched":
         return MeasureResult.on(state, sandwiched_relative_entropy(state, prod, alpha))
     if kind == "hs":

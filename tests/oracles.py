@@ -11,8 +11,8 @@ The rest are independent routes with no library caller: the Williamson
 decomposition (through a real Schur form, the only use of scipy.linalg),
 the symplectic spectrum of a covariance matrix, the Schmidt-weight mutual
 informations of pure states, the X-state parameters of a Bell state,
-Wootters' spin-flip concurrence, the expectation value tr[O rho], and
-two-state shortcuts for the lb2 measure.
+Wootters' spin-flip concurrence and entanglement of formation, the
+expectation value tr[O rho], and two-state shortcuts for the lb2 measure.
 """
 
 import math
@@ -40,7 +40,7 @@ from ngcorr.gaussian import (
     omega,
     reference_gaussian_fock,
 )
-from ngcorr.measures import MeasureResult, _marginal_product, _marginals, reference_state
+from ngcorr.measures import MeasureResult, _marginals, marginal_product, reference_state
 from ngcorr.states import StateSpec, default_cutoff, make_state
 from ngcorr.xstate import XStateParams
 
@@ -186,6 +186,14 @@ def spin_flip_concurrence(params):
     return max(0.0, roots[-1] - roots[0] - roots[1] - roots[2])
 
 
+def wootters_eof(c):
+    """Wootters' entanglement of formation h((1 + sqrt(1 - c^2))/2) of a
+    concurrence c, through the smaller root q = c^2 / (2 (1 + sqrt(1 - c^2)))
+    and log1p, which keep full relative precision at small c."""
+    q = c * c / (2.0 * (1.0 + math.sqrt(1.0 - c * c)))
+    return -q * math.log(q) - (1.0 - q) * math.log1p(-q) if q > 0.0 else 0.0
+
+
 def bell_params():
     """X-state parameters of (|+->+|-+>)/sqrt(2)."""
     return XStateParams(a=0.0, b=0.5, c=0.5, d=0.0, u=0.5, v=0.0)
@@ -242,7 +250,7 @@ def ng_lb2_fast(case, state, reference=None):
             raise CaseNotApplicable(
                 f"reference is correlated: off-block max {off:.3e}"
             )
-        other = _marginal_product(state)
+        other = marginal_product(state)
     elif case == "local_gaussian":
         ra, rb = _marginals(state)
         for m in (ra, rb):

@@ -1,6 +1,7 @@
 """Every ``lru_cache`` in the package is bounded, unless it is keyed by one
 integer, and hands out read-only arrays, so no caller can change what a
-later caller gets."""
+later caller gets.  The same holds for the eigensystems that a
+``FockState`` keeps."""
 
 import importlib
 import pkgutil
@@ -9,6 +10,9 @@ import numpy as np
 import pytest
 
 import ngcorr
+from ngcorr.channels import apply_loss
+from ngcorr.measures import marginal_product
+from ngcorr.states import StateSpec, make_state
 
 #: One call per cached function; a new cache must be listed here.
 CALLS = {
@@ -54,3 +58,18 @@ def test_cache_is_bounded_and_hands_out_read_only_arrays(name):
     arrays = list(_arrays(fn(*CALLS[name])))
     assert arrays
     assert not any(a.flags.writeable for a in arrays)
+
+
+def test_memoised_spectra_are_kept_and_hand_out_read_only_arrays():
+    state = apply_loss(make_state(StateSpec("ecs", {"gamma": 1.0}, cutoff=12)), 0.7)
+    product = marginal_product(state)
+    for spec in (state.spectrum(), state.spectrum(vectors=False), product.spectrum(),
+                 state.spectrum().one_block()):
+        arrays = list(_arrays(tuple(spec)))
+        assert arrays
+        assert not any(a.flags.writeable for a in arrays)
+    assert state.spectrum() is state.spectrum()
+    assert state.spectrum(vectors=False) is state.spectrum(vectors=False)
+    assert product.spectrum() is product.spectrum()
+    with pytest.raises(ValueError):
+        state.spectrum().vectors[0][0, 0] = 0.0

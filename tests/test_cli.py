@@ -26,7 +26,7 @@ from ngcorr.figures import COLUMNS, FIGURES, default_threads, run_figure, sweep
 from ngcorr.measures import delta_ng, ng_correlation
 from ngcorr.states import StateSpec, make_state
 from ngcorr.xstate import ecs_to_xstate
-from oracles import dense_sampled_lossy_ecs, spin_flip_concurrence
+from oracles import dense_sampled_lossy_ecs, spin_flip_concurrence, wootters_eof
 
 
 def test_parse_range_flag():
@@ -271,10 +271,7 @@ def test_fig5_ef_excess_just_below_the_old_small_loss_threshold():
     fig = FIGURES["fig5"]
     rows = sweep("fig5", [params], fig.measures, lambda p: fig.state(p, None))
     (row,) = [r for r in rows if r["measure"] == "delta_ef"]
-    c = spin_flip_concurrence(ecs_to_xstate(0.2, 2.4975e-7))
-    # Wootters' h((1 + sqrt(1 - c^2))/2), evaluated as the library does
-    p = 0.5 * (1.0 + math.sqrt(1.0 - c * c))
-    want = -p * math.log(p) - (1.0 - p) * math.log(1.0 - p)
+    want = wootters_eof(spin_flip_concurrence(ecs_to_xstate(0.2, 2.4975e-7)))
     assert row["status"] == "ok" and row["value"] > 0.0
     assert row["value"] == pytest.approx(want, rel=1e-9)
 

@@ -27,6 +27,19 @@ def test_separable_xstate_zero():
     assert eof_two_qubit(diag) == 0.0
 
 
+@pytest.mark.parametrize("c", [1e-12, 1e-9, 2.3e-7, 1e-4, 0.01, 0.3, 0.7, 0.99])
+def test_eof_keeps_relative_precision_at_small_concurrence(c):
+    mpmath = pytest.importorskip("mpmath")
+    # u = c/2 with empty a, d corners gives concurrence exactly c
+    params = XStateParams(a=0.0, b=0.5, c=0.5, d=0.0, u=c / 2.0, v=0.0)
+    assert concurrence_two_qubit(params) == c
+    with mpmath.workdps(50):
+        mc = mpmath.mpf(c)
+        q = (1 - mpmath.sqrt(1 - mc * mc)) / 2
+        want = float(-q * mpmath.log(q) - (1 - q) * mpmath.log(1 - q))
+    assert eof_two_qubit(params) == pytest.approx(want, rel=1e-12)
+
+
 def test_werner_two_qubit_threshold():
     # two-qubit Werner mixture p |Bell><Bell| + (1-p) I/4 separates at p = 1/3
     bell = bell_params().to_matrix()

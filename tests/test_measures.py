@@ -8,12 +8,12 @@ from ngcorr.fock import fidelity, tensor
 from ngcorr.measures import (
     averaged_states,
     delta_ng,
+    marginal_product,
     mutual_information,
     ng_correlation,
     reference_state,
     sandwiched_relative_entropy,
     superfidelity_chain,
-    _marginal_product,
 )
 from ngcorr.sampling import random_two_mode_state
 from ngcorr.states import StateSpec, make_state
@@ -54,7 +54,7 @@ def test_relative_entropy_half_order_is_log_fidelity():
         StateSpec("cv_werner", {"f": 0.6, "r": 0.2}, cutoff=12),
     ):
         st = make_state(spec)
-        prod = _marginal_product(st)
+        prod = marginal_product(st)
         v = sandwiched_relative_entropy(st, prod, 0.5)
         assert v == pytest.approx(-math.log(fidelity("uhlmann", st, prod)), abs=1e-9)
 

@@ -8,22 +8,26 @@ trace tr[rho log sigma], which the old code took as tr[rho (log sigma)^T];
 the two differ for complex operands (see test_relative_entropy_of_complex_states).
 """
 
+import io
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-import ngcorr.measures as measures
 from ngcorr.channels import apply_loss
+from ngcorr.cli import measure_rows, write_csv
 from ngcorr.distill import BRANCH_FLOOR, DistillConfig, _projected_bs, distill
 from ngcorr.entanglement import log_negativity_fock
-from ngcorr.figures import FIGURES, Point
+from ngcorr.figures import FIGURES, Point, measure
 from ngcorr.fock import (
     EIG_SUPPORT_FLOOR,
     FockState,
     distance,
     fidelity,
     hermitize,
+    paired,
     partial_trace,
     partial_transpose,
     spectra,
@@ -31,8 +35,8 @@ from ngcorr.fock import (
 )
 from ngcorr.measures import (
     SUPPORT_LEAK_TOL,
-    _marginal_product,
     averaged_states,
+    marginal_product,
     mutual_information,
     ng_correlation,
     sandwiched_relative_entropy,
@@ -117,7 +121,7 @@ def dense_uhlmann(a, b):
 
 
 def dense_mi(kind, state, alpha=None):
-    prod = _marginal_product(state)
+    prod = marginal_product(state)
     if kind in ("vn", "renyi"):
         alpha = 1.0 if kind == "vn" else alpha
         ra, rb = partial_trace(state, [0]), partial_trace(state, [1])
@@ -157,8 +161,15 @@ def dense_distill(state, config):
 
 # --- states ------------------------------------------------------------------
 
-def lossy_ecs(cutoff):
-    return apply_loss(make_state(StateSpec("ecs", {"gamma": 1.0}, cutoff=cutoff)), 0.7)
+def lossy_ecs(cutoff, eta=0.7):
+    return apply_loss(make_state(StateSpec("ecs", {"gamma": 1.0}, cutoff=cutoff)), eta)
+
+
+def lossy_complex_pnes():
+    """Complex Schmidt amplitudes: rho is complex, its marginals real."""
+    c = np.array([0.8, 0.5j, 0.3 - 0.2j])
+    spec = StateSpec("pnes", {"coeffs": tuple(c / np.linalg.norm(c))}, cutoff=10)
+    return apply_loss(make_state(spec), 0.8)
 
 
 def ginibre(dims, seed=7):
@@ -207,7 +218,7 @@ def _tolerance(*case):
 @pytest.mark.parametrize("name", list(STATES))
 def test_structure_decision(name):
     state = STATES[name]()
-    (spec,) = spectra(state.dims, state.rho, vectors=False)
+    spec = spectra(state.dims, state.rho, vectors=False)
     assert spec.real is PARITY_BLOCKED[name]
     assert len(spec.sectors) == (2 if PARITY_BLOCKED[name] else 1)
     assert sorted(np.concatenate(spec.sectors)) == list(range(state.dim))
@@ -225,7 +236,7 @@ def test_mutual_information_matches_dense_oracle(name):
 @pytest.mark.parametrize("gamma", (0.5, 1.0, 1.5))
 def test_pure_ecs_anchor_matches_dense_oracle(gamma):
     state = make_state(StateSpec("ecs", {"gamma": gamma}, cutoff=30))
-    (spec,) = spectra(state.dims, state.rho, vectors=False)
+    spec = spectra(state.dims, state.rho, vectors=False)
     assert spec.real and len(spec.sectors) == 2
     for kind in ("renyi", "sandwiched"):
         for alpha in ALPHAS:
@@ -297,12 +308,12 @@ def _off_parity_perturbation(state, scale, seed=11):
 
 def test_drop_bound_decides_the_split():
     state = lossy_ecs(20)
-    (below,) = spectra(state.dims, _off_parity_perturbation(state, 0.9).rho)
+    below = spectra(state.dims, _off_parity_perturbation(state, 0.9).rho)
     assert below.real and len(below.sectors) == 2
-    (above,) = spectra(state.dims, _off_parity_perturbation(state, 1.1).rho)
+    above = spectra(state.dims, _off_parity_perturbation(state, 1.1).rho)
     assert not above.real and len(above.sectors) == 1
-    # one operand above the bound keeps every operand in one complex block
-    pair = spectra(state.dims, state.rho, _off_parity_perturbation(state, 1.1).rho)
+    # a split operand paired with one above the bound joins it in one block
+    pair = paired(spectra(state.dims, state.rho), above)
     assert [len(s.sectors) for s in pair] == [1, 1]
 
 
@@ -314,26 +325,142 @@ def test_perturbed_state_above_the_bound_matches_dense_oracle():
         assert got == pytest.approx(dense_mi(kind, state, alpha), abs=TOL), (kind, alpha)
 
 
+def _record_solves(monkeypatch):
+    """Operands of every numpy.linalg eigh and eigvalsh call, in call order."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def wrapper(a, *args, _original=original, _name=name, **kwargs):
+            calls.append((_name, np.array(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapper)
+    return calls
+
+
+def _solves(calls, sectors, dims, operands):
+    """Full-size solves per (operand, kernel), in sector calls: every call
+    larger than a marginal must be a parity block of exactly one operand."""
+    counts = Counter()
+    for name, a in calls:
+        if a.shape[0] <= max(dims):
+            continue
+        (match,) = [key for key, mat in operands.items()
+                    if any(np.array_equal(a, hermitize(mat.real[np.ix_(s, s)]))
+                           for s in sectors)]
+        counts[match, name] += 1
+    return counts
+
+
 def test_sandwiched_decomposes_each_operand_once(monkeypatch):
-    counts = []
-
-    def counting(dims, *mats, **kwargs):
-        counts.append(len(mats))
-        return spectra(dims, *mats, **kwargs)
-
-    monkeypatch.setattr(measures, "spectra", counting)
     state = lossy_ecs(12)
-    prod = _marginal_product(state)
+    sectors = spectra(state.dims, state.rho, vectors=False).sectors
+    calls = _record_solves(monkeypatch)
     for alpha in ALPHAS:
-        counts.clear()
-        sandwiched_relative_entropy(state, prod, alpha)
-        assert sum(counts) == 2, alpha
+        rho = FockState(state.dims, state.rho, validate=False)
+        prod = marginal_product(rho)
+        calls.clear()
+        sandwiched_relative_entropy(rho, prod, alpha)
+        operands = {"rho": rho.rho, "product": prod.rho}
+        solves = _solves(calls, sectors, state.dims, operands)
+        assert solves == {("rho", "eigh"): len(sectors)}, alpha
+
+
+SIX_IDS = (("vn", None), ("renyi", 0.5), ("sandwiched", 1.5), ("bures", None),
+           ("tr", None), ("hs", None))
+
+
+def test_six_mi_ids_solve_each_operand_once(monkeypatch):
+    # one values-only and one vector solve of rho, one solve of
+    # rho - rho_A x rho_B, and none of the product itself
+    state = lossy_ecs(30)
+    prod = marginal_product(state)
+    operands = {"rho": state.rho, "product": prod.rho, "difference": state.rho - prod.rho}
+    sectors = spectra(state.dims, state.rho, vectors=False).sectors
+    nsec = len(sectors)
+    assert nsec == 2
+    calls = _record_solves(monkeypatch)
+    point = Point({}, lambda p: state)
+    for kind, alpha in SIX_IDS:
+        measure("mi", kind, alpha)(point)
+    assert _solves(calls, sectors, state.dims, operands) == {
+        ("rho", "eigvalsh"): nsec, ("rho", "eigh"): nsec, ("difference", "eigvalsh"): nsec}
+
+
+def test_measure_state_csv_is_the_same_in_every_id_order():
+    spec = StateSpec("ecs", {"gamma": 1.0}, cutoff=12)
+    ids = ("vn", "renyi:0.5", "sandwiched:1.5", "bures", "tr", "hs")
+
+    def csv_lines(order):
+        out = io.StringIO()
+        write_csv(measure_rows(spec, 0.7, order), out)
+        header, *rows = out.getvalue().splitlines()
+        return header, sorted(rows)
+
+    want = csv_lines(ids)
+    for order in itertools.permutations(ids):
+        assert csv_lines(order) == want, order
+
+
+#: States for the Kronecker spectrum of the marginal product: the lossy ECS,
+#: the pure ECS (the 2 ln 2 anchor), and complex amplitudes whose complex
+#: rho pairs with a real product.
+KRON_STATES = {
+    "lossy_ecs_20": lambda: lossy_ecs(20),
+    "lossy_ecs_30": lambda: lossy_ecs(30),
+    "pure_ecs_20": lambda: lossy_ecs(20, eta=1.0),
+    "lossy_complex_pnes": lossy_complex_pnes,
+}
+
+
+@pytest.mark.parametrize("name", list(KRON_STATES))
+def test_kron_spectrum_matches_dense_solve_of_the_product(name):
+    prod = marginal_product(KRON_STATES[name]())
+    got = prod.spectrum()
+    want = spectra(prod.dims, prod.rho)
+    assert got.real == want.real
+    assert [s.tolist() for s in got.sectors] == [s.tolist() for s in want.sectors]
+    tol = want.rank_floor()
+    for idx, w, v, w_dense in zip(got.sectors, got.values, got.vectors, want.values):
+        assert np.all(np.diff(w) >= 0.0)
+        assert np.max(np.abs(w - w_dense)) <= tol
+        assert np.max(np.abs((v * w) @ v.conj().T - prod.rho[np.ix_(idx, idx)])) <= tol
+        assert np.max(np.abs(v.conj().T @ v - np.eye(idx.size))) <= 1e-13
+
+
+@pytest.mark.parametrize("name", list(KRON_STATES))
+def test_shared_product_matches_dense_oracle(name):
+    state = KRON_STATES[name]()
+    point = Point({}, lambda p: state)
+    for kind, alpha in [("sandwiched", a) for a in ALPHAS] + [("bures", None), ("tr", None)]:
+        got = measure("mi", kind, alpha)(point).value
+        want = dense_mi(kind, state, alpha)
+        assert got == pytest.approx(want, abs=_tolerance(name, kind, alpha)), (kind, alpha)
+        if name == "pure_ecs_20" and kind == "sandwiched":
+            assert got == pytest.approx(TWO_LN_2, abs=1e-6)
+    mixed = name == "lossy_complex_pnes"
+    assert state.spectrum().real is not mixed and point.product.spectrum().real
+
+
+def test_one_block_embedding_is_exact():
+    spec = lossy_ecs(12).spectrum()
+    block = spec.one_block()
+    (full,), (w,) = block.vectors, block.values
+    assert block.sectors[0].tolist() == list(range(full.shape[0]))
+    assert np.array_equal(w, spec.eigenvalues())
+    start = 0
+    for idx, v in zip(spec.sectors, spec.vectors):
+        cols = slice(start, start + idx.size)
+        assert np.array_equal(full[idx, cols], v)
+        assert not np.any(np.delete(full[:, cols], idx, axis=0))
+        start += idx.size
 
 
 def test_lossy_ecs_makes_no_complex_lapack_call(monkeypatch):
     """Structural guard: the sweep states take the real blocked route."""
     state = lossy_ecs(20)
-    (spec,) = spectra(state.dims, state.rho)
+    spec = spectra(state.dims, state.rho)
     assert spec.real and len(spec.sectors) == 2
     calls = []
     for name in ("eigh", "eigvalsh", "svd"):
@@ -352,5 +479,5 @@ def test_lossy_ecs_makes_no_complex_lapack_call(monkeypatch):
 def test_fig4_full_loss_ng_operand_takes_the_real_route():
     point = Point({"gamma": 1.0, "eta": 0.0}, lambda p: FIGURES["fig4"].state(p, None))
     rt, st = point.pair
-    (spec,) = spectra(rt.dims, rt.rho - st.rho, vectors=False)
+    spec = spectra(rt.dims, rt.rho - st.rho, vectors=False)
     assert spec.real
