@@ -7,6 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .blas import one_thread
 from .errors import BadEta, DomainError, TruncationError
 from .fock import (
     DEFAULT_TAIL_TOL,
@@ -82,7 +83,9 @@ def beam_splitter(eta, dims):
     with a -> sqrt(eta) a + sqrt(1-eta) b on coherent inputs.
 
     Built through the eigendecomposition of the Hermitian generator, so it
-    is unitary to solver precision with no series truncation.
+    is unitary to solver precision with no series truncation.  Built with
+    BLAS at one thread, so the kept bytes do not depend on the BLAS thread
+    count of whichever call builds it first.
     """
     if not 0.0 <= eta <= 1.0:
         raise BadEta(f"eta = {eta} outside [0, 1]")
@@ -90,10 +93,11 @@ def beam_splitter(eta, dims):
     theta = math.acos(math.sqrt(eta))
     a = np.kron(_ladder_raw(n1), np.eye(n2))
     b = np.kron(np.eye(n1), _ladder_raw(n2))
-    # U = exp(theta (a b† - a† b)) = exp(i theta H), H = i(a† b - a b†)
-    h = 1j * (a.conj().T @ b - a @ b.conj().T)
-    w, v = np.linalg.eigh(hermitize(h))
-    u = (v * np.exp(1j * theta * w)) @ v.conj().T
+    with one_thread():
+        # U = exp(theta (a b† - a† b)) = exp(i theta H), H = i(a† b - a b†)
+        h = 1j * (a.conj().T @ b - a @ b.conj().T)
+        w, v = np.linalg.eigh(hermitize(h))
+        u = (v * np.exp(1j * theta * w)) @ v.conj().T
     u.setflags(write=False)
     return u
 

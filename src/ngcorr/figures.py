@@ -8,6 +8,13 @@ the command-line layer writes them as CSV.  Rows come in a deterministic
 point order; a worker pool may evaluate points in any order without
 changing the output.
 
+Threads: a sweep of more than one point runs on ``threads`` worker threads
+and runs BLAS at one thread for the whole sweep, whatever ``threads`` is, so
+the sweep uses ``threads`` cores and its output does not depend on the BLAS
+thread settings (``blas.one_thread``); it puts the BLAS count it found back
+when it ends.  A one-point sweep (``measure_state``) leaves BLAS at its
+default, so a large single state's eigensolves still use every core.
+
 Error policy: a measure that raises ``NGCorrError`` or
 ``numpy.linalg.LinAlgError`` gets a ``flagged`` row with value nan.  Any
 other exception is a bug and propagates.
@@ -26,6 +33,7 @@ import numpy as np
 # that import inside the first sampled sweep instead of the package import
 from numpy.random import default_rng
 
+from .blas import one_thread
 from .channels import apply_loss, ecs_loss_analytic
 from .distill import DistillConfig, distill
 from .entanglement import eof_two_qubit, log_negativity_fock
@@ -76,17 +84,26 @@ FLAGGED = (NGCorrError, np.linalg.LinAlgError)
 
 
 def default_threads():
-    """NGCORR_THREADS, a positive integer, or else the core count."""
+    """NGCORR_THREADS, a positive integer, or else the number of CPUs this
+    process may run on."""
     env = os.environ.get("NGCORR_THREADS")
-    return _count(env, "NGCORR_THREADS") if env else os.cpu_count() or 1
+    if env:
+        return _count(env, "NGCORR_THREADS")
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _pool_map(fn, items, threads):
-    """Order-preserving parallel map; exceptions propagate per item."""
-    if threads <= 1 or len(items) <= 1:
+    """Order-preserving map over ``threads`` worker threads; exceptions
+    propagate per item.  More than one item runs with BLAS at one thread."""
+    if len(items) <= 1:
         return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    with one_thread():
+        if threads <= 1:
+            return [fn(it) for it in items]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
 
 
 def _opt(options, key, default):
@@ -136,7 +153,8 @@ class Point:
 
     @property
     def pair(self):
-        return self._get("pair", lambda: averaged_states(self.state, reference=self.reference))
+        return self._get("pair", lambda: averaged_states(
+            self.state, reference=self.reference, product=self.product))
 
 
 def _row(figure, name, params, res):
@@ -185,7 +203,8 @@ def measure(group, kind, alpha=None):
     if group == "ng":
         return lambda pt: ng_correlation(kind, pt.state, pair=pt.pair)
     if kind in FOCK_REFERENCE_KINDS:
-        return lambda pt: delta_ng(kind, pt.state, alpha, reference=pt.reference)
+        return lambda pt: delta_ng(kind, pt.state, alpha, reference=pt.reference,
+                                   product=pt.product)
     return lambda pt: delta_ng(kind, pt.state, alpha, moments=pt.moments)
 
 

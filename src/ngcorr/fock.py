@@ -288,19 +288,21 @@ def spectra(dims, mat, vectors=True):
     read-only arrays: two real total-photon-parity sectors, or one complex
     block (see the module docstring)."""
     parity = np.indices(dims).sum(axis=0).ravel() % 2
-    off = parity[:, None] != parity[None, :]
+    halves = [idx for idx in (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1))
+              if idx.size]
+    # each parity block gathered once: the split drops the off-diagonal
+    # blocks and the diagonal blocks' imaginary parts
+    grid = [[mat[np.ix_(r, c)] for c in halves] for r in halves]
+    dropped = math.hypot(*(np.linalg.norm(b.imag if r == c else b)
+                           for r, row in enumerate(grid) for c, b in enumerate(row)))
     bound = math.sqrt(parity.size) * np.finfo(float).eps
-    real = bool(math.hypot(np.linalg.norm(mat.imag), np.linalg.norm(mat.real[off]))
-                <= bound * np.linalg.norm(mat))
+    real = bool(dropped <= bound * np.linalg.norm(mat))
     if real:
-        sectors = tuple(
-            idx for idx in (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1))
-            if idx.size
-        )
+        sectors = tuple(halves)
+        blocks = tuple(hermitize(row[k].real) for k, row in enumerate(grid))
     else:
         sectors = (np.arange(parity.size),)
-    part = mat.real if real else mat
-    blocks = tuple(hermitize(part[np.ix_(s, s)]) for s in sectors)
+        blocks = (hermitize(mat),)
     if vectors:
         values, vecs = zip(*(np.linalg.eigh(b) for b in blocks))
     else:

@@ -179,16 +179,17 @@ def reference_state(state, moments=None):
     return reference_gaussian_fock(spec, state.dims)
 
 
-def delta_ng(kind, state, alpha=None, reference=None, moments=None):
+def delta_ng(kind, state, alpha=None, reference=None, moments=None, product=None):
     """Measure of the target minus the same measure of its Gaussian reference.
 
     Entropic and Hilbert-Schmidt kinds evaluate the reference through the
     covariance-matrix closed forms (truncation-free); 'tr' and 'bures' fall
     back to Fock numerics on the synthesized reference.  The reference, or
-    for the closed forms the state's moments, may be passed in to amortize
-    their construction across kinds.
+    for the closed forms the state's moments, and the state's
+    ``marginal_product`` may be passed in to amortize their construction
+    across kinds.
     """
-    target = mutual_information(kind, state, alpha)
+    target = mutual_information(kind, state, alpha, product=product)
     if math.isinf(target.value):  # the delta, where inf - inf would be nan
         return target
     if kind in FOCK_REFERENCE_KINDS:
@@ -205,23 +206,22 @@ def delta_ng(kind, state, alpha=None, reference=None, moments=None):
     return MeasureResult.on(state, target.value - ref_val)
 
 
-def averaged_states(state, reference=None):
+def averaged_states(state, reference=None, product=None):
     """Half-mixtures of the target with the swapped reference marginals.
 
     rho_tilde = (rho_AB + sigma_A x sigma_B)/2 and
     sigma_tilde = (sigma_AB + rho_A x rho_B)/2, where sigma is the Gaussian
     reference of rho.  Their difference keeps the full target-vs-reference
-    information while both operands stay valid states.
+    information while both operands stay valid states.  The state's
+    ``marginal_product`` rho_A x rho_B may be passed in.
     """
     sigma = reference_state(state) if reference is None else reference
     sa, sb = _marginals(sigma)
-    ra, rb = _marginals(state)
+    prod = marginal_product(state) if product is None else product
     rho_tilde = FockState(
         state.dims, 0.5 * (state.rho + np.kron(sa.rho, sb.rho)), validate=False
     )
-    sigma_tilde = FockState(
-        state.dims, 0.5 * (sigma.rho + np.kron(ra.rho, rb.rho)), validate=False
-    )
+    sigma_tilde = FockState(state.dims, 0.5 * (sigma.rho + prod.rho), validate=False)
     return rho_tilde, sigma_tilde
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -15,6 +16,8 @@ from ngcorr.cli import (
     parse_state_file,
     write_csv,
 )
+import ngcorr.blas
+import ngcorr.channels
 import ngcorr.cli
 import ngcorr.figures
 import ngcorr.measures
@@ -117,6 +120,45 @@ def test_measure_rows_synthesizes_the_reference_once(monkeypatch):
         ng_correlation("tr", state).value,
         ng_correlation("fid", state).value,
         delta_ng("tr", state).value,
+    ]
+
+
+def test_measure_rows_build_the_states_marginal_product_once(monkeypatch):
+    # tr, delta:tr and ng:tr at cutoff 20 all read rho_A x rho_B; the point
+    # builds it once and every measure reuses it
+    spec = StateSpec("ecs", {"gamma": 1.0}, cutoff=20)
+    built, traced, products = [], [], []
+    original_loss = ngcorr.cli.apply_loss
+    original_trace = ngcorr.measures.partial_trace
+    original_tensor = ngcorr.measures.tensor
+
+    def build(*args, **kwargs):
+        built.append(original_loss(*args, **kwargs))
+        return built[-1]
+
+    def partial_trace(state, keep):
+        out = original_trace(state, keep)
+        traced.append((state, out))
+        return out
+
+    def tensor(a, b):
+        products.append((a, b))
+        return original_tensor(a, b)
+
+    monkeypatch.setattr(ngcorr.cli, "apply_loss", build)
+    monkeypatch.setattr(ngcorr.measures, "partial_trace", partial_trace)
+    monkeypatch.setattr(ngcorr.measures, "tensor", tensor)
+    rows = measure_rows(spec, 0.7, ["tr", "delta:tr", "ng:tr"])
+    (rho,) = built
+    marginals = [out for state, out in traced if state is rho]
+    assert len(marginals) == 2
+    assert [(a, b) for a, b in products if a is marginals[0]] == [tuple(marginals)]
+    monkeypatch.undo()
+    state = apply_loss(make_state(spec), 0.7)
+    assert [r["value"] for r in rows] == [
+        ngcorr.measures.mutual_information("tr", state).value,
+        delta_ng("tr", state).value,
+        ng_correlation("tr", state).value,
     ]
 
 
@@ -391,6 +433,144 @@ def test_bad_thread_count_in_the_environment_is_reported(monkeypatch, capsys, va
     assert capsys.readouterr().err == (
         f"ngcorr: error: NGCORR_THREADS={value!r} is not a positive integer\n"
     )
+
+
+def test_default_threads_counts_the_cpus_this_process_may_run_on(monkeypatch):
+    monkeypatch.delenv("NGCORR_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert default_threads() == 3
+    monkeypatch.setenv("NGCORR_THREADS", "2")
+    assert default_threads() == 2
+    monkeypatch.delenv("NGCORR_THREADS")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert default_threads() == 64
+
+
+@pytest.fixture
+def blas_threads():
+    """The BLAS thread-count getter, the count set to 2 for the test (or as
+    near as the library allows) and put back after it."""
+    control = ngcorr.blas.thread_control()
+    if control is None:
+        pytest.skip("no OpenBLAS thread control in this numpy")
+    get, set_ = control
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+def _probe(monkeypatch, name, get, hook=None):
+    """Record the BLAS count at every call of ``figures.<name>``."""
+    seen = []
+    original = getattr(ngcorr.figures, name)
+
+    def probed(*args, **kwargs):
+        if hook:
+            hook()
+        seen.append(get())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ngcorr.figures, name, probed)
+    return seen
+
+
+FIG4_SMALL = {"eta": (0.2, 0.6, 3), "cutoff": 12}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_sweep_runs_blas_at_one_thread(monkeypatch, blas_threads, threads):
+    before = blas_threads()
+    seen = _probe(monkeypatch, "delta_ng", blas_threads)
+    rows = run_figure("fig4", FIG4_SMALL, threads=threads)
+    assert seen == [1, 1, 1]
+    assert [r["status"] for r in rows] == ["ok"] * 12
+    assert blas_threads() == before
+
+
+def test_a_sweep_that_raises_puts_the_blas_count_back(monkeypatch, blas_threads):
+    before = blas_threads()
+    seen = []
+
+    def buggy(*args, **kwargs):
+        seen.append(blas_threads())
+        raise RuntimeError("a bug, not a domain error")
+
+    monkeypatch.setattr(ngcorr.figures, "ng_correlation", buggy)
+    with pytest.raises(RuntimeError):
+        run_figure("fig6a", {"grid": 2}, threads=2)
+    assert seen and set(seen) == {1}
+    assert blas_threads() == before
+
+
+def test_concurrent_sweeps_put_the_blas_count_back(monkeypatch, blas_threads):
+    before = blas_threads()
+    # both sweeps are inside their first point before either goes on, and
+    # the shorter one ends while the longer one still runs
+    both_inside = threading.Barrier(2, timeout=60)
+    waited = threading.local()
+
+    def meet():
+        if not getattr(waited, "done", False):
+            waited.done = True
+            both_inside.wait()
+
+    seen = _probe(monkeypatch, "delta_ng", blas_threads, hook=meet)
+    rows = {}
+
+    def run(grid):
+        rows[grid] = run_figure("fig4", {"grid": grid, "cutoff": 12}, threads=1)
+
+    users = [threading.Thread(target=run, args=(grid,)) for grid in (2, 4)]
+    for user in users:
+        user.start()
+    for user in users:
+        user.join(timeout=120)
+    assert not any(user.is_alive() for user in users)
+    assert sorted((grid, len(r)) for grid, r in rows.items()) == [(2, 8), (4, 16)]
+    assert seen == [1] * 6
+    assert blas_threads() == before
+
+
+def test_measure_state_leaves_blas_at_its_count(monkeypatch, blas_threads):
+    before = blas_threads()
+    seen = _probe(monkeypatch, "mutual_information", blas_threads)
+    rows = measure_rows(LOSSY_ECS, 0.7, ["vn", "tr"])
+    assert seen == [before, before]
+    assert [r["status"] for r in rows] == ["ok", "ok"]
+
+
+def test_a_sweep_runs_without_blas_thread_control(monkeypatch, blas_threads):
+    before = blas_threads()
+    monkeypatch.setattr(ngcorr.blas, "SYMBOLS", (("no_get", "no_set"),))
+    assert ngcorr.blas.thread_control() is None
+    seen = _probe(monkeypatch, "delta_ng", blas_threads)
+    rows = run_figure("fig4", FIG4_SMALL, threads=2)
+    assert seen == [before] * 3
+    assert [r["status"] for r in rows] == ["ok"] * 12
+
+
+def test_sweep_csv_does_not_depend_on_the_blas_thread_settings(tmp_path):
+    # fig6cd's distillation reads BLAS-count-dependent round-off into its
+    # en_distilled values when BLAS runs multithreaded, also through the
+    # cached beam splitter, here first built outside any sweep
+    ngcorr.channels.beam_splitter.cache_clear()
+    ngcorr.channels.beam_splitter(0.9, (12, 12))
+    args = ["run_figure", "fig6cd", "--grid", "11"]
+    texts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        assert main([*args, "--threads", threads, "--out", str(out)]) == 0
+        texts.append(out.read_text())
+    out = tmp_path / "pinned.csv"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ngcorr.figures.__file__)))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    env.pop("NGCORR_THREADS", None)
+    subprocess.run([sys.executable, "-m", "ngcorr.cli", *args, "--out", str(out)],
+                   env=env, check=True)
+    texts.append(out.read_text())
+    assert texts[0] == texts[1] == texts[2]
 
 
 def test_thread_count_below_one_is_a_bad_spec(capsys):
