@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the error policy."""
+
+import numpy as np
 
 
 class NGCorrError(Exception):
@@ -47,3 +49,8 @@ class DomainError(NGCorrError, ValueError):
 
 class ZeroWeight(NGCorrError):
     """Postselection probability density numerically vanishes."""
+
+
+#: Exceptions that flag a result rather than stop the program: named domain
+#: errors and failed decompositions.  Any other exception is a bug.
+FLAGGED = (NGCorrError, np.linalg.LinAlgError)

@@ -15,7 +15,11 @@ thread settings (``blas.one_thread``); it puts the BLAS count it found back
 when it ends.  A one-point sweep (``measure_state``) leaves BLAS at its
 default, so a large single state's eigensolves still use every core.
 
-Error policy: a measure that raises ``NGCorrError`` or
+A point keeps its state and nothing else; what its measures share (the
+marginal product, the moments, the Gaussian reference, the averaged pair)
+is kept with the state (``FockState.derive``).
+
+Error policy (``errors.FLAGGED``): a measure that raises ``NGCorrError`` or
 ``numpy.linalg.LinAlgError`` gets a ``flagged`` row with value nan.  Any
 other exception is a bug and propagates.
 """
@@ -37,7 +41,7 @@ from .blas import one_thread
 from .channels import apply_loss, ecs_loss_analytic
 from .distill import DistillConfig, distill
 from .entanglement import eof_two_qubit, log_negativity_fock
-from .errors import BadSpec, DomainError, NGCorrError
+from .errors import FLAGGED, BadSpec, DomainError
 from .gaussian import (
     analytic_cm,
     gaussian_log_negativity,
@@ -45,14 +49,10 @@ from .gaussian import (
     moments_from_fock,
 )
 from .measures import (
-    FOCK_REFERENCE_KINDS,
     MeasureResult,
-    averaged_states,
     delta_ng,
-    marginal_product,
     mutual_information,
     ng_correlation,
-    reference_state,
     status_of,
 )
 from .states import StateSpec, _count, default_cutoff, make_state
@@ -78,10 +78,6 @@ TWO_LN_2 = 2.0 * math.log(2.0)
 
 #: Photon-number entangled state behind the loss-dynamics line plot.
 PNES_COEFFS = (0.986, 0.162, math.sqrt(1.0 - 0.986**2 - 0.162**2))
-
-#: Exceptions that flag a row: named domain errors and failed decompositions.
-FLAGGED = (NGCorrError, np.linalg.LinAlgError)
-
 
 def default_threads():
     """NGCORR_THREADS, a positive integer, or else the number of CPUs this
@@ -112,49 +108,25 @@ def _opt(options, key, default):
 
 
 class Point:
-    """One sweep point: its row parameters, and its state, marginal product,
-    moments, Gaussian reference and averaged pair, each built on first use
-    and kept.  A build that fails with a flagged error is kept and
-    re-raised, so it is attempted once per point."""
+    """One sweep point: its row parameters, and its state, built on first
+    use and kept; the operands its measures share are kept with the state
+    (``FockState.derive``).  A build that fails with a flagged error is
+    kept and re-raised, so it is attempted once per point."""
 
     def __init__(self, params, build):
         self.params = params
-        self._build = build
-        self._memo = {}
-
-    def _get(self, key, make):
-        if key not in self._memo:
-            try:
-                self._memo[key] = make()
-            except FLAGGED as exc:
-                self._memo[key] = exc
-        value = self._memo[key]
-        if isinstance(value, BaseException):
-            raise value
-        return value
+        self._state = build  # until first use; then the state or its error
 
     @property
     def state(self):
-        return self._get("state", lambda: self._build(self.params))
-
-    @property
-    def product(self):
-        return self._get("product", lambda: marginal_product(self.state))
-
-    @property
-    def moments(self):
-        return self._get("moments", lambda: moments_from_fock(self.state))
-
-    @property
-    def reference(self):
-        return self._get(
-            "reference", lambda: reference_state(self.state, moments=self.moments)
-        )
-
-    @property
-    def pair(self):
-        return self._get("pair", lambda: averaged_states(
-            self.state, reference=self.reference, product=self.product))
+        if callable(self._state):
+            try:
+                self._state = self._state(self.params)
+            except FLAGGED as exc:
+                self._state = exc
+        if isinstance(self._state, BaseException):
+            raise self._state
+        return self._state
 
 
 def _row(figure, name, params, res):
@@ -195,17 +167,13 @@ def sweep(figure, points, measures, build, threads=1):
 
 def measure(group, kind, alpha=None):
     """``fn(point)`` for one measure id: group 'mi', 'delta' or 'ng', a kind
-    and an optional order.  The marginal product, the reference, the moments
-    and the averaged pair come from the point's memo, so every measure at a
-    point shares them."""
+    and an optional order.  The operands the measures share are kept with
+    the point's state, so every measure at a point shares them."""
     if group == "mi":
-        return lambda pt: mutual_information(kind, pt.state, alpha, product=pt.product)
+        return lambda pt: mutual_information(kind, pt.state, alpha)
     if group == "ng":
-        return lambda pt: ng_correlation(kind, pt.state, pair=pt.pair)
-    if kind in FOCK_REFERENCE_KINDS:
-        return lambda pt: delta_ng(kind, pt.state, alpha, reference=pt.reference,
-                                   product=pt.product)
-    return lambda pt: delta_ng(kind, pt.state, alpha, moments=pt.moments)
+        return lambda pt: ng_correlation(kind, pt.state)
+    return lambda pt: delta_ng(kind, pt.state, alpha)
 
 
 def _pure_delta(kind):
@@ -246,7 +214,7 @@ def _sampled_lossy_ecs(p, cutoff):
 
 def _ef_excess(pt):
     """Entanglement-of-formation excess over a separable Gaussian reference."""
-    if gaussian_log_negativity(pt.moments) > 1e-9:
+    if gaussian_log_negativity(pt.state.derive(moments_from_fock)) > 1e-9:
         raise DomainError("Gaussian reference is entangled: E_F excess ill-defined")
     excess = eof_two_qubit(ecs_to_xstate(pt.params["gamma"], pt.params["eta"]))
     return MeasureResult.on(pt.state, excess)
@@ -265,7 +233,8 @@ def _en(pt):
 
 def _en_excess(pt):
     """Log-negativity in excess of the Gaussian reference's closed form."""
-    excess = log_negativity_fock(pt.state) - gaussian_log_negativity(pt.moments)
+    moments = pt.state.derive(moments_from_fock)
+    excess = log_negativity_fock(pt.state) - gaussian_log_negativity(moments)
     return MeasureResult.on(pt.state, excess)
 
 

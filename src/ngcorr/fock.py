@@ -10,11 +10,11 @@ split drops, the off-sector entries and the imaginary part, is within the
 dense solver's own backward error: ||dropped||_F <= sqrt(d) eps ||M||_F.
 Otherwise M is solved as one complex block by the same code.
 
-A ``FockState`` solves its density matrix once and keeps the result
-(``FockState.spectrum``); a ``tensor`` product builds its eigensystem from
-its factors' through ``kron_spectrum`` instead of solving it.  ``paired``
-lines up two such eigensystems so their eigenvectors combine sector by
-sector.
+A ``FockState`` keeps what is derived from it alone (``FockState.derive``),
+its eigensystem among them (``FockState.spectrum``); a ``tensor`` product
+builds its eigensystem from its factors' through ``kron_spectrum`` instead
+of solving it.  ``paired`` lines up two such eigensystems so their
+eigenvectors combine sector by sector.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadModeIndex, DimMismatch, InvalidCutoff, InvalidState
+from .errors import FLAGGED, BadModeIndex, DimMismatch, InvalidCutoff, InvalidState
 
 #: Eigenvalues below this are treated as exactly zero in fractional or
 #: negative matrix powers (double-precision eigensolver noise scale).
@@ -66,7 +66,7 @@ class FockState:
     Kronecker product this is, if it was built as one by ``tensor``.
     """
 
-    __slots__ = ("dims", "rho", "tail_mass", "factors", "_spectra")
+    __slots__ = ("dims", "rho", "tail_mass", "factors", "_derived")
 
     def __init__(self, dims, rho, validate=True, factors=None):
         dims = tuple(int(d) for d in dims)
@@ -86,7 +86,7 @@ class FockState:
         self.rho = rho
         self.tail_mass = _tail_mass(np.real(np.diagonal(rho)).reshape(dims))
         self.factors = factors
-        self._spectra = {}
+        self._derived = {}
 
     @property
     def dim(self):
@@ -96,26 +96,47 @@ class FockState:
     def n_modes(self):
         return len(self.dims)
 
+    def derive(self, build):
+        """``build(self)``, built on first use and kept with the state, keyed
+        by ``build``.  A build that fails with a ``FLAGGED`` error keeps the
+        error and raises it again, so each build is tried once per state;
+        any other exception propagates and is not kept.  Keep only builders
+        of the state alone, whose results are read-only."""
+        try:
+            value = self._derived[build]
+        except KeyError:
+            try:
+                value = build(self)
+            except FLAGGED as exc:
+                value = exc
+            self._derived[build] = value
+        if isinstance(value, BaseException):
+            raise value
+        return value
+
     def spectrum(self, vectors=True):
-        """Eigensystem of rho, solved on first use and kept; its arrays are
-        read-only.  ``vectors=False`` is a values-only solve of its own,
-        never read off the vector solve, so a value does not depend on which
-        of the two was asked for first.  A ``tensor`` product builds its
-        eigensystem from its factors' instead of solving it."""
-        vectors = bool(vectors)
-        if vectors not in self._spectra:
-            if vectors and self.factors:
-                spec = kron_spectrum(*(f.spectrum() for f in self.factors))
-            else:
-                spec = spectra(self.dims, self.rho, vectors=vectors)
-            self._spectra[vectors] = spec
-        return self._spectra[vectors]
+        """Eigensystem of rho, kept with the state; its arrays are read-only.
+        ``vectors=False`` is a values-only solve of its own, never read off
+        the vector solve, so a value does not depend on which of the two was
+        asked for first."""
+        return self.derive(_eigensystem if vectors else _eigenvalues)
 
     def purity(self):
         return float(np.sum(np.abs(self.rho) ** 2))
 
     def __repr__(self):
         return f"FockState(dims={self.dims}, tail_mass={self.tail_mass:.3e})"
+
+
+def _eigensystem(state):
+    """A ``tensor`` product's from its factors', any other state's solved."""
+    if state.factors:
+        return kron_spectrum(*(f.spectrum() for f in state.factors))
+    return spectra(state.dims, state.rho)
+
+
+def _eigenvalues(state):
+    return spectra(state.dims, state.rho, vectors=False)
 
 
 LadderOps = namedtuple("LadderOps", ["annihilation", "creation", "number", "q", "p"])

@@ -6,6 +6,13 @@ Two families of scalars:
   and fidelity-based kinds), plus their reference-subtracted deltas;
 * measures of non-Gaussian correlation built from a pair of averaged states,
   mixing the target with its Gaussian reference.
+
+Every measure reads the operands it shares with the others through the
+state's memo (``FockState.derive``): the marginals, their product, the
+moments, the Gaussian reference and the averaged pair are built once per
+state, and the reference keeps its own marginals the same way.  The public
+builders (``marginal_product``, ``reference_state``, ``averaged_states``)
+are plain functions that build afresh on each call.
 """
 
 from __future__ import annotations
@@ -92,7 +99,7 @@ def _marginals(state):
 def marginal_product(state):
     """rho_A x rho_B of a two-mode state, whose eigensystem is built from
     the marginals' (``fock.kron_spectrum``)."""
-    return tensor(*_marginals(state))
+    return tensor(*state.derive(_marginals))
 
 
 def sandwiched_relative_entropy(rho, sigma, alpha):
@@ -132,13 +139,12 @@ def sandwiched_relative_entropy(rho, sigma, alpha):
     return float(math.log(np.sum(w**alpha)) / (alpha - 1.0))
 
 
-def mutual_information(kind, state, alpha=None, product=None):
+def mutual_information(kind, state, alpha=None):
     """Correlation content of a two-mode state against its marginal product.
 
     kinds: 'vn' and 'renyi' (entropy combinations), 'sandwiched'
     (relative-entropy type), 'hs' and 'tr' (distance type), 'bures'
-    (fidelity type, the metric sqrt(2(1 - sqrt(F)))).  The state's
-    ``marginal_product`` may be passed in to share it across kinds.
+    (fidelity type, the metric sqrt(2(1 - sqrt(F)))).
     """
     if kind not in MI_KINDS:
         raise ValueError(f"unknown mutual_information kind {kind!r}")
@@ -151,14 +157,14 @@ def mutual_information(kind, state, alpha=None, product=None):
         if alpha <= 0:
             raise DomainError("alpha must be positive")
     if kind == "renyi":
-        ra, rb = _marginals(state)
+        ra, rb = state.derive(_marginals)
         val = (
             _renyi_entropy(ra, alpha)
             + _renyi_entropy(rb, alpha)
             - _renyi_entropy(state, alpha)
         )
         return MeasureResult.on(state, val)
-    prod = marginal_product(state) if product is None else product
+    prod = state.derive(marginal_product)
     if kind == "sandwiched":
         return MeasureResult.on(state, sandwiched_relative_entropy(state, prod, alpha))
     if kind == "hs":
@@ -170,33 +176,25 @@ def mutual_information(kind, state, alpha=None, product=None):
     return MeasureResult.on(state, math.sqrt(max(0.0, 2.0 * (1.0 - math.sqrt(f)))))
 
 
-def reference_state(state, moments=None):
-    """Gaussian state with the same first and second moments, on the same dims.
-
-    ``moments`` may pass in the state's already extracted moments.
-    """
-    spec = moments_from_fock(state) if moments is None else moments
-    return reference_gaussian_fock(spec, state.dims)
+def reference_state(state):
+    """Gaussian state with the same first and second moments, on the same dims."""
+    return reference_gaussian_fock(state.derive(moments_from_fock), state.dims)
 
 
-def delta_ng(kind, state, alpha=None, reference=None, moments=None, product=None):
+def delta_ng(kind, state, alpha=None):
     """Measure of the target minus the same measure of its Gaussian reference.
 
     Entropic and Hilbert-Schmidt kinds evaluate the reference through the
     covariance-matrix closed forms (truncation-free); 'tr' and 'bures' fall
-    back to Fock numerics on the synthesized reference.  The reference, or
-    for the closed forms the state's moments, and the state's
-    ``marginal_product`` may be passed in to amortize their construction
-    across kinds.
+    back to Fock numerics on the synthesized reference.
     """
-    target = mutual_information(kind, state, alpha, product=product)
+    target = mutual_information(kind, state, alpha)
     if math.isinf(target.value):  # the delta, where inf - inf would be nan
         return target
     if kind in FOCK_REFERENCE_KINDS:
-        ref = reference_state(state) if reference is None else reference
-        ref_val = mutual_information(kind, ref).value
+        ref_val = mutual_information(kind, state.derive(reference_state)).value
     else:
-        spec = moments_from_fock(state) if moments is None else moments
+        spec = state.derive(moments_from_fock)
         if kind == "vn":
             ref_val = gaussian_mi("renyi", spec, 1.0)
         elif kind == "hs":
@@ -206,18 +204,17 @@ def delta_ng(kind, state, alpha=None, reference=None, moments=None, product=None
     return MeasureResult.on(state, target.value - ref_val)
 
 
-def averaged_states(state, reference=None, product=None):
+def averaged_states(state):
     """Half-mixtures of the target with the swapped reference marginals.
 
     rho_tilde = (rho_AB + sigma_A x sigma_B)/2 and
     sigma_tilde = (sigma_AB + rho_A x rho_B)/2, where sigma is the Gaussian
     reference of rho.  Their difference keeps the full target-vs-reference
-    information while both operands stay valid states.  The state's
-    ``marginal_product`` rho_A x rho_B may be passed in.
+    information while both operands stay valid states.
     """
-    sigma = reference_state(state) if reference is None else reference
-    sa, sb = _marginals(sigma)
-    prod = marginal_product(state) if product is None else product
+    sigma = state.derive(reference_state)
+    sa, sb = sigma.derive(_marginals)
+    prod = state.derive(marginal_product)
     rho_tilde = FockState(
         state.dims, 0.5 * (state.rho + np.kron(sa.rho, sb.rho)), validate=False
     )
@@ -225,17 +222,16 @@ def averaged_states(state, reference=None, product=None):
     return rho_tilde, sigma_tilde
 
 
-def ng_correlation(kind, state, reference=None, pair=None):
+def ng_correlation(kind, state):
     """Non-Gaussian-correlation measure from the averaged-state pair.
 
     kinds: 'tr' (trace distance), 'fid' (order-1/2 relative entropy from the
     Uhlmann fidelity), 'lb1' (superfidelity lower bound), 'lb2'
-    (Hilbert-Schmidt lower bound); fid >= lb1 >= lb2.  The reference, or
-    the ``averaged_states`` pair built from it, may be passed in.
+    (Hilbert-Schmidt lower bound); fid >= lb1 >= lb2.
     """
     if kind not in NG_KINDS:
         raise ValueError(f"unknown ng_correlation kind {kind!r}")
-    rt, st = averaged_states(state, reference=reference) if pair is None else pair
+    rt, st = state.derive(averaged_states)
     if kind == "tr":
         return MeasureResult.on(state, distance("trace", rt, st))
     if kind == "fid":

@@ -28,7 +28,6 @@ from ngcorr.gaussian import (
 from ngcorr.measures import (
     mutual_information,
     ng_correlation,
-    reference_state,
     superfidelity_chain,
 )
 from ngcorr.sampling import (
@@ -325,26 +324,23 @@ def test_criterion_8_property_suite():
                       "100 random mixtures"):
         # P1: Gaussian and product inputs give zero within 2e-5
         tmsv = make_state(StateSpec("tmsv", {"r": 0.3}, cutoff=25))
-        ref = reference_state(tmsv)
         for kind in ("tr", "fid", "lb1", "lb2"):
-            assert abs(ng_correlation(kind, tmsv, reference=ref).value) < 2e-5
+            assert abs(ng_correlation(kind, tmsv).value) < 2e-5
         prod = tensor(
             make_state(StateSpec("coherent", {"gamma": 0.6}, cutoff=18)),
             make_state(StateSpec("thermal", {"nbar": 0.4}, cutoff=18)),
         )
-        pref = reference_state(prod)
         for kind in ("tr", "fid", "lb1", "lb2"):
-            assert abs(ng_correlation(kind, prod, reference=pref).value) < 2e-5
+            assert abs(ng_correlation(kind, prod).value) < 2e-5
         # P2: a common local displacement leaves every measure unchanged
         base = apply_loss(
             make_state(StateSpec("ecs", {"gamma": 0.8}, cutoff=25)), 0.7
         )
         d = np.kron(displacement(0.3, 25), displacement(-0.2j, 25))
         moved = FockState(base.dims, d @ base.rho @ d.conj().T, validate=False)
-        bref, mref = reference_state(base), reference_state(moved)
         for kind in ("tr", "fid", "lb1", "lb2"):
-            a = ng_correlation(kind, base, reference=bref).value
-            b = ng_correlation(kind, moved, reference=mref).value
+            a = ng_correlation(kind, base).value
+            b = ng_correlation(kind, moved).value
             assert abs(a - b) < 1e-7, f"P2 {kind}: {a} vs {b}"
         # P3: non-negativity on named families and random mixtures
         named = [
@@ -359,9 +355,8 @@ def test_criterion_8_property_suite():
             random_two_mode_state(rng, levels=3, cutoff=10) for _ in range(100)
         ]
         for st in pool:
-            r = reference_state(st)
             for kind in ("tr", "fid", "lb1", "lb2"):
-                assert ng_correlation(kind, st, reference=r).value >= -1e-9
+                assert ng_correlation(kind, st).value >= -1e-9
         # P4 (trace kind): nonincreasing along loss compositions
         for spec, cut in (
             (StateSpec("ecs", {"gamma": 1.0}, cutoff=20), 20),
@@ -437,8 +432,7 @@ def test_criterion_10_bound_chain():
             assert f <= g + 1e-9
             assert g <= h + 1e-9
         st = apply_loss(make_state(StateSpec("ecs", {"gamma": 1.0}, cutoff=20)), 0.6)
-        ref = reference_state(st)
-        fid = ng_correlation("fid", st, reference=ref).value
-        lb1 = ng_correlation("lb1", st, reference=ref).value
-        lb2 = ng_correlation("lb2", st, reference=ref).value
+        fid = ng_correlation("fid", st).value
+        lb1 = ng_correlation("lb1", st).value
+        lb2 = ng_correlation("lb2", st).value
         assert fid >= lb1 - 1e-9 >= lb2 - 2e-9

@@ -1,8 +1,9 @@
 """Every ``lru_cache`` in the package is bounded, unless it is keyed by one
 integer, and hands out read-only arrays, so no caller can change what a
-later caller gets.  The same holds for the eigensystems that a
-``FockState`` keeps."""
+later caller gets.  The same holds for what a ``FockState`` keeps
+(``FockState.derive``), and no state outlives the sweep that built it."""
 
+import gc
 import importlib
 import pkgutil
 
@@ -10,8 +11,13 @@ import numpy as np
 import pytest
 
 import ngcorr
+import ngcorr.measures
 from ngcorr.channels import apply_loss
-from ngcorr.measures import marginal_product
+from ngcorr.errors import ConvergenceFailure
+from ngcorr.figures import run_figure
+from ngcorr.fock import FockState
+from ngcorr.gaussian import GaussianSpec
+from ngcorr.measures import delta_ng, marginal_product, mutual_information, ng_correlation
 from ngcorr.states import StateSpec, make_state
 
 #: One call per cached function; a new cache must be listed here.
@@ -73,3 +79,100 @@ def test_memoised_spectra_are_kept_and_hand_out_read_only_arrays():
     assert product.spectrum() is product.spectrum()
     with pytest.raises(ValueError):
         state.spectrum().vectors[0][0, 0] = 0.0
+
+
+#: What a two-mode state keeps once every measure kind has run on it: the
+#: builders of the state alone, none that depends on an order alpha.
+KEPT = {"_eigensystem", "_eigenvalues", "_marginals", "marginal_product",
+        "moments_from_fock", "reference_state", "averaged_states"}
+
+
+def _kept_states(state):
+    """The state and every state kept with it, each once."""
+    seen, todo = {}, [state]
+    while todo:
+        value = todo.pop()
+        if isinstance(value, FockState):
+            if id(value) in seen:
+                continue
+            seen[id(value)] = value
+            todo.extend(value._derived.values())
+            todo.extend(value.factors or ())
+        elif isinstance(value, tuple):
+            todo.extend(value)
+    return list(seen.values())
+
+
+def _kept_arrays(state):
+    for st in _kept_states(state):
+        yield st.rho
+        for value in st._derived.values():
+            if isinstance(value, GaussianSpec):
+                yield from (value.means, value.cm)
+            elif not isinstance(value, FockState):
+                yield from _arrays(value)
+
+
+def test_a_state_keeps_one_result_per_builder_and_read_only_arrays():
+    state = apply_loss(make_state(StateSpec("ecs", {"gamma": 1.0}, cutoff=12)), 0.7)
+    for alpha in (0.5, 1.5, 2.0):
+        for kind in ("renyi", "sandwiched"):
+            mutual_information(kind, state, alpha)
+            delta_ng(kind, state, alpha)
+    for kind in ("vn", "hs", "tr", "bures"):
+        mutual_information(kind, state)
+        delta_ng(kind, state)
+    for kind in ("tr", "fid", "lb1", "lb2"):
+        ng_correlation(kind, state)
+    assert {build.__name__ for build in state._derived} == KEPT
+    kept = _kept_states(state)
+    assert all({build.__name__ for build in st._derived} <= KEPT for st in kept)
+    for st in kept:
+        for build, value in st._derived.items():
+            assert st.derive(build) is value
+    arrays = list(_kept_arrays(state))
+    assert len(arrays) > len(kept)
+    assert not any(a.flags.writeable for a in arrays)
+
+
+def test_a_flagged_build_is_tried_once_and_an_unnamed_error_is_not_kept():
+    state = make_state(StateSpec("ecs", {"gamma": 1.0}, cutoff=12))
+    calls = []
+
+    def flagged(st):
+        calls.append("flagged")
+        raise ConvergenceFailure("failed on purpose")
+
+    def buggy(st):
+        calls.append("buggy")
+        raise RuntimeError("a bug, not a domain error")
+
+    raised = []
+    for _ in range(2):
+        with pytest.raises(ConvergenceFailure) as info:
+            state.derive(flagged)
+        raised.append(info.value)
+        with pytest.raises(RuntimeError):
+            state.derive(buggy)
+    assert calls == ["flagged", "buggy", "buggy"]
+    assert raised[0] is raised[1]
+    assert buggy not in state._derived
+
+
+def _live_states():
+    gc.collect()
+    return sum(isinstance(obj, FockState) for obj in gc.get_objects())
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_no_state_outlives_a_sweep(monkeypatch, fail):
+    def failing(*args, **kwargs):
+        raise ConvergenceFailure("synthesis failed on purpose")
+
+    if fail:
+        monkeypatch.setattr(ngcorr.measures, "reference_gaussian_fock", failing)
+    before = _live_states()
+    rows = run_figure("fig4", {"grid": 3, "cutoff": 12})
+    ng = "flagged" if fail else "ok"
+    assert [r["status"] for r in rows] == [ng, ng, ng, "ok"] * 3
+    assert _live_states() == before

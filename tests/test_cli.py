@@ -123,11 +123,19 @@ def test_measure_rows_synthesizes_the_reference_once(monkeypatch):
     ]
 
 
-def test_measure_rows_build_the_states_marginal_product_once(monkeypatch):
-    # tr, delta:tr and ng:tr at cutoff 20 all read rho_A x rho_B; the point
-    # builds it once and every measure reuses it
+@pytest.mark.parametrize("ids, products, reference_traces", [
+    pytest.param(["vn"], 0, 0, id="vn"),
+    pytest.param(["hs", "delta:hs"], 1, 0, id="hs"),
+    pytest.param(["sandwiched:1.5", "delta:sandwiched:1.5"], 1, 0, id="sandwiched"),
+    pytest.param(["tr", "delta:tr", "ng:tr"], 2, 2, id="tr"),
+])
+def test_measure_rows_build_the_states_marginal_product_once(
+        monkeypatch, ids, products, reference_traces):
+    # at cutoff 20 the point traces rho once per mode, builds rho_A x rho_B
+    # at most once and only for an id that reads it, and traces the
+    # Gaussian reference once per mode however many ids read its marginals
     spec = StateSpec("ecs", {"gamma": 1.0}, cutoff=20)
-    built, traced, products = [], [], []
+    built, traced, made = [], [], []
     original_loss = ngcorr.cli.apply_loss
     original_trace = ngcorr.measures.partial_trace
     original_tensor = ngcorr.measures.tensor
@@ -142,23 +150,24 @@ def test_measure_rows_build_the_states_marginal_product_once(monkeypatch):
         return out
 
     def tensor(a, b):
-        products.append((a, b))
+        made.append((a, b))
         return original_tensor(a, b)
 
     monkeypatch.setattr(ngcorr.cli, "apply_loss", build)
     monkeypatch.setattr(ngcorr.measures, "partial_trace", partial_trace)
     monkeypatch.setattr(ngcorr.measures, "tensor", tensor)
-    rows = measure_rows(spec, 0.7, ["tr", "delta:tr", "ng:tr"])
+    rows = measure_rows(spec, 0.7, ids)
     (rho,) = built
     marginals = [out for state, out in traced if state is rho]
     assert len(marginals) == 2
-    assert [(a, b) for a, b in products if a is marginals[0]] == [tuple(marginals)]
+    assert len(traced) == 2 + reference_traces
+    assert len(made) == products
+    if products:
+        assert [(a, b) for a, b in made if a is marginals[0]] == [tuple(marginals)]
     monkeypatch.undo()
-    state = apply_loss(make_state(spec), 0.7)
+    # the unshared route: each id on a state of its own
     assert [r["value"] for r in rows] == [
-        ngcorr.measures.mutual_information("tr", state).value,
-        delta_ng("tr", state).value,
-        ng_correlation("tr", state).value,
+        measure_rows(spec, 0.7, [mid])[0]["value"] for mid in ids
     ]
 
 

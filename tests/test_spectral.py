@@ -440,7 +440,8 @@ def test_shared_product_matches_dense_oracle(name):
         if name == "pure_ecs_20" and kind == "sandwiched":
             assert got == pytest.approx(TWO_LN_2, abs=1e-6)
     mixed = name == "lossy_complex_pnes"
-    assert state.spectrum().real is not mixed and point.product.spectrum().real
+    assert state.spectrum().real is not mixed and (
+        point.state.derive(marginal_product).spectrum().real)
 
 
 def test_one_block_embedding_is_exact():
@@ -478,6 +479,6 @@ def test_lossy_ecs_makes_no_complex_lapack_call(monkeypatch):
 
 def test_fig4_full_loss_ng_operand_takes_the_real_route():
     point = Point({"gamma": 1.0, "eta": 0.0}, lambda p: FIGURES["fig4"].state(p, None))
-    rt, st = point.pair
+    rt, st = point.state.derive(averaged_states)
     spec = spectra(rt.dims, rt.rho - st.rho, vectors=False)
     assert spec.real
