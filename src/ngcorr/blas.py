@@ -3,11 +3,9 @@
 ``one_thread()`` runs BLAS at one thread for the duration of a block.  A
 multi-threaded BLAS splits its sums differently at different thread counts,
 so the last digits of a result depend on the count.  A sweep of more than one
-point runs inside such a block (``figures``), and so does the build of any
-cached operator a sweep reuses (``channels.beam_splitter``), so a sweep's
-output does not depend on the BLAS thread settings or on which call first
-filled a cache.  Without OpenBLAS's thread control (MKL, Accelerate builds)
-the block does nothing.
+point runs inside such a block (``figures``), so a sweep's output does not
+depend on the BLAS thread settings.  Without OpenBLAS's thread control (MKL,
+Accelerate builds) the block does nothing.
 """
 
 from __future__ import annotations

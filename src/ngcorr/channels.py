@@ -1,4 +1,4 @@
-"""Bosonic loss channels and beam-splitter unitaries."""
+"""Bosonic loss channels and the closed-form lossy superposition state."""
 
 from __future__ import annotations
 
@@ -7,15 +7,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .blas import one_thread
 from .errors import BadEta, DomainError, TruncationError
 from .fock import (
     DEFAULT_TAIL_TOL,
     FockState,
     _check_modes,
-    _ladder_raw,
     _tail_mass,
-    hermitize,
     support_dims,
 )
 from .states import coherent_amps, log_factorials
@@ -75,31 +72,6 @@ def apply_loss(state, eta, modes=None):
     for m in modes:
         rho = _apply_mode_loss(rho, state.dims, m, _loss_amplitudes(float(eta), state.dims[m]))
     return FockState(state.dims, rho, validate=False)
-
-
-@lru_cache(maxsize=8)
-def beam_splitter(eta, dims):
-    """Two-mode beam-splitter unitary on levels ``dims`` at transmittance eta,
-    with a -> sqrt(eta) a + sqrt(1-eta) b on coherent inputs.
-
-    Built through the eigendecomposition of the Hermitian generator, so it
-    is unitary to solver precision with no series truncation.  Built with
-    BLAS at one thread, so the kept bytes do not depend on the BLAS thread
-    count of whichever call builds it first.
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise BadEta(f"eta = {eta} outside [0, 1]")
-    n1, n2 = dims
-    theta = math.acos(math.sqrt(eta))
-    a = np.kron(_ladder_raw(n1), np.eye(n2))
-    b = np.kron(np.eye(n1), _ladder_raw(n2))
-    with one_thread():
-        # U = exp(theta (a b† - a† b)) = exp(i theta H), H = i(a† b - a b†)
-        h = 1j * (a.conj().T @ b - a @ b.conj().T)
-        w, v = np.linalg.eigh(hermitize(h))
-        u = (v * np.exp(1j * theta * w)) @ v.conj().T
-    u.setflags(write=False)
-    return u
 
 
 def cat_norms(nbar):

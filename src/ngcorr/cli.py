@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from pathlib import Path
 
 from .channels import apply_loss
 from .errors import BadSpec, NGCorrError
@@ -23,6 +24,9 @@ from .measures import MI_KINDS, NG_KINDS, ORDERED_KINDS
 from .states import FAMILIES, StateSpec, _count, make_state
 
 _RANGE_KEYS = ("gamma", "alpha", "eta", "f", "r", "x")
+
+#: The checkout's test suites, next to ``src/``.
+TESTS_DIR = Path(__file__).resolve().parents[2] / "tests"
 
 
 def _fmt(value):
@@ -183,6 +187,8 @@ def _cmd_measure_state(args):
 
 
 def _cmd_selftest(args):
+    if not Path(args.tests).is_dir():
+        raise BadSpec(f"test directory {args.tests} not found")
     import pytest
 
     pytest_args = ["-q", "--color=no"]
@@ -232,8 +238,8 @@ def build_parser():
 
     p_self = sub.add_parser("selftest", help="run the package test suites")
     p_self.add_argument("level", choices=("quick", "full"))
-    p_self.add_argument("--tests", default="tests",
-                        help="test directory (default: ./tests)")
+    p_self.add_argument("--tests", default=str(TESTS_DIR),
+                        help="test directory (default: the checkout's tests/)")
     p_self.set_defaults(func=_cmd_selftest)
     return parser
 

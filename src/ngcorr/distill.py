@@ -2,9 +2,10 @@
 
 Each mode is mixed with a vacuum ancilla on a beam splitter; the ancillas
 are projected onto quadrature eigenstates and the surviving two-mode state
-is renormalized.  The four-mode intermediate is never materialized as a
-density matrix: the input is decomposed into pure branches and each branch
-is propagated as an amplitude tensor.
+is renormalized.  With vacuum in the ancilla port, the beam splitter and the
+projection act on each mode as one real matrix (``_projected_bs``), so the
+four-mode intermediate is never formed: the output is (M_a x M_b) rho
+(M_a x M_b)^T, applied one mode at a time.
 """
 
 from __future__ import annotations
@@ -14,31 +15,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import beam_splitter
+from .channels import _loss_amplitudes
 from .errors import BadSpec, ZeroWeight
 from .fock import FockState, hermitize
-
-#: Branch probabilities below this are dropped from the eigendecomposition.
-BRANCH_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
 class DistillConfig:
-    """Protocol parameters: beam-splitter transmittance, postselected
-    quadrature outcomes, and the ancilla cutoff."""
+    """Protocol parameters: beam-splitter transmittance and postselected
+    quadrature outcomes."""
 
     eta_bs: float
     x_c: float
     x_d: float
-    cutoff: int = 12
 
     def __post_init__(self):
         if not 0.0 < self.eta_bs <= 1.0:
             raise BadSpec(f"eta_bs = {self.eta_bs} outside (0, 1]")
         if not (math.isfinite(self.x_c) and math.isfinite(self.x_d)):
             raise BadSpec("quadrature outcomes must be finite")
-        if self.cutoff < 2:
-            raise BadSpec("ancilla cutoff must be >= 2")
 
 
 def quadrature_eigenvector(x, cutoff):
@@ -55,15 +50,27 @@ def quadrature_eigenvector(x, cutoff):
         psi[n] = x * math.sqrt(2.0 / n) * psi[n - 1] - math.sqrt(
             (n - 1.0) / n
         ) * psi[n - 2]
-    return psi.astype(complex)
+    return psi
 
 
 def _projected_bs(dim, config, x):
-    """Matrix M with M[j, i] = <x|_anc U_bs |i>|0>_anc restricted to one mode."""
-    u = beam_splitter(float(config.eta_bs), (dim, config.cutoff))
-    u4 = u.reshape(dim, config.cutoff, dim, config.cutoff)[:, :, :, 0]
-    xvec = quadrature_eigenvector(x, config.cutoff)
-    return np.tensordot(xvec.conj(), u4, axes=([0], [1]))
+    """Real M[j, i] = <j|<x|_anc U_bs |i>|0>_anc = g[j, i] <x|i - j> on one mode.
+
+    With vacuum in one port the beam splitter splits i photons binomially,
+    <j, i - j|U_bs|i, 0> = sqrt(C(i, j) eta^j (1 - eta)^(i - j)) (Campos,
+    Saleh & Teich, PRA 40, 1371 (1989)): the loss channel's amplitudes g.
+    """
+    j, i = np.indices((dim, dim))
+    psi = quadrature_eigenvector(x, dim)
+    return _loss_amplitudes(float(config.eta_bs), dim) * psi[np.maximum(i - j, 0)]
+
+
+def _apply_rows(ma, mb, mat):
+    """(M_a x M_b) @ mat for complex mat, in real arithmetic, one mode at a time."""
+    da, db = ma.shape[0], mb.shape[0]
+    re = np.ascontiguousarray(mat).view(float)
+    re = (ma @ re.reshape(da, -1)).reshape(da, db, -1)
+    return (mb @ re).view(complex).reshape(mat.shape)
 
 
 def distill(state, config):
@@ -77,19 +84,10 @@ def distill(state, config):
     da, db = state.dims
     ma = _projected_bs(da, config, config.x_c)
     mb = _projected_bs(db, config, config.x_d)
-    spec = state.spectrum()
-    out = np.zeros((da * db, da * db), dtype=complex)
-    weight = 0.0
-    for idx, w, v in zip(spec.sectors, spec.values, spec.vectors):
-        branches = np.zeros((da * db, w.size), dtype=v.dtype)
-        branches[idx] = v
-        for p, vec in zip(w, branches.T):
-            if p <= BRANCH_FLOOR:
-                continue
-            amp = ma @ vec.reshape(da, db) @ mb.T
-            flat = amp.ravel()
-            out += p * np.outer(flat, flat.conj())
-            weight += p * float(np.real(np.vdot(flat, flat)))
+    # y = L (L rho)^T = (L rho L^T)^T for the real L = M_a x M_b; the
+    # Hermitian part of y^T is that of conj(y), which keeps rows contiguous
+    y = _apply_rows(ma, mb, _apply_rows(ma, mb, state.rho).T)
+    weight = float(np.trace(y).real)
     if weight < 1e-14:
         raise ZeroWeight(f"postselection weight {weight:.3e} vanishes")
-    return FockState(state.dims, hermitize(out) / weight, validate=False), weight
+    return FockState(state.dims, hermitize(y.conj()) / weight, validate=False), weight

@@ -54,3 +54,12 @@ class ZeroWeight(NGCorrError):
 #: Exceptions that flag a result rather than stop the program: named domain
 #: errors and failed decompositions.  Any other exception is a bug.
 FLAGGED = (NGCorrError, np.linalg.LinAlgError)
+
+
+def forget_frames(exc):
+    """Clear the tracebacks along the context chain of a handled error.  An
+    error kept to be raised again (``FockState.derive``, ``figures.Point``)
+    gets the frames of each raise, and they hold the state that keeps it."""
+    while exc is not None:
+        exc.__traceback__ = None
+        exc = exc.__context__

@@ -41,7 +41,7 @@ from .blas import one_thread
 from .channels import apply_loss, ecs_loss_analytic
 from .distill import DistillConfig, distill
 from .entanglement import eof_two_qubit, log_negativity_fock
-from .errors import FLAGGED, BadSpec, DomainError
+from .errors import FLAGGED, BadSpec, DomainError, forget_frames
 from .gaussian import (
     analytic_cm,
     gaussian_log_negativity,
@@ -157,7 +157,8 @@ def sweep(figure, points, measures, build, threads=1):
         for name, fn in measures:
             try:
                 res = fn(point)
-            except FLAGGED:
+            except FLAGGED as exc:
+                forget_frames(exc)
                 res = None
             rows.append(_row(figure, name, params, res))
         return rows
@@ -241,7 +242,7 @@ def _en_excess(pt):
 def _en_distilled(pt):
     """Log-negativity after the beam-splitter/homodyne protocol."""
     x = pt.params["x"]
-    config = DistillConfig(pt.params["eta"], x, x, cutoff=max(pt.state.dims))
+    config = DistillConfig(pt.params["eta"], x, x)
     dist, _weight = distill(pt.state, config)
     return MeasureResult.on(dist, log_negativity_fock(dist))
 

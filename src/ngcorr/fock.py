@@ -102,14 +102,12 @@ class FockState:
         error and raises it again, so each build is tried once per state;
         any other exception propagates and is not kept.  Keep only builders
         of the state alone, whose results are read-only."""
-        try:
-            value = self._derived[build]
-        except KeyError:
+        if build not in self._derived:
             try:
-                value = build(self)
+                self._derived[build] = build(self)
             except FLAGGED as exc:
-                value = exc
-            self._derived[build] = value
+                self._derived[build] = exc
+        value = self._derived[build]
         if isinstance(value, BaseException):
             raise value
         return value

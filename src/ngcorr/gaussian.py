@@ -139,31 +139,19 @@ def _single_mode_williamson_local(block):
 
 
 def standard_form(spec):
-    """Reduce a two-mode covariance matrix to standard form by local symplectics.
-
-    Returns the standard-form parameters and the local pair (S_A, S_B) with
-    (S_A + S_B) Gamma (S_A + S_B)^T equal to the assembled standard form.
-    """
+    """Standard-form parameters of a two-mode covariance matrix, reached by
+    local symplectics: local Williamson steps, then the signed singular
+    values of the transformed cross block."""
     if spec.n_modes != 2:
         raise BadSpec("standard form defined for two-mode states")
     cm = spec.cm
     sa, a = _single_mode_williamson_local(cm[:2, :2])
     sb, b = _single_mode_williamson_local(cm[2:, 2:])
     cblk = sa @ cm[:2, 2:] @ sb.T
-    u, sv, vt = np.linalg.svd(cblk)
-    s1, s2 = sv
-    if np.linalg.det(u) < 0:
-        u = u.copy()
-        u[:, 1] *= -1.0
+    u, (s1, s2), vt = np.linalg.svd(cblk)
+    if np.linalg.det(u) * np.linalg.det(vt) < 0:  # rotations only: sign into s2
         s2 = -s2
-    if np.linalg.det(vt) < 0:
-        vt = vt.copy()
-        vt[1, :] *= -1.0
-        s2 = -s2
-    local_a = u.T @ sa
-    local_b = vt @ sb
-    sf = StandardFormCM(a=float(a), b=float(b), c=float(s1), d=float(s2))
-    return sf, (local_a, local_b)
+    return StandardFormCM(a=float(a), b=float(b), c=float(s1), d=float(s2))
 
 
 def standard_form_symplectic_eigs(sf):
@@ -317,9 +305,7 @@ def _h_compose(cm1, cm2):
 
 
 def _standard_of(spec_or_sf):
-    if isinstance(spec_or_sf, StandardFormCM):
-        return spec_or_sf
-    return standard_form(spec_or_sf)[0]
+    return spec_or_sf if isinstance(spec_or_sf, StandardFormCM) else standard_form(spec_or_sf)
 
 
 def gaussian_mi(kind, spec, alpha=None):

@@ -3,9 +3,10 @@
 The dense routes are the ones that the library's direct kernels replaced:
 the loss channel as a sum over Kraus operators built from powers of the
 ladder matrix, the moments as traces against the full-space quadrature
-operators of ``fock.quadrature_ops``, and fig5's sampled states built at
-the full cutoff and then truncated.  They are slow (O(N^6), O(d^3) and
-O(d^2)) and kept only to check the fast routes.
+operators of ``fock.quadrature_ops``, fig5's sampled states built at the
+full cutoff and then truncated, and the distillation's beam splitter as the
+exponential of its truncated generator.  They are slow (O(N^6), O(d^3),
+O(d^2) and O(d^3)) and kept only to check the fast routes.
 
 The rest are independent routes with no library caller: the Williamson
 decomposition (through a real Schur form, the only use of scipy.linalg),
@@ -26,6 +27,7 @@ from ngcorr.errors import ConvergenceFailure, DomainError, UnphysicalCM
 from ngcorr.fock import (
     FockState,
     _check_modes,
+    _ladder_raw,
     distance,
     fidelity,
     hermitize,
@@ -76,6 +78,21 @@ def kraus_loss(state, eta, modes=None):
     for m in modes:
         rho = _apply_mode_kraus(rho, state.dims, m, kraus_ops(float(eta), state.dims[m]))
     return FockState(state.dims, hermitize(rho), validate=False)
+
+
+def beam_splitter(eta, dims):
+    """Two-mode beam-splitter unitary on levels ``dims`` at transmittance eta,
+    with a -> sqrt(eta) a + sqrt(1-eta) b on coherent inputs, through the
+    eigendecomposition of its Hermitian generator.  Exact on the
+    photon-number sectors n < min(dims) that the truncation keeps whole."""
+    n1, n2 = dims
+    theta = math.acos(math.sqrt(eta))
+    a = np.kron(_ladder_raw(n1), np.eye(n2))
+    b = np.kron(np.eye(n1), _ladder_raw(n2))
+    # U = exp(theta (a b† - a† b)) = exp(i theta H), H = i(a† b - a b†)
+    h = 1j * (a.conj().T @ b - a @ b.conj().T)
+    w, v = np.linalg.eigh(hermitize(h))
+    return (v * np.exp(1j * theta * w)) @ v.conj().T
 
 
 def dense_moments(state):

@@ -411,7 +411,7 @@ def test_criterion_9_distillation_window():
     with criterion("9 (distillation window)",
                    "a fraction interval with increased negativity at the "
                    "published working point"):
-        cfg = DistillConfig(0.9, 0.8, 0.8, cutoff=12)
+        cfg = DistillConfig(0.9, 0.8, 0.8)
         gains = []
         for f in np.linspace(0.05, 0.95, 7):
             st = make_state(StateSpec("cv_werner", {"f": f, "r": 0.05}, cutoff=12))

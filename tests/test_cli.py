@@ -17,7 +17,6 @@ from ngcorr.cli import (
     write_csv,
 )
 import ngcorr.blas
-import ngcorr.channels
 import ngcorr.cli
 import ngcorr.figures
 import ngcorr.measures
@@ -562,10 +561,7 @@ def test_a_sweep_runs_without_blas_thread_control(monkeypatch, blas_threads):
 
 def test_sweep_csv_does_not_depend_on_the_blas_thread_settings(tmp_path):
     # fig6cd's distillation reads BLAS-count-dependent round-off into its
-    # en_distilled values when BLAS runs multithreaded, also through the
-    # cached beam splitter, here first built outside any sweep
-    ngcorr.channels.beam_splitter.cache_clear()
-    ngcorr.channels.beam_splitter(0.9, (12, 12))
+    # en_distilled values when BLAS runs multithreaded
     args = ["run_figure", "fig6cd", "--grid", "11"]
     texts = []
     for threads in ("1", "2"):
@@ -580,6 +576,22 @@ def test_sweep_csv_does_not_depend_on_the_blas_thread_settings(tmp_path):
                    env=env, check=True)
     texts.append(out.read_text())
     assert texts[0] == texts[1] == texts[2]
+
+
+def test_selftest_runs_the_checkouts_tests_from_any_directory(monkeypatch, tmp_path, capsys):
+    ran = []
+    monkeypatch.setattr(pytest, "main", lambda args: ran.append(args) or 0)
+    monkeypatch.chdir(tmp_path)
+    assert main(["selftest", "quick"]) == 0
+    tests = os.path.dirname(os.path.realpath(__file__))
+    assert ran == [["-q", "--color=no", "-m", "not slow", tests]]
+    missing = tmp_path / "tests"
+    monkeypatch.setattr(ngcorr.cli, "TESTS_DIR", missing)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["selftest", "full"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == f"ngcorr: error: test directory {missing} not found\n"
+    assert len(ran) == 1
 
 
 def test_thread_count_below_one_is_a_bad_spec(capsys):

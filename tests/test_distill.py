@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from ngcorr.distill import DistillConfig, distill, quadrature_eigenvector
+from ngcorr.distill import DistillConfig, _projected_bs, distill, quadrature_eigenvector
 from ngcorr.entanglement import log_negativity_fock
 from ngcorr.errors import BadSpec, ZeroWeight
 from ngcorr.fock import distance, ladder_ops
 from ngcorr.states import StateSpec, make_state
+from oracles import beam_splitter
 
 
 def test_quadrature_eigenvector_interior_rows():
@@ -27,9 +28,24 @@ def test_quadrature_eigenvector_vacuum_overlap():
     assert psi[0].real == pytest.approx(expected, abs=1e-14)
 
 
+@pytest.mark.parametrize("extra", [0, 3])
+@pytest.mark.parametrize("eta", [0.05, 0.3, 0.9, 1.0])
+@pytest.mark.parametrize("dim", [6, 10, 12])
+def test_projected_bs_matches_the_dense_unitary(dim, eta, extra):
+    # <x|_anc U |i>|0>_anc of the eigensolved unitary, whose ancilla cutoff
+    # keeps every photon-number sector of the input whole
+    anc = dim + extra
+    u = beam_splitter(eta, (dim, anc)).reshape(dim, anc, dim, anc)[:, :, :, 0]
+    for x in (-1.3, 0.8, 3.0):
+        want = np.tensordot(quadrature_eigenvector(x, anc), u, axes=([0], [1]))
+        got = _projected_bs(dim, DistillConfig(eta, x, x), x)
+        assert got.dtype == float
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
 def test_unit_transmittance_identity():
     st = make_state(StateSpec("cv_werner", {"f": 0.5, "r": 0.1}, cutoff=10))
-    out, weight = distill(st, DistillConfig(1.0, 0.8, 0.8, cutoff=10))
+    out, weight = distill(st, DistillConfig(1.0, 0.8, 0.8))
     assert distance("trace", st, out) < 1e-12
     vac_amp = math.pi**-0.25 * math.exp(-0.5 * 0.64)
     assert weight == pytest.approx(vac_amp**4, abs=1e-12)
@@ -37,7 +53,7 @@ def test_unit_transmittance_identity():
 
 def test_vacuum_fixed_point():
     st = make_state(StateSpec("vacuum", {"modes": 2}, cutoff=8))
-    out, _ = distill(st, DistillConfig(0.7, 0.5, 0.5, cutoff=8))
+    out, _ = distill(st, DistillConfig(0.7, 0.5, 0.5))
     assert out.rho[0, 0].real == pytest.approx(1.0, abs=1e-12)
 
 
@@ -46,7 +62,7 @@ def test_distillation_gain_exists_at_strong_postselection():
     # postselection outcomes on the weakly squeezed mixture
     st = make_state(StateSpec("cv_werner", {"f": 0.2, "r": 0.05}, cutoff=14))
     before = log_negativity_fock(st)
-    out, _ = distill(st, DistillConfig(0.9, 3.0, 3.0, cutoff=14))
+    out, _ = distill(st, DistillConfig(0.9, 3.0, 3.0))
     assert log_negativity_fock(out) > before
 
 
@@ -61,14 +77,14 @@ def test_distillation_gain_exists_at_strong_postselection():
 def test_distillation_gain_at_published_parameters():
     st = make_state(StateSpec("cv_werner", {"f": 0.5, "r": 0.05}, cutoff=14))
     before = log_negativity_fock(st)
-    out, _ = distill(st, DistillConfig(0.9, 0.8, 0.8, cutoff=14))
+    out, _ = distill(st, DistillConfig(0.9, 0.8, 0.8))
     assert log_negativity_fock(out) > before
 
 
 def test_zero_weight_raises():
     st = make_state(StateSpec("vacuum", {"modes": 2}, cutoff=8))
     with pytest.raises(ZeroWeight):
-        distill(st, DistillConfig(0.9, 9.0, 9.0, cutoff=8))
+        distill(st, DistillConfig(0.9, 9.0, 9.0))
 
 
 def test_bad_config_rejected():

@@ -55,7 +55,7 @@ def test_standard_form_recovers_parameters(rng):
     for _ in range(20):
         sf = random_standard_form(rng)
         spec = random_rotation(rng, sf)
-        got, _ = standard_form(spec)
+        got = standard_form(spec)
         assert abs(got.a - sf.a) < 1e-9
         assert abs(got.b - sf.b) < 1e-9
         assert abs(got.c - sf.c) < 1e-9

@@ -18,7 +18,7 @@ import pytest
 
 from ngcorr.channels import apply_loss
 from ngcorr.cli import measure_rows, write_csv
-from ngcorr.distill import BRANCH_FLOOR, DistillConfig, _projected_bs, distill
+from ngcorr.distill import DistillConfig, _projected_bs, distill
 from ngcorr.entanglement import log_negativity_fock
 from ngcorr.figures import FIGURES, Point, measure
 from ngcorr.fock import (
@@ -143,7 +143,12 @@ def dense_log_negativity(state):
     return max(0.0, float(math.log(np.sum(np.abs(w)))))
 
 
+#: Branches of ``dense_distill`` at or below this probability are dropped.
+BRANCH_FLOOR = 1e-14
+
+
 def dense_distill(state, config):
+    """The postselected state summed over the pure branches of a dense eigh."""
     da, db = state.dims
     ma = _projected_bs(da, config, config.x_c)
     mb = _projected_bs(db, config, config.x_d)
@@ -275,7 +280,7 @@ def test_log_negativity_matches_dense_oracle(name):
                                   "coherent_product", "ginibre"])
 def test_distill_matches_dense_oracle(name):
     state = STATES[name]()
-    config = DistillConfig(eta_bs=0.9, x_c=0.8, x_d=0.8, cutoff=10)
+    config = DistillConfig(eta_bs=0.9, x_c=0.8, x_d=0.8)
     out, weight = distill(state, config)
     want, want_weight = dense_distill(state, config)
     assert weight == pytest.approx(want_weight, rel=1e-12)
