@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadEta, DomainError, TruncationError
+from .errors import DomainError, TruncationError, check_eta
 from .fock import (
     DEFAULT_TAIL_TOL,
     FockState,
@@ -33,8 +33,7 @@ def loss_kraus(eta, cutoff):
     """Single-mode loss Kraus operators K_k = sqrt((1-eta)^k / k!) eta^(n/2) a^k,
     the k-th superdiagonal of ``_loss_amplitudes``; all-zero ones are left out.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise BadEta(f"eta = {eta} outside [0, 1]")
+    check_eta(eta)
     g = _loss_amplitudes(eta, cutoff)
     ops = tuple(np.diag(np.diagonal(g, k), k).astype(complex) for k in range(cutoff)
                 if np.diagonal(g, k).any())
@@ -64,8 +63,7 @@ def _apply_mode_loss(rho, dims, mode, g):
 
 def apply_loss(state, eta, modes=None):
     """Pure-loss channel (beam-splitter mixing with vacuum) on the given modes."""
-    if not 0.0 <= eta <= 1.0:
-        raise BadEta(f"eta = {eta} outside [0, 1]")
+    check_eta(eta)
     modes = range(state.n_modes) if modes is None else modes
     modes = _check_modes(state.dims, modes)
     rho = state.rho
@@ -128,8 +126,7 @@ def ecs_loss_analytic(gamma, eta, cutoff, support_tol=None):
     ``truncate_state`` does at that tolerance, but forms only the kept block;
     None cuts nothing.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise BadEta(f"eta = {eta} outside [0, 1]")
+    check_eta(eta)
     if not float(gamma) > 0.0:
         raise DomainError("gamma must be > 0")
     w_bell, w_even = ecs_weights(gamma, eta)

@@ -20,7 +20,8 @@ from pathlib import Path
 from .channels import apply_loss
 from .errors import BadSpec, NGCorrError
 from .figures import COLUMNS, FIGURE_IDS, FIGURES, measure, run_figure, sweep
-from .measures import MI_KINDS, NG_KINDS, ORDERED_KINDS
+from .gaussian import MI_KINDS, ORDERED_KINDS
+from .measures import NG_KINDS
 from .states import FAMILIES, StateSpec, _count, make_state
 
 _RANGE_KEYS = ("gamma", "alpha", "eta", "f", "r", "x")

@@ -35,6 +35,12 @@ class BadEta(NGCorrError):
     """Transmittance outside [0, 1]."""
 
 
+def check_eta(eta):
+    """Raise ``BadEta`` unless the transmittance ``eta`` lies in [0, 1]."""
+    if not 0.0 <= eta <= 1.0:
+        raise BadEta(f"eta = {eta} outside [0, 1]")
+
+
 class UnphysicalCM(NGCorrError):
     """Covariance matrix violates the uncertainty relation."""
 
@@ -58,8 +64,8 @@ FLAGGED = (NGCorrError, np.linalg.LinAlgError)
 
 def forget_frames(exc):
     """Clear the tracebacks along the context chain of a handled error.  An
-    error kept to be raised again (``FockState.derive``, ``figures.Point``)
-    gets the frames of each raise, and they hold the state that keeps it."""
+    error kept to be raised again (``fock.kept``) gets the frames of each
+    raise, and they hold the state or point that keeps it."""
     while exc is not None:
         exc.__traceback__ = None
         exc = exc.__context__

@@ -41,7 +41,8 @@ from .blas import one_thread
 from .channels import apply_loss, ecs_loss_analytic
 from .distill import DistillConfig, distill
 from .entanglement import eof_two_qubit, log_negativity_fock
-from .errors import FLAGGED, BadSpec, DomainError, forget_frames
+from .errors import FLAGGED, DomainError, forget_frames
+from .fock import kept
 from .gaussian import (
     analytic_cm,
     gaussian_log_negativity,
@@ -108,25 +109,19 @@ def _opt(options, key, default):
 
 
 class Point:
-    """One sweep point: its row parameters, and its state, built on first
-    use and kept; the operands its measures share are kept with the state
-    (``FockState.derive``).  A build that fails with a flagged error is
-    kept and re-raised, so it is attempted once per point."""
+    """One sweep point: its row parameters and its state's builder.  The
+    state is built on first use and kept, and a flagged build is tried once
+    per point (``fock.kept``); the operands its measures share are kept
+    with the state (``FockState.derive``)."""
 
     def __init__(self, params, build):
         self.params = params
-        self._state = build  # until first use; then the state or its error
+        self.build = build
+        self._kept = {}
 
     @property
     def state(self):
-        if callable(self._state):
-            try:
-                self._state = self._state(self.params)
-            except FLAGGED as exc:
-                self._state = exc
-        if isinstance(self._state, BaseException):
-            raise self._state
-        return self._state
+        return kept(self._kept, self.build, self.params)
 
 
 def _row(figure, name, params, res):

@@ -97,20 +97,9 @@ class FockState:
         return len(self.dims)
 
     def derive(self, build):
-        """``build(self)``, built on first use and kept with the state, keyed
-        by ``build``.  A build that fails with a ``FLAGGED`` error keeps the
-        error and raises it again, so each build is tried once per state;
-        any other exception propagates and is not kept.  Keep only builders
-        of the state alone, whose results are read-only."""
-        if build not in self._derived:
-            try:
-                self._derived[build] = build(self)
-            except FLAGGED as exc:
-                self._derived[build] = exc
-        value = self._derived[build]
-        if isinstance(value, BaseException):
-            raise value
-        return value
+        """``build(self)``, kept with the state (``kept``).  Keep only
+        builders of the state alone, whose results are read-only."""
+        return kept(self._derived, build, self)
 
     def spectrum(self, vectors=True):
         """Eigensystem of rho, kept with the state; its arrays are read-only.
@@ -124,6 +113,21 @@ class FockState:
 
     def __repr__(self):
         return f"FockState(dims={self.dims}, tail_mass={self.tail_mass:.3e})"
+
+
+def kept(memo, build, arg):
+    """``memo[build]``, set to ``build(arg)`` on first use.  A ``FLAGGED``
+    error is kept and raised again, so each build is tried once per memo;
+    any other exception propagates and is not kept."""
+    if build not in memo:
+        try:
+            memo[build] = build(arg)
+        except FLAGGED as exc:
+            memo[build] = exc
+    value = memo[build]
+    if isinstance(value, BaseException):
+        raise value
+    return value
 
 
 def _eigensystem(state):

@@ -12,10 +12,32 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadSpec, ConvergenceFailure, DomainError, UnphysicalCM
+from .errors import BadSpec, ConvergenceFailure, DomainError, UnphysicalCM, check_eta
 from .fock import FockState, partial_trace
 
 PHYSICALITY_TOL = 1e-9
+
+#: Mutual-information kinds, of which the ordered ones take an order alpha
+#: and the closed-form ones have covariance-matrix and X-state closed forms.
+MI_KINDS = ("vn", "renyi", "sandwiched", "hs", "tr", "bures")
+ORDERED_KINDS = ("renyi", "sandwiched")
+CLOSED_FORM_KINDS = ("vn", "renyi", "sandwiched", "hs")
+
+
+def mi_kind(kind, alpha=None, kinds=MI_KINDS):
+    """Normalised (kind, alpha) of a kind among ``kinds``: 'vn' is order-1
+    'renyi', and only an ordered kind keeps its order, a finite positive float."""
+    if kind not in kinds:
+        raise ValueError(f"mutual-information kind {kind!r} is not one of {kinds}")
+    if kind == "vn":
+        return "renyi", 1.0
+    if kind not in ORDERED_KINDS:
+        return kind, None
+    if alpha is None:
+        raise DomainError("entropic kinds require alpha")
+    if not 0.0 < float(alpha) < math.inf:
+        raise DomainError(f"alpha must be positive and finite, got {alpha!r}")
+    return kind, float(alpha)
 
 
 @lru_cache(maxsize=None)
@@ -157,8 +179,8 @@ def standard_form(spec):
 def standard_form_symplectic_eigs(sf):
     """Closed-form symplectic eigenvalues lambda^2 = l +- sqrt(l^2 - m).
 
-    l = (a^2 + b^2 + 2cd)/2, m = (ab - c^2)(ab - d^2); cross-checked at
-    build time against the eigenvalues of i Omega Gamma.
+    l = (a^2 + b^2 + 2cd)/2, m = (ab - c^2)(ab - d^2).  The tests check
+    it against the eigenvalues of i Omega Gamma (acceptance criterion 4).
     """
     a, b, c, d = sf.a, sf.b, sf.c, sf.d
     ell = 0.5 * (a * a + b * b + 2.0 * c * d)
@@ -311,30 +333,24 @@ def _standard_of(spec_or_sf):
 def gaussian_mi(kind, spec, alpha=None):
     """Closed-form mutual information of a two-mode Gaussian state.
 
-    kinds: 'renyi' (entropy-combination type), 'sandwiched' (relative-entropy
-    type, evaluated through the composition-rule pipeline), 'hilbert_schmidt'.
-    alpha = 1 evaluates the common von Neumann limit analytically.
+    kinds (``CLOSED_FORM_KINDS``, as in ``measures.mutual_information``):
+    'vn', 'renyi', 'sandwiched' (through the composition-rule pipeline) and
+    'hs'; order 1 is the von Neumann value.  'tr' and 'bures' have none.
     """
+    kind, alpha = mi_kind(kind, alpha, CLOSED_FORM_KINDS)
     sf = _standard_of(spec)
     a, b, c, d = sf.a, sf.b, sf.c, sf.d
-    if abs(c) < 1e-15 and abs(d) < 1e-15 and (
-        kind in ("hs", "hilbert_schmidt") or (alpha is not None and float(alpha) > 0)
-    ):
+    if abs(c) < 1e-15 and abs(d) < 1e-15:
         # product state: every correlation measure vanishes, and the entropic
         # pipeline below hits removable 0/0 limits for pure marginals
         return 0.0
-    if kind in ("hs", "hilbert_schmidt"):
+    if kind == "hs":
         m1 = (a * b - c * c) * (a * b - d * d)
         m2 = (4 * a * b - c * c) * (4 * a * b - d * d)
         if m1 <= 0 or m2 <= 0:
             raise UnphysicalCM("standard form outside the physical region")
         val = 0.25 / math.sqrt(m1) + 0.25 / (a * b) - 2.0 / math.sqrt(m2)
         return math.sqrt(max(0.0, val))
-    if alpha is None:
-        raise DomainError("entropic kinds require alpha")
-    alpha = float(alpha)
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
     lam1, lam2 = standard_form_symplectic_eigs(sf)
     if alpha == 1.0:
         return (
@@ -347,9 +363,7 @@ def gaussian_mi(kind, spec, alpha=None):
         num = g_func(a, alpha) * g_func(b, alpha)
         den = g_func(lam1, alpha) * g_func(lam2, alpha)
         return float(math.log(num / den) / (1.0 - alpha))
-    if kind == "sandwiched":
-        return _sandwiched_gaussian(sf, alpha)
-    raise ValueError(f"unknown gaussian_mi kind {kind!r}")
+    return _sandwiched_gaussian(sf, alpha)
 
 
 def _sandwiched_gaussian(sf, alpha):
@@ -416,6 +430,7 @@ def analytic_cm(family, **params):
     if family == "ecs_loss":
         gamma = float(params["gamma"])
         eta = float(params["eta"])
+        check_eta(eta)
         g2 = 2.0 * gamma * gamma
         try:
             x = (eta * gamma * gamma / math.sinh(g2)) * np.diag(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSpec, DomainError
+from .errors import BadSpec
 from .fock import (
     EIG_SUPPORT_FLOOR,
     FockState,
@@ -33,12 +33,9 @@ from .fock import (
     sandwich_singular_values,
     tensor,
 )
-from .gaussian import gaussian_mi, moments_from_fock, reference_gaussian_fock
+from .gaussian import gaussian_mi, mi_kind, moments_from_fock, reference_gaussian_fock
 
-MI_KINDS = ("vn", "renyi", "sandwiched", "hs", "tr", "bures")
 NG_KINDS = ("tr", "fid", "lb1", "lb2")
-#: The kinds that take an order alpha.
-ORDERED_KINDS = ("renyi", "sandwiched")
 #: Delta kinds whose reference value needs the synthesized Fock reference.
 FOCK_REFERENCE_KINDS = ("tr", "bures")
 
@@ -108,9 +105,7 @@ def sandwiched_relative_entropy(rho, sigma, alpha):
     Infinite when alpha >= 1 and rho leaks outside the support of sigma.
     alpha = 1 gives the ordinary relative entropy.
     """
-    alpha = float(alpha)
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
+    _, alpha = mi_kind("sandwiched", alpha)
     r, s = paired(rho.spectrum(), sigma.spectrum())
     if alpha >= 1.0:
         # populations sum_k p_k |<v_j|u_k>|^2 of rho in the eigenbasis of sigma
@@ -144,18 +139,9 @@ def mutual_information(kind, state, alpha=None):
 
     kinds: 'vn' and 'renyi' (entropy combinations), 'sandwiched'
     (relative-entropy type), 'hs' and 'tr' (distance type), 'bures'
-    (fidelity type, the metric sqrt(2(1 - sqrt(F)))).
+    (fidelity type, the metric sqrt(2(1 - sqrt(F)))); see ``gaussian.mi_kind``.
     """
-    if kind not in MI_KINDS:
-        raise ValueError(f"unknown mutual_information kind {kind!r}")
-    if kind == "vn":
-        kind, alpha = "renyi", 1.0
-    if kind in ORDERED_KINDS:
-        if alpha is None:
-            raise DomainError("entropic kinds require alpha")
-        alpha = float(alpha)
-        if alpha <= 0:
-            raise DomainError("alpha must be positive")
+    kind, alpha = mi_kind(kind, alpha)
     if kind == "renyi":
         ra, rb = state.derive(_marginals)
         val = (
@@ -184,9 +170,9 @@ def reference_state(state):
 def delta_ng(kind, state, alpha=None):
     """Measure of the target minus the same measure of its Gaussian reference.
 
-    Entropic and Hilbert-Schmidt kinds evaluate the reference through the
-    covariance-matrix closed forms (truncation-free); 'tr' and 'bures' fall
-    back to Fock numerics on the synthesized reference.
+    The reference value of ``FOCK_REFERENCE_KINDS`` comes from Fock
+    numerics on the synthesized reference, every other kind's from the
+    covariance-matrix closed form ``gaussian_mi`` (truncation-free).
     """
     target = mutual_information(kind, state, alpha)
     if math.isinf(target.value):  # the delta, where inf - inf would be nan
@@ -194,13 +180,7 @@ def delta_ng(kind, state, alpha=None):
     if kind in FOCK_REFERENCE_KINDS:
         ref_val = mutual_information(kind, state.derive(reference_state)).value
     else:
-        spec = state.derive(moments_from_fock)
-        if kind == "vn":
-            ref_val = gaussian_mi("renyi", spec, 1.0)
-        elif kind == "hs":
-            ref_val = gaussian_mi("hilbert_schmidt", spec)
-        else:
-            ref_val = gaussian_mi(kind, spec, float(alpha))
+        ref_val = gaussian_mi(kind, state.derive(moments_from_fock), alpha)
     return MeasureResult.on(state, target.value - ref_val)
 
 
@@ -242,11 +222,3 @@ def ng_correlation(kind, state):
         return MeasureResult.on(state, -math.log(max(g, 1e-300)))
     d2 = distance("hilbert_schmidt", rt, st) ** 2
     return MeasureResult.on(state, -math.log(max(1.0 - 0.5 * d2, 1e-300)))
-
-
-def superfidelity_chain(a, b):
-    """(F, G, 1 - D_HS^2/2) for two states; the three are ordered increasingly."""
-    f = fidelity("uhlmann", a, b)
-    g = fidelity("super", a, b)
-    d2 = distance("hilbert_schmidt", a, b) ** 2
-    return f, g, 1.0 - 0.5 * d2

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadSpec, TruncationError
-from .fock import DEFAULT_TAIL_TOL, FockState, _ladder_raw, pure_state
+from .fock import DEFAULT_TAIL_TOL, FockState, pure_state
 
 #: The required and the optional parameters of each state family.
 FAMILY_PARAMS = {
@@ -135,22 +135,6 @@ def cat_basis(gamma, cutoff):
     if tail >= DEFAULT_TAIL_TOL:
         raise TruncationError(f"cat-basis tail mass {tail:.3e} >= {DEFAULT_TAIL_TOL}")
     return plus, minus
-
-
-def displacement(alpha, cutoff):
-    """Displacement unitary exp(alpha a† - alpha* a) on the truncated space.
-
-    Built by exponentiating the (truncated) Hermitian generator, so the
-    result is exactly unitary even though it deviates from the ideal
-    displacement near the truncation edge.
-    """
-    a = _ladder_raw(cutoff)
-    k = alpha * a.conj().T - np.conjugate(alpha) * a
-    h = 1j * k  # Hermitian
-    w, v = np.linalg.eigh(h)
-    u = (v * np.exp(-1j * w)) @ v.conj().T
-    u.setflags(write=False)
-    return u
 
 
 def _thermal_diag(nbar, cutoff):

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSpec, DomainError
+from .errors import BadSpec, DomainError, check_eta
 from .channels import cat_norms, ecs_weights
+from .gaussian import CLOSED_FORM_KINDS, mi_kind
 
 
 @dataclass(frozen=True)
@@ -85,9 +86,10 @@ def _pow0(base, expo):
 def xstate_mi(kind, params, alpha=None):
     """Closed-form mutual information of an X-form two-qubit state.
 
-    kinds: 'renyi' (entropy combination), 'sandwiched' (relative-entropy
-    type), 'hs'.  alpha = 1 gives the common von Neumann value.
+    kinds (``gaussian.CLOSED_FORM_KINDS``): 'vn', 'renyi', 'sandwiched'
+    and 'hs'; order 1 is the common von Neumann value.
     """
+    kind, alpha = mi_kind(kind, alpha, CLOSED_FORM_KINDS)
     p = params
     a, b, c, d = p.a, p.b, p.c, p.d
     ma = (a + b, c + d)  # marginal of the first qubit
@@ -101,11 +103,6 @@ def xstate_mi(kind, params, alpha=None):
             + 2.0 * (abs(p.u) ** 2 + abs(p.v) ** 2)
         )
         return math.sqrt(max(0.0, val))
-    if alpha is None:
-        raise DomainError("entropic kinds require alpha")
-    alpha = float(alpha)
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
     lam = [max(0.0, x) for x in p.eigenvalues()]
     if alpha == 1.0:
         return _shannon(ma) + _shannon(mb) - _shannon(lam)
@@ -115,25 +112,24 @@ def xstate_mi(kind, params, alpha=None):
             + math.log(_renyi_sum(mb, alpha))
             - math.log(_renyi_sum(lam, alpha))
         ) / (1.0 - alpha)
-    if kind == "sandwiched":
-        e = (1.0 - alpha) / alpha
-        ap = a * _pow0(ma[0], e) * _pow0(mb[0], e)
-        bp = b * _pow0(ma[0], e) * _pow0(mb[1], e)
-        cp = c * _pow0(ma[1], e) * _pow0(mb[0], e)
-        dp = d * _pow0(ma[1], e) * _pow0(mb[1], e)
-        cross = _pow0(ma[0] * ma[1] * mb[0] * mb[1], 0.5 * e)
-        up = p.u * cross
-        vp = p.v * cross
-        rv = math.sqrt((ap - dp) ** 2 + 4.0 * abs(vp) ** 2)
-        ru = math.sqrt((bp - cp) ** 2 + 4.0 * abs(up) ** 2)
-        lamp = (
-            0.5 * (ap + dp + rv),
-            0.5 * (ap + dp - rv),
-            0.5 * (bp + cp + ru),
-            0.5 * (bp + cp - ru),
-        )
-        return math.log(_renyi_sum(lamp, alpha)) / (alpha - 1.0)
-    raise ValueError(f"unknown xstate_mi kind {kind!r}")
+    # sandwiched
+    e = (1.0 - alpha) / alpha
+    ap = a * _pow0(ma[0], e) * _pow0(mb[0], e)
+    bp = b * _pow0(ma[0], e) * _pow0(mb[1], e)
+    cp = c * _pow0(ma[1], e) * _pow0(mb[0], e)
+    dp = d * _pow0(ma[1], e) * _pow0(mb[1], e)
+    cross = _pow0(ma[0] * ma[1] * mb[0] * mb[1], 0.5 * e)
+    up = p.u * cross
+    vp = p.v * cross
+    rv = math.sqrt((ap - dp) ** 2 + 4.0 * abs(vp) ** 2)
+    ru = math.sqrt((bp - cp) ** 2 + 4.0 * abs(up) ** 2)
+    lamp = (
+        0.5 * (ap + dp + rv),
+        0.5 * (ap + dp - rv),
+        0.5 * (bp + cp + ru),
+        0.5 * (bp + cp - ru),
+    )
+    return math.log(_renyi_sum(lamp, alpha)) / (alpha - 1.0)
 
 
 def ecs_to_xstate(gamma, eta):
@@ -145,8 +141,7 @@ def ecs_to_xstate(gamma, eta):
     """
     if not float(gamma) > 0.0:
         raise DomainError("gamma must be > 0")
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"eta = {eta} outside [0, 1]")
+    check_eta(eta)
     w_bell, w_even = ecs_weights(gamma, eta)
     ge = math.sqrt(eta) * float(gamma)
     norm = 2.0 * math.sqrt(cat_norms(2.0 * ge * ge)[0])

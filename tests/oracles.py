@@ -13,7 +13,9 @@ decomposition (through a real Schur form, the only use of scipy.linalg),
 the symplectic spectrum of a covariance matrix, the Schmidt-weight mutual
 informations of pure states, the X-state parameters of a Bell state,
 Wootters' spin-flip concurrence and entanglement of formation, the
-expectation value tr[O rho], and two-state shortcuts for the lb2 measure.
+expectation value tr[O rho], two-state shortcuts for the lb2 measure, the
+truncated displacement unitary, and the fidelity, superfidelity and
+Hilbert-Schmidt chain of acceptance criterion 10.
 """
 
 import math
@@ -282,3 +284,27 @@ def ng_lb2_fast(case, state, reference=None):
         raise ValueError(f"unknown ng_lb2_fast case {case!r}")
     d2 = distance("hilbert_schmidt", state, other) ** 2
     return MeasureResult.on(state, -math.log(max(1.0 - 0.125 * d2, 1e-300)))
+
+
+def displacement(alpha, cutoff):
+    """Displacement unitary exp(alpha a† - alpha* a) on the truncated space.
+
+    Built by exponentiating the (truncated) Hermitian generator, so the
+    result is exactly unitary even though it deviates from the ideal
+    displacement near the truncation edge.
+    """
+    a = _ladder_raw(cutoff)
+    k = alpha * a.conj().T - np.conjugate(alpha) * a
+    h = 1j * k  # Hermitian
+    w, v = np.linalg.eigh(h)
+    u = (v * np.exp(-1j * w)) @ v.conj().T
+    u.setflags(write=False)
+    return u
+
+
+def superfidelity_chain(a, b):
+    """(F, G, 1 - D_HS^2/2) for two states; the three are ordered increasingly."""
+    f = fidelity("uhlmann", a, b)
+    g = fidelity("super", a, b)
+    d2 = distance("hilbert_schmidt", a, b) ** 2
+    return f, g, 1.0 - 0.5 * d2

@@ -1,4 +1,4 @@
-"""Seeded random generators for test suites and figure sweeps.
+"""Seeded random generators for the test suites.
 
 All samplers take a numpy Generator so callers control reproducibility.
 """
@@ -7,10 +7,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import UnphysicalCM
-from .fock import FockState
-from .gaussian import GaussianSpec, StandardFormCM
-from .xstate import XStateParams
+from ngcorr.errors import UnphysicalCM
+from ngcorr.fock import FockState
+from ngcorr.gaussian import GaussianSpec, StandardFormCM
+from ngcorr.xstate import XStateParams
 
 
 def random_xstate(rng, complex_offdiag=True):

@@ -25,20 +25,17 @@ from ngcorr.gaussian import (
     reference_gaussian_fock,
     standard_form_symplectic_eigs,
 )
-from ngcorr.measures import (
-    mutual_information,
-    ng_correlation,
-    superfidelity_chain,
-)
-from ngcorr.sampling import (
+from ngcorr.measures import mutual_information, ng_correlation
+from ngcorr.states import StateSpec, make_state
+from ngcorr.figures import PNES_COEFFS, run_figure
+from ngcorr.xstate import ecs_to_xstate, xstate_mi
+from oracles import displacement, superfidelity_chain
+from sampling import (
     random_density_matrix,
     random_standard_form,
     random_two_mode_state,
     random_xstate,
 )
-from ngcorr.states import StateSpec, displacement, make_state
-from ngcorr.figures import PNES_COEFFS, run_figure
-from ngcorr.xstate import ecs_to_xstate, xstate_mi
 
 TWO_LN_2 = 2.0 * math.log(2.0)
 

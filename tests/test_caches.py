@@ -14,7 +14,7 @@ import ngcorr
 import ngcorr.measures
 from ngcorr.channels import apply_loss
 from ngcorr.errors import ConvergenceFailure
-from ngcorr.figures import run_figure
+from ngcorr.figures import Point, run_figure
 from ngcorr.fock import FockState
 from ngcorr.gaussian import GaussianSpec
 from ngcorr.measures import delta_ng, marginal_product, mutual_information, ng_correlation
@@ -136,26 +136,35 @@ def test_a_state_keeps_one_result_per_builder_and_read_only_arrays():
 
 def test_a_flagged_build_is_tried_once_and_an_unnamed_error_is_not_kept():
     state = make_state(StateSpec("ecs", {"gamma": 1.0}, cutoff=12))
-    calls = []
+    points = {}
 
-    def flagged(st):
-        calls.append("flagged")
-        raise ConvergenceFailure("failed on purpose")
+    def point_state(build):
+        """build's value as the state of a point that keeps it."""
+        return points.setdefault(build, Point({"gamma": 1.0}, build)).state
 
-    def buggy(st):
-        calls.append("buggy")
-        raise RuntimeError("a bug, not a domain error")
+    holders = ((state.derive, lambda build: state._derived),
+               (point_state, lambda build: points[build]._kept))
+    for derive, memo in holders:
+        calls = []
 
-    raised = []
-    for _ in range(2):
-        with pytest.raises(ConvergenceFailure) as info:
-            state.derive(flagged)
-        raised.append(info.value)
-        with pytest.raises(RuntimeError):
-            state.derive(buggy)
-    assert calls == ["flagged", "buggy", "buggy"]
-    assert raised[0] is raised[1]
-    assert buggy not in state._derived
+        def flagged(st):
+            calls.append("flagged")
+            raise ConvergenceFailure("failed on purpose")
+
+        def buggy(st):
+            calls.append("buggy")
+            raise RuntimeError("a bug, not a domain error")
+
+        raised = []
+        for _ in range(2):
+            with pytest.raises(ConvergenceFailure) as info:
+                derive(flagged)
+            raised.append(info.value)
+            with pytest.raises(RuntimeError):
+                derive(buggy)
+        assert calls == ["flagged", "buggy", "buggy"]
+        assert raised[0] is raised[1]
+        assert buggy not in memo(buggy)
 
 
 def _live_states(collect=True):

@@ -9,7 +9,7 @@ from ngcorr.channels import (
     ecs_weights,
     loss_kraus,
 )
-from ngcorr.errors import DomainError, TruncationError
+from ngcorr.errors import BadEta, DomainError, TruncationError
 from ngcorr.fock import (
     FockState,
     distance,
@@ -17,9 +17,11 @@ from ngcorr.fock import (
     tensor,
     truncate_state,
 )
-from ngcorr.sampling import random_density_matrix
+from ngcorr.gaussian import analytic_cm
 from ngcorr.states import StateSpec, coherent_amps, default_cutoff, make_state
+from ngcorr.xstate import ecs_to_xstate
 from oracles import beam_splitter, kraus_loss
+from sampling import random_density_matrix
 
 
 def test_loss_kraus_completeness():
@@ -103,6 +105,21 @@ def test_ecs_loss_analytic_matches_kraus():
 def test_ecs_loss_unit_transmittance_is_pure():
     st = ecs_loss_analytic(0.8, 1.0, 20)
     assert st.purity() == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("eta", [-0.1, 1.5])
+def test_every_route_rejects_a_transmittance_outside_the_unit_interval(eta):
+    state = make_state(StateSpec("ecs", {"gamma": 1.0}, cutoff=12))
+    routes = (
+        lambda: loss_kraus(eta, 12),
+        lambda: apply_loss(state, eta),
+        lambda: ecs_loss_analytic(1.0, eta, 12),
+        lambda: analytic_cm("ecs_loss", gamma=1.0, eta=eta),
+        lambda: ecs_to_xstate(1.0, eta),
+    )
+    for route in routes:
+        with pytest.raises(BadEta):
+            route()
 
 
 def test_ecs_loss_analytic_rejects_nonpositive_gamma():

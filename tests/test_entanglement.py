@@ -9,10 +9,10 @@ from ngcorr.entanglement import (
     log_negativity_fock,
 )
 from ngcorr.fock import tensor
-from ngcorr.sampling import random_xstate
 from ngcorr.states import StateSpec, make_state
 from ngcorr.xstate import XStateParams
 from oracles import bell_params, spin_flip_concurrence
+from sampling import random_xstate
 
 
 def test_bell_state_maximal():

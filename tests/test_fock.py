@@ -18,9 +18,9 @@ from ngcorr.fock import (
     tensor,
     truncate_state,
 )
-from ngcorr.sampling import random_density_matrix
 from ngcorr.states import StateSpec, make_state
 from oracles import expect
+from sampling import random_density_matrix
 
 
 def test_ladder_commutator_interior():

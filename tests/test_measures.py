@@ -12,11 +12,10 @@ from ngcorr.measures import (
     mutual_information,
     ng_correlation,
     sandwiched_relative_entropy,
-    superfidelity_chain,
 )
-from ngcorr.sampling import random_two_mode_state
 from ngcorr.states import StateSpec, make_state
-from oracles import CaseNotApplicable, ng_lb2_fast
+from oracles import CaseNotApplicable, ng_lb2_fast, superfidelity_chain
+from sampling import random_two_mode_state
 
 TWO_LN_2 = 2.0 * math.log(2.0)
 

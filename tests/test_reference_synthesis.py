@@ -18,9 +18,9 @@ from ngcorr.gaussian import (
     StandardFormCM,
     reference_gaussian_fock,
 )
-from ngcorr.sampling import random_gaussian_spec
-from ngcorr.states import StateSpec, displacement, make_state
-from oracles import williamson
+from ngcorr.states import StateSpec, make_state
+from oracles import displacement, williamson
+from sampling import random_gaussian_spec
 
 #: Near-pure symplectic eigenvalues are capped at 1/2 + this margin before
 #: forming the Gibbs exponent, which is infinite for a pure state.

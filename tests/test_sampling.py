@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-import ngcorr.sampling
+import sampling
 
-from ngcorr.sampling import (
+from sampling import (
     random_density_matrix,
     random_gaussian_spec,
     random_standard_form,
@@ -52,6 +52,6 @@ def test_random_standard_form_retries_only_unphysical_draws(rng, monkeypatch):
     def broken(**kwargs):
         raise RuntimeError("not a rejection")
 
-    monkeypatch.setattr(ngcorr.sampling, "StandardFormCM", broken)
+    monkeypatch.setattr(sampling, "StandardFormCM", broken)
     with pytest.raises(RuntimeError):
         random_standard_form(rng)

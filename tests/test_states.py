@@ -5,8 +5,8 @@ import pytest
 
 from ngcorr.errors import BadSpec, TruncationError
 from ngcorr.fock import ladder_ops, partial_trace
-from ngcorr.states import StateSpec, cat_basis, coherent_amps, displacement, make_state
-from oracles import expect
+from ngcorr.states import StateSpec, cat_basis, coherent_amps, make_state
+from oracles import displacement, expect
 
 
 def test_coherent_mean_photon():

@@ -5,10 +5,10 @@ import pytest
 
 from ngcorr.channels import apply_loss
 from ngcorr.measures import mutual_information
-from ngcorr.sampling import random_xstate
 from ngcorr.states import StateSpec, make_state
 from ngcorr.xstate import XStateParams, ecs_to_xstate, xstate_mi
 from oracles import bell_params, pure_schmidt_mi
+from sampling import random_xstate
 
 TWO_LN_2 = 2.0 * math.log(2.0)
 
