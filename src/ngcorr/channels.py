@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, TruncationError, check_eta
+from .errors import TruncationError, check_eta
 from .fock import (
     DEFAULT_TAIL_TOL,
     FockState,
@@ -15,7 +15,8 @@ from .fock import (
     _tail_mass,
     support_dims,
 )
-from .states import coherent_amps, log_factorials
+from .states import cat_vectors, log_factorials
+from .xstate import ecs_to_xstate
 
 
 def _loss_amplitudes(eta, dm):
@@ -72,74 +73,31 @@ def apply_loss(state, eta, modes=None):
     return FockState(state.dims, rho, validate=False)
 
 
-def cat_norms(nbar):
-    """Squared norms (N+, N-) = 2 +- 2 exp(-2 nbar) of |x> +- |-x>, |x|^2 = nbar."""
-    e = math.exp(-2.0 * nbar)
-    return 2.0 + 2.0 * e, 2.0 - 2.0 * e
-
-
-def ecs_weights(gamma, eta):
-    """Mixture weights of the Bell-type and even/odd branches of a lossy ECS."""
-    g = float(gamma)
-    s = math.sqrt(2.0) * g
-    gl = math.sqrt(max(0.0, 2.0 - 2.0 * eta)) * g
-    gt = math.sqrt(2.0 * eta) * g
-    plus_l, minus_l = cat_norms(gl * gl)
-    plus_t, minus_t = cat_norms(gt * gt)
-    denom = 4.0 * cat_norms(s * s)[1]
-    w_bell = plus_l * minus_t / denom
-    w_even = minus_l * plus_t / denom
-    return w_bell, w_even
-
-
-def ecs_loss_branches(gamma, eta, cutoff):
-    """Normalized branch vectors (bell, even) of the lossy ECS in Fock basis."""
-    g = float(gamma)
-    ge = math.sqrt(eta) * g
-    if ge == 0.0:
-        plus = coherent_amps(0.0, cutoff)
-        minus = np.zeros(cutoff, dtype=complex)
-        minus[min(1, cutoff - 1)] = 1.0
-    else:
-        c = coherent_amps(ge, cutoff)
-        cm = coherent_amps(-ge, cutoff)
-        plus = c + cm
-        minus = c - cm
-        plus = plus / np.linalg.norm(plus)
-        minus = minus / np.linalg.norm(minus)
-    bell = (np.kron(plus, minus) + np.kron(minus, plus)) / math.sqrt(2.0)
-    gt = math.sqrt(2.0 * eta) * g
-    norm = 2.0 * math.sqrt(cat_norms(gt * gt)[0])
-    ca, cb = (n / norm for n in cat_norms(ge * ge))
-    even = ca * np.kron(plus, plus) + cb * np.kron(minus, minus)
-    even_norm = np.linalg.norm(even)
-    if even_norm > 0:
-        even = even / even_norm
-    return bell, even
-
-
 def ecs_loss_analytic(gamma, eta, cutoff, support_tol=None):
-    """Closed-form lossy ECS: rank-2 mixture of a Bell branch and an even branch.
+    """Closed-form lossy ECS: ``xstate.ecs_to_xstate``'s X state in each mode's
+    attenuated cat basis |+-'> ~ |sqrt(eta) gamma> +- |-sqrt(eta) gamma> (van
+    Enk & Hirota, PRA 64, 022313 (2001)).
 
     Raises ``TruncationError`` when the tail mass at ``cutoff`` reaches
     ``DEFAULT_TAIL_TOL``.  ``support_tol`` cuts the state exactly as
     ``truncate_state`` does at that tolerance, but forms only the kept block;
     None cuts nothing.
     """
-    check_eta(eta)
-    if not float(gamma) > 0.0:
-        raise DomainError("gamma must be > 0")
-    w_bell, w_even = ecs_weights(gamma, eta)
-    bell, even = ecs_loss_branches(gamma, eta, cutoff)
-    pops = (w_bell * (bell * bell.conj()) + w_even * (even * even.conj())).real
-    pops = pops.reshape(cutoff, cutoff)
+    x = ecs_to_xstate(gamma, eta)
+    # real vectors for a real amplitude
+    plus, minus = (v.real for v in cat_vectors(math.sqrt(eta) * float(gamma), cutoff))
+    pp, pm, mp, mm = (np.outer(s, t) for s in (plus, minus) for t in (plus, minus))
+    # X = H + H^T, H upper triangular, as pairs (|k>, sum_l H_kl |l>): the sum
+    # is exactly symmetric, and each entry is independent of a cut
+    terms = ((pp, 0.5 * x.a * pp + x.v * mm), (pm, 0.5 * x.b * pm + x.u * mp),
+             (mp, 0.5 * x.c * mp), (mm, 0.5 * x.d * mm))
+    pops = 2.0 * sum(k * h for k, h in terms)
     tail = _tail_mass(pops)
     if tail >= DEFAULT_TAIL_TOL:
         raise TruncationError(f"lossy-ECS tail mass {tail:.3e} >= {DEFAULT_TAIL_TOL}")
     dims = pops.shape if support_tol is None else support_dims(pops, support_tol)
-    bell, even = (v.reshape(pops.shape)[: dims[0], : dims[1]].ravel() for v in (bell, even))
-    # real branch vectors make the rank-2 sum exactly Hermitian
-    rho = w_bell * np.outer(bell, bell.conj()) + w_even * np.outer(even, even.conj())
+    half = sum(np.outer(k[: dims[0], : dims[1]], h[: dims[0], : dims[1]]) for k, h in terms)
+    rho = (half + half.T).astype(complex)
     if dims != pops.shape:
         rho = rho / np.trace(rho).real
     return FockState(dims, rho, validate=False)

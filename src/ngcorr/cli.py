@@ -2,12 +2,13 @@
 and the self-test oracle suites.  All data output is CSV.
 
 State-spec file grammar (measure subcommand): one ``key = value`` pair per
-line, ``#`` comments allowed.  Keys: ``family`` (required), ``cutoff``
-(optional integer >= 1), ``eta`` (optional), and the family's parameters
-(``states.FAMILY_PARAMS``: ``gamma``, ``f``, ``r``, ``nbar``, ``coeffs`` as a
-comma-separated list, ``levels`` likewise, ``sign``, ``modes``); a missing
-required parameter or one the family does not take is refused.  ``eta``
-applies a symmetric loss channel after construction.  One state per file.
+line, each key at most once, ``#`` comments allowed.  Keys: ``family``
+(required), ``cutoff`` (optional integer >= 1), ``eta`` (optional), and the
+family's parameters (``states.FAMILY_PARAMS``: ``gamma``, ``f``, ``r``,
+``nbar``, ``coeffs`` as a comma-separated list, ``levels`` likewise,
+``sign``, ``modes``); a missing required parameter, one the family does not
+take, or a non-finite one is refused.  ``eta`` applies a symmetric loss
+channel after construction.  One state per file.
 """
 
 from __future__ import annotations
@@ -95,7 +96,10 @@ def parse_state_file(path):
         if "=" not in line:
             raise BadSpec(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        keys[key.strip().lower()] = (value.strip(), lineno)
+        key = key.strip().lower()
+        if key in keys:
+            raise BadSpec(f"{path}:{lineno}: key {key!r} repeats line {keys[key][1]}")
+        keys[key] = (value.strip(), lineno)
     if "family" not in keys:
         raise BadSpec(f"{path}: missing required key 'family'")
     family = keys.pop("family")[0]

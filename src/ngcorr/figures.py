@@ -1,7 +1,9 @@
 """Sweep definitions behind the published data sets.
 
 ``FIGURES`` holds one entry per figure id: its axes (or seeded draws), its
-state builder and its ordered measure list.  ``sweep`` evaluates the points
+state builder and its ordered measure list; fig2ef, fig4 and fig5 build the
+lossy superposition through one closed form, ``channels.ecs_loss_analytic``
+(cut to its converged support in fig5 only).  ``sweep`` evaluates the points
 of any such entry, and the single point behind ``measure_state``, and
 renders one row per point and requested measure with a fixed column set;
 the command-line layer writes them as CSV.  Rows come in a deterministic
@@ -196,16 +198,11 @@ def _lossy_delta(kind):
     return _unless_full_loss(fn)
 
 
-def _lossy_ecs(p, cutoff):
-    """Superposition state through the Kraus loss channel."""
-    state = make_state(StateSpec("ecs", {"gamma": p["gamma"]}, cutoff=cutoff))
-    return apply_loss(state, p["eta"])
-
-
-def _sampled_lossy_ecs(p, cutoff):
-    """Closed-form lossy superposition, cut to its converged support."""
-    g = p["gamma"]
-    return ecs_loss_analytic(g, p["eta"], cutoff or default_cutoff(g), support_tol=1e-10)
+def _lossy_ecs(support_tol):
+    """Closed-form lossy superposition at its amplitude's default cutoff
+    unless overridden, cut at ``support_tol`` (``ecs_loss_analytic``)."""
+    return lambda p, cutoff: ecs_loss_analytic(
+        p["gamma"], p["eta"], cutoff or default_cutoff(p["gamma"]), support_tol)
 
 
 def _ef_excess(pt):
@@ -298,7 +295,7 @@ FIGURES = {
     "fig2ef": Figure((("delta_hs", _lossy_delta("hs")),
                       ("delta_tr", _unless_full_loss(measure("delta", "tr")))),
                      axes=(("gamma", 0.2, 1.2, None), ("eta", 0.0, 1.0, None)),
-                     state=_lossy_ecs, grid=21),
+                     state=_lossy_ecs(None), grid=21),
     # loss dynamics of the three-level photon-number entangled state
     "fig3": Figure((("delta_hs", measure("delta", "hs")),),
                    axes=(("eta", 0.0, 1.0, None),),
@@ -308,11 +305,11 @@ FIGURES = {
     "fig4": Figure((("ng_tr", measure("ng", "tr")), ("ng_lb1", measure("ng", "lb1")),
                     ("ng_lb2", measure("ng", "lb2")), ("delta_vn", measure("delta", "vn"))),
                    axes=(("eta", 0.0, 1.0, None),), const={"gamma": 1.0},
-                   state=_lossy_ecs),
+                   state=_lossy_ecs(None)),
     # E_F excess against the superfidelity bound over sampled lossy states
     "fig5": Figure((("delta_ef", _ef_excess), ("ng_lb1", measure("ng", "lb1"))),
                    draws=(("gamma", 0.2, 1.5), ("eta", 0.0, 1.0)),
-                   state=_sampled_lossy_ecs),
+                   state=_lossy_ecs(1e-10)),
     "fig6a": Figure((("ng_tr", measure("ng", "tr")),),
                     axes=(_R_AXIS, ("f", 0.0, 1.0, None)), state=_werner(10)),
     # negativity excess against the trace-distance measure over sampled mixtures

@@ -25,7 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import FLAGGED, BadModeIndex, DimMismatch, InvalidCutoff, InvalidState
+from .errors import (FLAGGED, BadModeIndex, DimMismatch, InvalidCutoff, InvalidState,
+                     TruncationError)
 
 #: Eigenvalues below this are treated as exactly zero in fractional or
 #: negative matrix powers (double-precision eigensolver noise scale).
@@ -254,7 +255,7 @@ def truncate_state(state, tol=1e-9):
     the input itself when nothing can be cut.  The two margin levels do not
     protect the moments, which are exact on the zero-padded state; they fix
     the dims, and so the values, of fig5, whose ``ecs_loss_analytic`` states
-    are cut by this rule at the branch level."""
+    are cut by this rule before they are formed."""
     new_dims = support_dims(np.real(np.diagonal(state.rho)).reshape(state.dims), tol)
     if new_dims == state.dims:
         return state
@@ -441,8 +442,17 @@ def fidelity(kind, a, b):
     raise ValueError(f"unknown fidelity kind {kind!r}")
 
 
+def unit_vector(vec):
+    """The flat amplitude vector ``vec`` normalised; ``TruncationError`` when
+    it vanishes, as a state with no amplitude below the cutoff does."""
+    vec = np.asarray(vec, dtype=complex).ravel()
+    norm = np.linalg.norm(vec)
+    if not norm > 0.0:
+        raise TruncationError("the state vanishes at this cutoff")
+    return vec / norm
+
+
 def pure_state(vec, dims, validate=True):
     """|psi><psi| as a FockState from a flat amplitude vector, normalised."""
-    vec = np.asarray(vec, dtype=complex).ravel()
-    vec = vec / np.linalg.norm(vec)
+    vec = unit_vector(vec)
     return FockState(dims, np.outer(vec, vec.conj()), validate=validate)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadSpec, TruncationError
-from .fock import DEFAULT_TAIL_TOL, FockState, pure_state
+from .fock import DEFAULT_TAIL_TOL, FockState, pure_state, unit_vector
 
 #: The required and the optional parameters of each state family.
 FAMILY_PARAMS = {
@@ -58,6 +58,10 @@ class StateSpec:
             object.__setattr__(self, "cutoff", _count(self.cutoff, "cutoff"))
         if "modes" in p:
             _count(p["modes"], "modes")
+        infinite = [key for key in ("gamma", "nbar", "f", "r", "coeffs")
+                    if key in p and not np.isfinite(np.asarray(p[key], dtype=complex)).all()]
+        if infinite:
+            raise BadSpec(f"{self.family} parameter(s) {infinite} must be finite")
         if self.family == "pnes":
             coeffs = np.asarray(p["coeffs"], dtype=complex)
             if coeffs.size < 1:
@@ -65,8 +69,8 @@ class StateSpec:
             if abs(np.sum(np.abs(coeffs) ** 2) - 1.0) > 1e-12:
                 raise BadSpec("pnes coefficients must satisfy sum |c_k|^2 = 1")
             levels = p.get("levels")
-            if levels is not None and len(levels) != coeffs.size:
-                raise BadSpec("pnes levels must match coefficient count")
+            if levels is not None and not len(set(levels)) == len(levels) == coeffs.size:
+                raise BadSpec("pnes levels must be distinct, one per coefficient")
         if self.family == "cv_werner":
             f = float(p["f"])
             r = float(p["r"])
@@ -120,17 +124,19 @@ def coherent_amps(gamma, cutoff):
     return np.exp(logmag) * phase
 
 
+def cat_vectors(gamma, cutoff):
+    """Normalised even and odd cat vectors |gamma> +- |-gamma> at ``cutoff``;
+    at gamma = 0, their limits |0> and |1>."""
+    c, cm = coherent_amps(gamma, cutoff), coherent_amps(-gamma, cutoff)
+    plus, minus = (c + cm, c - cm) if complex(gamma) else np.eye(2, cutoff)
+    return unit_vector(plus), unit_vector(minus)
+
+
 def cat_basis(gamma, cutoff):
     """Orthonormal even/odd cat vectors built from |gamma> and |-gamma>."""
-    g = complex(gamma)
-    if g == 0:
+    if complex(gamma) == 0:
         raise BadSpec("cat basis undefined at gamma = 0")
-    c = coherent_amps(g, cutoff)
-    cm = coherent_amps(-g, cutoff)
-    plus = c + cm
-    minus = c - cm
-    plus = plus / np.linalg.norm(plus)
-    minus = minus / np.linalg.norm(minus)
+    plus, minus = cat_vectors(gamma, cutoff)
     tail = max(abs(plus[-1]) ** 2, abs(minus[-1]) ** 2)
     if tail >= DEFAULT_TAIL_TOL:
         raise TruncationError(f"cat-basis tail mass {tail:.3e} >= {DEFAULT_TAIL_TOL}")

@@ -1,7 +1,9 @@
 """Closed-form mutual informations for X-form two-qubit states, plus the
-cat-basis embedding of the lossy entangled coherent state.
+lossy entangled coherent state as an X state in the attenuated cat basis.
 
-These serve as independent oracles against the Fock-basis numerics.
+The mutual informations serve as independent oracles against the Fock-basis
+numerics; ``ecs_to_xstate`` is also the one closed form of the lossy ECS,
+which ``channels.ecs_loss_analytic`` embeds in Fock space.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSpec, DomainError, check_eta
-from .channels import cat_norms, ecs_weights
 from .gaussian import CLOSED_FORM_KINDS, mi_kind
 
 
@@ -130,6 +131,26 @@ def xstate_mi(kind, params, alpha=None):
         0.5 * (bp + cp - ru),
     )
     return math.log(_renyi_sum(lamp, alpha)) / (alpha - 1.0)
+
+
+def cat_norms(nbar):
+    """Squared norms (N+, N-) = 2 +- 2 exp(-2 nbar) of |x> +- |-x>, |x|^2 = nbar."""
+    e = math.exp(-2.0 * nbar)
+    return 2.0 + 2.0 * e, 2.0 - 2.0 * e
+
+
+def ecs_weights(gamma, eta):
+    """Mixture weights of the Bell-type and even/odd branches of a lossy ECS."""
+    g = float(gamma)
+    s = math.sqrt(2.0) * g
+    gl = math.sqrt(max(0.0, 2.0 - 2.0 * eta)) * g
+    gt = math.sqrt(2.0 * eta) * g
+    plus_l, minus_l = cat_norms(gl * gl)
+    plus_t, minus_t = cat_norms(gt * gt)
+    denom = 4.0 * cat_norms(s * s)[1]
+    w_bell = plus_l * minus_t / denom
+    w_even = minus_l * plus_t / denom
+    return w_bell, w_even
 
 
 def ecs_to_xstate(gamma, eta):

@@ -8,7 +8,9 @@ full cutoff and then truncated, and the distillation's beam splitter as the
 exponential of its truncated generator.  They are slow (O(N^6), O(d^3),
 O(d^2) and O(d^3)) and kept only to check the fast routes.
 
-The rest are independent routes with no library caller: the Williamson
+The rest are independent routes with no library caller: the lossy
+superposition of fig2ef and fig4 as the pure state through the loss
+channel (the builder the closed form replaced), the Williamson
 decomposition (through a real Schur form, the only use of scipy.linalg),
 the symplectic spectrum of a covariance matrix, the Schmidt-weight mutual
 informations of pure states, the X-state parameters of a Bell state,
@@ -112,6 +114,13 @@ def dense_moments(state):
             ji = np.sum(qp[i].T * prods[j]).real
             cm[i, j] = cm[j, i] = 0.5 * (sym + ji) - means[i] * means[j]
     return means, cm
+
+
+def kraus_lossy_ecs(p, cutoff):
+    """fig4's and fig2ef's state builder before the closed form: the pure
+    superposition at the default cutoff, through the loss channel."""
+    state = make_state(StateSpec("ecs", {"gamma": p["gamma"]}, cutoff=cutoff))
+    return apply_loss(state, p["eta"])
 
 
 def dense_sampled_lossy_ecs(p, cutoff):

@@ -3,12 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ngcorr.channels import (
-    apply_loss,
-    ecs_loss_analytic,
-    ecs_weights,
-    loss_kraus,
-)
+from ngcorr.channels import apply_loss, ecs_loss_analytic, loss_kraus
 from ngcorr.errors import BadEta, DomainError, TruncationError
 from ngcorr.fock import (
     FockState,
@@ -19,7 +14,7 @@ from ngcorr.fock import (
 )
 from ngcorr.gaussian import analytic_cm
 from ngcorr.states import StateSpec, coherent_amps, default_cutoff, make_state
-from ngcorr.xstate import ecs_to_xstate
+from ngcorr.xstate import ecs_to_xstate, ecs_weights
 from oracles import beam_splitter, kraus_loss
 from sampling import random_density_matrix
 
@@ -95,11 +90,13 @@ def test_ecs_weights_normalized():
 
 
 def test_ecs_loss_analytic_matches_kraus():
-    for g, eta in ((0.5, 0.4), (1.0, 0.7)):
-        cut = 22
+    # the Kraus route truncates the pure state before the loss, so it needs
+    # the larger cutoff at the larger amplitudes
+    for g, eta, cut in ((0.5, 0.4, 22), (1.0, 0.7, 22), (1.0, 0.0, 22), (1.0, 1.0, 22),
+                        (0.2, 1e-9, 22), (0.3, 0.5, 22), (1.2, 0.95, 26), (1.5, 0.3, 26)):
         target = apply_loss(make_state(StateSpec("ecs", {"gamma": g}, cutoff=cut)), eta)
         closed = ecs_loss_analytic(g, eta, cut)
-        assert distance("trace", target, closed) < 1e-10
+        assert distance("trace", target, closed) < 1e-10, (g, eta)
 
 
 def test_ecs_loss_unit_transmittance_is_pure():

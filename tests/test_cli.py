@@ -28,7 +28,12 @@ from ngcorr.figures import COLUMNS, FIGURES, default_threads, run_figure, sweep
 from ngcorr.measures import delta_ng, ng_correlation
 from ngcorr.states import StateSpec, make_state
 from ngcorr.xstate import ecs_to_xstate
-from oracles import dense_sampled_lossy_ecs, spin_flip_concurrence, wootters_eof
+from oracles import (
+    dense_sampled_lossy_ecs,
+    kraus_lossy_ecs,
+    spin_flip_concurrence,
+    wootters_eof,
+)
 
 
 def test_parse_range_flag():
@@ -235,13 +240,13 @@ def test_every_figure_runs_through_the_cli(tmp_path, figure):
 
 def test_failed_state_build_flags_every_measure_once_per_point(monkeypatch):
     builds = []
-    original = ngcorr.figures.apply_loss
+    original = ngcorr.figures.ecs_loss_analytic
 
     def counted(*args, **kwargs):
         builds.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(ngcorr.figures, "apply_loss", counted)
+    monkeypatch.setattr(ngcorr.figures, "ecs_loss_analytic", counted)
     rows = run_figure("fig4", {"eta": (1.2, 1.3, 2), "cutoff": 12}, threads=1)
     assert len(builds) == 2
     assert [r["measure"] for r in rows] == ["ng_tr", "ng_lb1", "ng_lb2", "delta_vn"] * 2
@@ -299,6 +304,22 @@ def test_fig5_rows_match_the_dense_state_builder(monkeypatch, options):
         assert [repr(row[c]) for c in COLUMNS] == [repr(ref[c]) for c in COLUMNS]
     flagged = sum(r["status"] == "flagged" for r in rows)
     assert flagged == (4 if "cutoff" in options else 0)
+
+
+@pytest.mark.parametrize("figure, options", [("fig4", {"grid": 6}), ("fig2ef", {"grid": 3})])
+def test_lossy_ecs_rows_match_the_kraus_state_builder(monkeypatch, figure, options):
+    rows = run_figure(figure, options, threads=1)
+    monkeypatch.setitem(FIGURES, figure,
+                        dataclasses.replace(FIGURES[figure], state=kraus_lossy_ecs))
+    expected = run_figure(figure, options, threads=1)
+    assert len(rows) == len(expected)
+    for row, ref in zip(rows, expected):
+        same = [c for c in COLUMNS if c not in ("value", "tail_mass")]
+        assert [row[c] for c in same] == [ref[c] for c in same]
+        assert row["value"] == pytest.approx(ref["value"], rel=0, abs=1e-13)
+        if ref["tail_mass"] != "":
+            assert row["tail_mass"] == pytest.approx(ref["tail_mass"], rel=0, abs=1e-15)
+    assert {r["status"] for r in rows} == {"ok"}
 
 
 #: fig5 states with no loss or next to none, where the closed form once
@@ -364,6 +385,31 @@ def test_fig2_domain_error_is_flagged():
 def test_fig3_cutoff_below_the_pnes_levels_is_flagged():
     rows = run_figure("fig3", {"grid": 2, "cutoff": 2}, threads=1)
     assert [r["status"] for r in rows] == ["flagged", "flagged"]
+
+
+#: Builds of a state with no amplitude below cutoff 1, each with the measure
+#: names whose rows come from a closed form and not from the state.
+VANISHING = {
+    "measure_state": (lambda: measure_rows(
+        StateSpec("ecs", {"gamma": 1.0}, cutoff=1), None, ["vn", "delta:tr", "ng:lb1"]), ()),
+    "measure_state_odd_cat": (lambda: measure_rows(
+        StateSpec("cat", {"gamma": 1.0, "sign": -1}, cutoff=1), None, ["vn"]), ()),
+    "fig4": (lambda: run_figure("fig4", {"grid": 2, "cutoff": 1}, threads=1), ()),
+    "fig2ef": (lambda: run_figure(
+        "fig2ef", {"grid": 2, "eta": (0.5, 1.0, 2), "cutoff": 1}, threads=1), ("delta_hs",)),
+    "fig5": (lambda: run_figure("fig5", {"samples": 3, "cutoff": 1}, threads=1), ()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VANISHING))
+def test_a_state_that_vanishes_at_the_cutoff_flags_its_rows(case):
+    # a RuntimeWarning is an error under the suite's settings: the vector is
+    # refused before it is divided by its zero norm
+    build, closed_forms = VANISHING[case]
+    rows = build()
+    assert rows
+    for row in rows:
+        assert row["status"] == ("ok" if row["measure"] in closed_forms else "flagged"), row
 
 
 def test_measure_state_error_is_reported_without_traceback(tmp_path, capsys, monkeypatch):
@@ -635,15 +681,28 @@ def test_cutoff_below_one_is_refused_on_every_route(tmp_path, capsys, cutoff):
     ("family = vacuum\nmodes = -1\n", "modes=-1 is not a positive integer"),
     ("family = ecs\ngamma = 1.0\nfoo = 3\n",
      "ecs takes no parameter(s) ['foo']; it takes ['gamma']"),
+    ("family = thermal\nnbar = nan\n", "thermal parameter(s) ['nbar'] must be finite"),
+    ("family = tmsv\nr = nan\n", "tmsv parameter(s) ['r'] must be finite"),
+    ("family = tmsv\nr = inf\n", "tmsv parameter(s) ['r'] must be finite"),
+    ("family = ecs\ngamma = -inf\n", "ecs parameter(s) ['gamma'] must be finite"),
+    ("family = cat\ngamma = nan\n", "cat parameter(s) ['gamma'] must be finite"),
+    ("family = cv_werner\nf = nan\nr = 0.1\n",
+     "cv_werner parameter(s) ['f'] must be finite"),
+    ("family = pnes\ncoeffs = 1, nan\n", "pnes parameter(s) ['coeffs'] must be finite"),
+    ("family = pnes\ncoeffs = 0.6, 0.8, 0\nlevels = 1, 1, 2\n",
+     "pnes levels must be distinct, one per coefficient"),
+    ("family = ecs\ngamma = 1\ngamma = 2\n", "{path}:3: key 'gamma' repeats line 2"),
 ], ids=["tmsv-without-r", "coherent-without-gamma", "vacuum-negative-modes",
-        "ecs-unknown-key"])
+        "ecs-unknown-key", "thermal-nan-nbar", "tmsv-nan-r", "tmsv-infinite-r",
+        "ecs-infinite-gamma", "cat-nan-gamma", "cv_werner-nan-f", "pnes-nan-coeff",
+        "pnes-repeated-level", "repeated-key"])
 def test_spec_file_the_family_cannot_build_is_reported(tmp_path, capsys, text, message):
     path = tmp_path / "x.spec"
     path.write_text(text)
     with pytest.raises(SystemExit) as exit_info:
         main(["measure_state", str(path), "vn"])
     assert exit_info.value.code == 2
-    assert capsys.readouterr().err == f"ngcorr: error: {message}\n"
+    assert capsys.readouterr().err == f"ngcorr: error: {message.format(path=path)}\n"
 
 
 #: One id of every kind, delta and ng ids included.

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ngcorr.channels import apply_loss
+from ngcorr.channels import apply_loss, ecs_loss_analytic
 from ngcorr.measures import mutual_information
 from ngcorr.states import StateSpec, make_state
 from ngcorr.xstate import XStateParams, ecs_to_xstate, xstate_mi
@@ -79,17 +79,16 @@ def test_ecs_to_xstate_unit_transmittance_is_bell():
 
 
 def test_ecs_to_xstate_matches_fock():
-    g, eta = 0.8, 0.6
     cut = 20
-    state = apply_loss(make_state(StateSpec("ecs", {"gamma": g}, cutoff=cut)), eta)
-    params = ecs_to_xstate(g, eta)
-    for kind, alpha in (("renyi", 0.5), ("renyi", 2.0), ("sandwiched", 1.5)):
-        assert xstate_mi(kind, params, alpha) == pytest.approx(
-            mutual_information(kind, state, alpha).value, abs=1e-9
-        )
-    assert xstate_mi("hs", params) == pytest.approx(
-        mutual_information("hs", state).value, abs=1e-9
-    )
+    for g, eta in ((0.8, 0.6), (1.0, 0.3), (1.2, 0.9), (0.5, 1.0), (1.0, 0.05)):
+        params = ecs_to_xstate(g, eta)
+        kraus = apply_loss(make_state(StateSpec("ecs", {"gamma": g}, cutoff=cut)), eta)
+        for state in (kraus, ecs_loss_analytic(g, eta, cut)):
+            for kind, alpha in (("renyi", 0.5), ("renyi", 2.0), ("sandwiched", 1.5),
+                                ("hs", None)):
+                assert xstate_mi(kind, params, alpha) == pytest.approx(
+                    mutual_information(kind, state, alpha).value, abs=1e-9
+                ), (g, eta, kind)
 
 
 def test_pure_schmidt_bell_consistency():
