@@ -76,7 +76,9 @@ def apply_loss(state, eta, modes=None):
 def ecs_loss_analytic(gamma, eta, cutoff, support_tol=None):
     """Closed-form lossy ECS: ``xstate.ecs_to_xstate``'s X state in each mode's
     attenuated cat basis |+-'> ~ |sqrt(eta) gamma> +- |-sqrt(eta) gamma> (van
-    Enk & Hirota, PRA 64, 022313 (2001)).
+    Enk & Hirota, PRA 64, 022313 (2001)).  It has rank 2 (u = b = c, v = sqrt(ad)):
+    rho = |b><b| + |e><e|, the Bell-type branch |b> = sqrt(b) (|+-'> + |-+'>)
+    and the even branch |e> = sqrt(a) |++'> + sqrt(d) |--'>.
 
     Raises ``TruncationError`` when the tail mass at ``cutoff`` reaches
     ``DEFAULT_TAIL_TOL``.  ``support_tol`` cuts the state exactly as
@@ -86,18 +88,16 @@ def ecs_loss_analytic(gamma, eta, cutoff, support_tol=None):
     x = ecs_to_xstate(gamma, eta)
     # real vectors for a real amplitude
     plus, minus = (v.real for v in cat_vectors(math.sqrt(eta) * float(gamma), cutoff))
-    pp, pm, mp, mm = (np.outer(s, t) for s in (plus, minus) for t in (plus, minus))
-    # X = H + H^T, H upper triangular, as pairs (|k>, sum_l H_kl |l>): the sum
-    # is exactly symmetric, and each entry is independent of a cut
-    terms = ((pp, 0.5 * x.a * pp + x.v * mm), (pm, 0.5 * x.b * pm + x.u * mp),
-             (mp, 0.5 * x.c * mp), (mm, 0.5 * x.d * mm))
-    pops = 2.0 * sum(k * h for k, h in terms)
+    bell = math.sqrt(x.b) * (np.outer(plus, minus) + np.outer(minus, plus))
+    even = math.sqrt(x.a) * np.outer(plus, plus) + math.sqrt(x.d) * np.outer(minus, minus)
+    pops = bell * bell + even * even
     tail = _tail_mass(pops)
     if tail >= DEFAULT_TAIL_TOL:
         raise TruncationError(f"lossy-ECS tail mass {tail:.3e} >= {DEFAULT_TAIL_TOL}")
     dims = pops.shape if support_tol is None else support_dims(pops, support_tol)
-    half = sum(np.outer(k[: dims[0], : dims[1]], h[: dims[0], : dims[1]]) for k, h in terms)
-    rho = (half + half.T).astype(complex)
+    # entries are products of branch amplitudes: exactly symmetric, cut-free
+    bell, even = (v[: dims[0], : dims[1]].ravel() for v in (bell, even))
+    rho = (np.outer(bell, bell) + np.outer(even, even)).astype(complex)
     if dims != pops.shape:
         rho = rho / np.trace(rho).real
     return FockState(dims, rho, validate=False)

@@ -63,7 +63,10 @@ def _parse_range(text):
         raise argparse.ArgumentTypeError(
             f"range {text!r} must be start:stop:count"
         )
-    return float(parts[0]), float(parts[1]), _count_arg(parts[2])
+    start, stop = float(parts[0]), float(parts[1])
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise argparse.ArgumentTypeError(f"range {text!r} must have a finite start and stop")
+    return start, stop, _count_arg(parts[2])
 
 
 def _complex_or_real(text):

@@ -3,12 +3,13 @@
 ``FIGURES`` holds one entry per figure id: its axes (or seeded draws), its
 state builder and its ordered measure list; fig2ef, fig4 and fig5 build the
 lossy superposition through one closed form, ``channels.ecs_loss_analytic``
-(cut to its converged support in fig5 only).  ``sweep`` evaluates the points
-of any such entry, and the single point behind ``measure_state``, and
-renders one row per point and requested measure with a fixed column set;
-the command-line layer writes them as CSV.  Rows come in a deterministic
-point order; a worker pool may evaluate points in any order without
-changing the output.
+(cut to its converged support in fig5 only); its closed-form deltas (fig2cd,
+fig2ef's ``delta_hs``, fig4's ``delta_vn``) build no Fock state.  ``sweep``
+evaluates the points of any such entry, and the single point behind
+``measure_state``, and renders one row per point and requested measure with
+a fixed column set; the command-line layer writes them as CSV.  Rows come in
+a deterministic point order; a worker pool may evaluate points in any order
+without changing the output.
 
 Threads: a sweep of more than one point runs on ``threads`` worker threads
 and runs BLAS at one thread for the whole sweep, whatever ``threads`` is, so
@@ -43,7 +44,7 @@ from .blas import one_thread
 from .channels import apply_loss, ecs_loss_analytic
 from .distill import DistillConfig, distill
 from .entanglement import eof_two_qubit, log_negativity_fock
-from .errors import FLAGGED, DomainError, forget_frames
+from .errors import FLAGGED, BadSpec, DomainError, forget_frames
 from .fock import kept
 from .gaussian import (
     analytic_cm,
@@ -188,14 +189,15 @@ def _unless_full_loss(fn):
 
 
 def _lossy_delta(kind):
-    """Lossy superposition through the two-qubit closed forms."""
+    """Lossy superposition through the two-qubit closed forms (0 at full loss)."""
 
     def fn(pt):
         g, eta, al = pt.params["gamma"], pt.params["eta"], pt.params.get("alpha")
+        # + 0.0: at full loss, log 1 / (1 - alpha) is -0.0 on one side of 1
         return xstate_mi(kind, ecs_to_xstate(g, eta), al) - gaussian_mi(
-            kind, analytic_cm("ecs_loss", gamma=g, eta=eta), al)
+            kind, analytic_cm("ecs_loss", gamma=g, eta=eta), al) + 0.0
 
-    return _unless_full_loss(fn)
+    return fn
 
 
 def _lossy_ecs(support_tol):
@@ -270,6 +272,8 @@ class Figure:
         values = []
         for name, start, stop, count in self.axes:
             start, stop, count = _opt(options, name, (start, stop, count or grid))
+            if not (math.isfinite(start) and math.isfinite(stop)):
+                raise BadSpec(f"{name} range {start!r}:{stop!r} must have finite ends")
             values.append(np.linspace(start, stop, _count(count, f"{name} count")))
         return [{**self.const, **dict(zip(names, v))} for v in itertools.product(*values)]
 
@@ -303,7 +307,7 @@ FIGURES = {
                        "pnes", {"coeffs": PNES_COEFFS}, cutoff=cutoff or 8)), p["eta"])),
     # non-Gaussian-correlation measures of the unit-amplitude superposition
     "fig4": Figure((("ng_tr", measure("ng", "tr")), ("ng_lb1", measure("ng", "lb1")),
-                    ("ng_lb2", measure("ng", "lb2")), ("delta_vn", measure("delta", "vn"))),
+                    ("ng_lb2", measure("ng", "lb2")), ("delta_vn", _lossy_delta("vn"))),
                    axes=(("eta", 0.0, 1.0, None),), const={"gamma": 1.0},
                    state=_lossy_ecs(None)),
     # E_F excess against the superfidelity bound over sampled lossy states

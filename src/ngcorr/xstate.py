@@ -52,17 +52,18 @@ class XStateParams:
         m[3, 0] = np.conjugate(self.v)
         return m
 
-    def eigenvalues(self):
-        """The four closed-form eigenvalues (two 2x2 blocks)."""
-        a, b, c, d, u, v = self.a, self.b, self.c, self.d, self.u, self.v
-        rv = math.sqrt((a - d) ** 2 + 4.0 * abs(v) ** 2)
-        ru = math.sqrt((b - c) ** 2 + 4.0 * abs(u) ** 2)
-        return (
-            0.5 * (a + d + rv),
-            0.5 * (a + d - rv),
-            0.5 * (b + c + ru),
-            0.5 * (b + c - ru),
-        )
+
+def _x_eigenvalues(a, b, c, d, u, v):
+    """The four eigenvalues of an X matrix: those of its 2x2 blocks
+    [[a, v], [v*, d]] and [[b, u], [u*, c]]."""
+    rv = math.sqrt((a - d) ** 2 + 4.0 * abs(v) ** 2)
+    ru = math.sqrt((b - c) ** 2 + 4.0 * abs(u) ** 2)
+    return (
+        0.5 * (a + d + rv),
+        0.5 * (a + d - rv),
+        0.5 * (b + c + ru),
+        0.5 * (b + c - ru),
+    )
 
 
 def _plogp(p):
@@ -74,7 +75,10 @@ def _shannon(ps):
 
 
 def _renyi_sum(ps, alpha):
-    return sum(p**alpha for p in ps if p > 0.0)
+    """sum p^alpha over the numerical rank (``fock.Spectrum.rank_floor``'s
+    rule): a root that rounding leaves at O(eps) would add eps^alpha."""
+    floor = len(ps) * np.finfo(float).eps * max(ps)
+    return sum(p**alpha for p in ps if p > floor)
 
 
 def _pow0(base, expo):
@@ -104,7 +108,7 @@ def xstate_mi(kind, params, alpha=None):
             + 2.0 * (abs(p.u) ** 2 + abs(p.v) ** 2)
         )
         return math.sqrt(max(0.0, val))
-    lam = [max(0.0, x) for x in p.eigenvalues()]
+    lam = _x_eigenvalues(a, b, c, d, p.u, p.v)
     if alpha == 1.0:
         return _shannon(ma) + _shannon(mb) - _shannon(lam)
     if kind == "renyi":
@@ -120,16 +124,7 @@ def xstate_mi(kind, params, alpha=None):
     cp = c * _pow0(ma[1], e) * _pow0(mb[0], e)
     dp = d * _pow0(ma[1], e) * _pow0(mb[1], e)
     cross = _pow0(ma[0] * ma[1] * mb[0] * mb[1], 0.5 * e)
-    up = p.u * cross
-    vp = p.v * cross
-    rv = math.sqrt((ap - dp) ** 2 + 4.0 * abs(vp) ** 2)
-    ru = math.sqrt((bp - cp) ** 2 + 4.0 * abs(up) ** 2)
-    lamp = (
-        0.5 * (ap + dp + rv),
-        0.5 * (ap + dp - rv),
-        0.5 * (bp + cp + ru),
-        0.5 * (bp + cp - ru),
-    )
+    lamp = _x_eigenvalues(ap, bp, cp, dp, p.u * cross, p.v * cross)
     return math.log(_renyi_sum(lamp, alpha)) / (alpha - 1.0)
 
 

@@ -99,6 +99,20 @@ def test_ecs_loss_analytic_matches_kraus():
         assert distance("trace", target, closed) < 1e-10, (g, eta)
 
 
+@pytest.mark.parametrize("support_tol", [None, 1e-10])
+@pytest.mark.parametrize("gamma", [0.2, 1.0, 1.5])
+@pytest.mark.parametrize("eta", [0.0, 1e-9, 0.5, 1.0])
+def test_ecs_loss_analytic_is_the_rank_two_mixture_of_its_branches(eta, gamma, support_tol):
+    x = ecs_to_xstate(gamma, eta)
+    assert x.u == x.b == x.c
+    assert abs(x.v**2 - x.a * x.d) <= 4.0 * np.finfo(float).eps * (x.a + x.d) ** 2
+    rho = ecs_loss_analytic(gamma, eta, default_cutoff(gamma), support_tol).rho
+    w = np.linalg.eigvalsh(rho)
+    tol = 1e-14 if support_tol is None else 1e-12
+    assert np.max(np.abs(w[-2:] - sorted((x.b + x.c, x.a + x.d)))) <= tol
+    assert np.max(np.abs(w[:-2])) < 1e-14
+
+
 def test_ecs_loss_unit_transmittance_is_pure():
     st = ecs_loss_analytic(0.8, 1.0, 20)
     assert st.purity() == pytest.approx(1.0, abs=1e-10)

@@ -22,9 +22,18 @@ import ngcorr.figures
 import ngcorr.measures
 import numpy as np
 
-from ngcorr.channels import apply_loss
+from ngcorr.channels import apply_loss, ecs_loss_analytic
 from ngcorr.errors import BadSpec, ConvergenceFailure
-from ngcorr.figures import COLUMNS, FIGURES, default_threads, run_figure, sweep
+from ngcorr.figures import (
+    COLUMNS,
+    FIGURES,
+    Point,
+    _lossy_delta,
+    default_threads,
+    run_figure,
+    sweep,
+)
+from ngcorr.gaussian import CLOSED_FORM_KINDS, ORDERED_KINDS
 from ngcorr.measures import delta_ng, ng_correlation
 from ngcorr.states import StateSpec, make_state
 from ngcorr.xstate import ecs_to_xstate
@@ -322,6 +331,30 @@ def test_lossy_ecs_rows_match_the_kraus_state_builder(monkeypatch, figure, optio
     assert {r["status"] for r in rows} == {"ok"}
 
 
+def test_fig4_delta_vn_is_the_closed_form_and_meets_the_fock_route():
+    fig = FIGURES["fig4"]
+    measures = [m for m in fig.measures if m[0] == "delta_vn"]
+    rows = sweep("fig4", fig.points({"grid": 11}), measures,
+                 lambda p: pytest.fail("the closed form built a state"))
+    assert len(rows) == 11
+    for row in rows:
+        assert row["status"] == "ok" and row["cutoff"] == row["tail_mass"] == ""
+        want = delta_ng("vn", ecs_loss_analytic(1.0, row["eta"], 20)).value
+        assert row["value"] == pytest.approx(want, rel=0, abs=1e-13), row["eta"]
+
+
+@pytest.mark.parametrize("gamma", [0.2, 1.0, 2.5])
+def test_every_closed_form_delta_is_a_positive_zero_at_full_loss(gamma):
+    # a -0.0 would be written as -0
+    alphas = sorted({p["alpha"] for p in FIGURES["fig2cd"].points({"eta": (0.0, 0.0, 1)})})
+    assert len(alphas) == 41
+    for kind in CLOSED_FORM_KINDS:
+        for alpha in alphas if kind in ORDERED_KINDS else [None]:
+            point = Point({"gamma": gamma, "eta": 0.0, "alpha": alpha}, None)
+            value = _lossy_delta(kind)(point)
+            assert (value, math.copysign(1.0, value)) == (0.0, 1.0), (kind, alpha)
+
+
 #: fig5 states with no loss or next to none, where the closed form once
 #: gave way to the Kraus channel; the last eta is just below 1e-8 / gamma^2
 SMALL_LOSS_ETAS = (0.0, 1e-300, 1e-14, 1e-10, 2.4e-9)
@@ -394,7 +427,7 @@ VANISHING = {
         StateSpec("ecs", {"gamma": 1.0}, cutoff=1), None, ["vn", "delta:tr", "ng:lb1"]), ()),
     "measure_state_odd_cat": (lambda: measure_rows(
         StateSpec("cat", {"gamma": 1.0, "sign": -1}, cutoff=1), None, ["vn"]), ()),
-    "fig4": (lambda: run_figure("fig4", {"grid": 2, "cutoff": 1}, threads=1), ()),
+    "fig4": (lambda: run_figure("fig4", {"grid": 2, "cutoff": 1}, threads=1), ("delta_vn",)),
     "fig2ef": (lambda: run_figure(
         "fig2ef", {"grid": 2, "eta": (0.5, 1.0, 2), "cutoff": 1}, threads=1), ("delta_hs",)),
     "fig5": (lambda: run_figure("fig5", {"samples": 3, "cutoff": 1}, threads=1), ()),
@@ -476,6 +509,18 @@ def test_count_below_one_is_a_usage_error(capsys, args):
     assert "must be an integer >= 1" in err
 
 
+@pytest.mark.parametrize("figure, flag, text", [("fig2ef", "--gamma", "0.5:inf:2"),
+                                               ("fig4", "--eta", "0:nan:2"),
+                                               ("fig3", "--eta", "-inf:1:2")])
+def test_non_finite_range_end_is_a_usage_error(capsys, figure, flag, text):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run_figure", figure, f"{flag}={text}"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"range {text!r} must have a finite start and stop" in err
+
+
 @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-2"])
 def test_bad_thread_count_in_the_environment_is_reported(monkeypatch, capsys, value):
     monkeypatch.setenv("NGCORR_THREADS", value)
@@ -536,7 +581,7 @@ FIG4_SMALL = {"eta": (0.2, 0.6, 3), "cutoff": 12}
 @pytest.mark.parametrize("threads", [1, 2])
 def test_a_sweep_runs_blas_at_one_thread(monkeypatch, blas_threads, threads):
     before = blas_threads()
-    seen = _probe(monkeypatch, "delta_ng", blas_threads)
+    seen = _probe(monkeypatch, "ecs_loss_analytic", blas_threads)
     rows = run_figure("fig4", FIG4_SMALL, threads=threads)
     assert seen == [1, 1, 1]
     assert [r["status"] for r in rows] == ["ok"] * 12
@@ -570,7 +615,7 @@ def test_concurrent_sweeps_put_the_blas_count_back(monkeypatch, blas_threads):
             waited.done = True
             both_inside.wait()
 
-    seen = _probe(monkeypatch, "delta_ng", blas_threads, hook=meet)
+    seen = _probe(monkeypatch, "ecs_loss_analytic", blas_threads, hook=meet)
     rows = {}
 
     def run(grid):
@@ -599,7 +644,7 @@ def test_a_sweep_runs_without_blas_thread_control(monkeypatch, blas_threads):
     before = blas_threads()
     monkeypatch.setattr(ngcorr.blas, "SYMBOLS", (("no_get", "no_set"),))
     assert ngcorr.blas.thread_control() is None
-    seen = _probe(monkeypatch, "delta_ng", blas_threads)
+    seen = _probe(monkeypatch, "ecs_loss_analytic", blas_threads)
     rows = run_figure("fig4", FIG4_SMALL, threads=2)
     assert seen == [before] * 3
     assert [r["status"] for r in rows] == ["ok"] * 12
@@ -654,6 +699,14 @@ def test_thread_count_below_one_is_a_bad_spec(capsys):
                                              ("fig3", {"grid": 2.5})])
 def test_library_count_below_one_is_a_bad_spec(figure, options):
     with pytest.raises(BadSpec):
+        FIGURES[figure].points(options)
+
+
+@pytest.mark.parametrize("figure, options", [("fig2ef", {"gamma": (0.5, math.inf, 2)}),
+                                             ("fig4", {"eta": (0.0, math.nan, 2)}),
+                                             ("fig3", {"eta": (-math.inf, 1.0, 2)})])
+def test_library_non_finite_range_end_is_a_bad_spec(figure, options):
+    with pytest.raises(BadSpec, match="must have finite ends"):
         FIGURES[figure].points(options)
 
 

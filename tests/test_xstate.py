@@ -69,6 +69,59 @@ def test_closed_forms_vs_bruteforce(rng):
         )
 
 
+def _mp_lossy_ecs_xstate(mp, gamma, eta):
+    """``ecs_to_xstate``'s (a, b, c, d, u, v) in mpmath from exact gamma, eta."""
+    g, eta = mp.mpf(gamma), mp.mpf(eta)
+
+    def norms(nbar):
+        e = mp.exp(-2 * nbar)
+        return 2 + 2 * e, 2 - 2 * e
+
+    plus_l, minus_l = norms((2 - 2 * eta) * g * g)
+    plus_t, minus_t = norms(2 * eta * g * g)
+    denom = 4 * norms(2 * g * g)[1]
+    w_bell, w_even = plus_l * minus_t / denom, minus_l * plus_t / denom
+    norm = 2 * mp.sqrt(norms(2 * eta * g * g)[0])
+    big_a, big_b = (n / norm for n in norms(eta * g * g))
+    half = w_bell / 2
+    return w_even * big_a**2, half, half, w_even * big_b**2, half, w_even * big_a * big_b
+
+
+def _mp_mi(mp, kind, x, alpha):
+    """Renyi or sandwiched MI of the X state ``x`` from mpmath's eigsy."""
+    a, b, c, d, u, v = x
+    alpha = mp.mpf(alpha)
+    rho = mp.matrix([[a, 0, 0, v], [0, b, u, 0], [0, u, c, 0], [v, 0, 0, d]])
+    ma, mb = (a + b, c + d), (a + c, b + d)
+
+    def power_sum(ps):
+        return sum(max(p, 0) ** alpha for p in ps)
+
+    if kind == "renyi":
+        lam = mp.eigsy(rho, eigvals_only=True)
+        return (mp.log(power_sum(ma)) + mp.log(power_sum(mb))
+                - mp.log(power_sum(lam))) / (1 - alpha)
+    half = (1 - alpha) / (2 * alpha)
+    scale = mp.diag([(p * q) ** half for p in ma for q in mb])
+    lam = mp.eigsy(scale * rho * scale, eigvals_only=True)
+    return mp.log(power_sum(lam)) / (alpha - 1)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5])
+def test_closed_forms_meet_mpmath_on_the_rank_deficient_lossy_ecs(gamma):
+    # each 2x2 block has rank 1; below order 1 a rounded zero root would
+    # add eps^alpha, up to about 2e-8 at alpha = 0.5
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        for eta in (0.0625, 0.1125, 0.175, 0.3875, 0.525, 0.8875, 0.9625):
+            exact = _mp_lossy_ecs_xstate(mpmath, gamma, eta)
+            for alpha in (0.5, 0.75, 0.9375, 1.5, 3.0):
+                for kind in ("renyi", "sandwiched"):
+                    want = float(_mp_mi(mpmath, kind, exact, alpha))
+                    got = xstate_mi(kind, ecs_to_xstate(gamma, eta), alpha)
+                    assert got == pytest.approx(want, rel=0, abs=1e-13), (eta, alpha, kind)
+
+
 def test_ecs_to_xstate_unit_transmittance_is_bell():
     params = ecs_to_xstate(1.0, 1.0)
     bell = bell_params()
