@@ -8,13 +8,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import TruncationError, check_eta
-from .fock import (
-    DEFAULT_TAIL_TOL,
-    FockState,
-    _check_modes,
-    _tail_mass,
-    support_dims,
-)
+from .fock import DEFAULT_TAIL_TOL, FockState, _check_modes, _tail_mass
 from .states import cat_vectors, log_factorials
 from .xstate import ecs_to_xstate
 
@@ -73,7 +67,7 @@ def apply_loss(state, eta, modes=None):
     return FockState(state.dims, rho, validate=False)
 
 
-def ecs_loss_analytic(gamma, eta, cutoff, support_tol=None):
+def ecs_loss_analytic(gamma, eta, cutoff):
     """Closed-form lossy ECS: ``xstate.ecs_to_xstate``'s X state in each mode's
     attenuated cat basis |+-'> ~ |sqrt(eta) gamma> +- |-sqrt(eta) gamma> (van
     Enk & Hirota, PRA 64, 022313 (2001)).  It has rank 2 (u = b = c, v = sqrt(ad)):
@@ -81,9 +75,7 @@ def ecs_loss_analytic(gamma, eta, cutoff, support_tol=None):
     and the even branch |e> = sqrt(a) |++'> + sqrt(d) |--'>.
 
     Raises ``TruncationError`` when the tail mass at ``cutoff`` reaches
-    ``DEFAULT_TAIL_TOL``.  ``support_tol`` cuts the state exactly as
-    ``truncate_state`` does at that tolerance, but forms only the kept block;
-    None cuts nothing.
+    ``DEFAULT_TAIL_TOL``.
     """
     x = ecs_to_xstate(gamma, eta)
     # real vectors for a real amplitude
@@ -94,10 +86,7 @@ def ecs_loss_analytic(gamma, eta, cutoff, support_tol=None):
     tail = _tail_mass(pops)
     if tail >= DEFAULT_TAIL_TOL:
         raise TruncationError(f"lossy-ECS tail mass {tail:.3e} >= {DEFAULT_TAIL_TOL}")
-    dims = pops.shape if support_tol is None else support_dims(pops, support_tol)
-    # entries are products of branch amplitudes: exactly symmetric, cut-free
-    bell, even = (v[: dims[0], : dims[1]].ravel() for v in (bell, even))
+    # np.outer flattens the branches; its entries are products of branch
+    # amplitudes, so rho is exactly symmetric
     rho = (np.outer(bell, bell) + np.outer(even, even)).astype(complex)
-    if dims != pops.shape:
-        rho = rho / np.trace(rho).real
-    return FockState(dims, rho, validate=False)
+    return FockState(pops.shape, rho, validate=False)

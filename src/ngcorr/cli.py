@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -230,7 +231,7 @@ def build_parser():
     p_fig.add_argument("--cutoff", type=_count_arg, help="Fock cutoff override")
     p_fig.add_argument("--grid", type=_count_arg, help="grid density override")
     p_fig.add_argument("--samples", type=_count_arg, help="sample count override")
-    p_fig.add_argument("--seed", type=int, default=0, help="sampling seed")
+    p_fig.add_argument("--seed", type=int, help="sampling seed (default 0)")
     p_fig.add_argument("--threads", type=int, default=None,
                        help="worker threads (default: NGCORR_THREADS or all cores)")
     for key in _RANGE_KEYS:
@@ -256,16 +257,28 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "run_figure":
-        swept = [axis[0] for axis in FIGURES[args.id].axes]
+        fig = FIGURES[args.id]
+        swept = [axis[0] for axis in fig.axes]
         for key in _RANGE_KEYS:
             if getattr(args, key) is not None and key not in swept:
                 accepted = " ".join(f"--{name}" for name in swept) or "none"
                 parser.error(f"{args.id} sweeps no {key} axis; "
                              f"its range flags: {accepted}")
+        for key, why in fig.unused.items():
+            if getattr(args, key) is not None:
+                parser.error(f"{args.id} {why}; --{key} does not apply")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except NGCorrError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    except BrokenPipeError:
+        # the reader closed the pipe (``| head``): what is left to write,
+        # and the flush at exit, go to the null device, as the Python signal
+        # module's documentation advises
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

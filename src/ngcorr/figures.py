@@ -1,10 +1,13 @@
 """Sweep definitions behind the published data sets.
 
 ``FIGURES`` holds one entry per figure id: its axes (or seeded draws), its
-state builder and its ordered measure list; fig2ef, fig4 and fig5 build the
-lossy superposition through one closed form, ``channels.ecs_loss_analytic``
-(cut to its converged support in fig5 only); its closed-form deltas (fig2cd,
-fig2ef's ``delta_hs``, fig4's ``delta_vn``) build no Fock state.  ``sweep``
+state builder (None for a figure that builds no Fock state) and its ordered
+measure list.  fig2ef and fig4 build the lossy superposition through one
+closed form, ``channels.ecs_loss_analytic``, for their Fock-route measures.
+Its closed-form deltas (fig2cd, fig2ef's ``delta_hs``, fig4's ``delta_vn``)
+and its ``lb1``/``lb2`` bounds (fig4, fig5), which come from its
+phase-space terms (``measures.ng_bounds``), build no Fock state, and so
+fig5 builds none.  ``sweep``
 evaluates the points of any such entry, and the single point behind
 ``measure_state``, and renders one row per point and requested measure with
 a fixed column set; the command-line layer writes them as CSV.  Rows come in
@@ -18,9 +21,10 @@ thread settings (``blas.one_thread``); it puts the BLAS count it found back
 when it ends.  A one-point sweep (``measure_state``) leaves BLAS at its
 default, so a large single state's eigensolves still use every core.
 
-A point keeps its state and nothing else; what its measures share (the
-marginal product, the moments, the Gaussian reference, the averaged pair)
-is kept with the state (``FockState.derive``).
+A point keeps its state and its phase-space bounds (``Point.derive``);
+what its Fock-route measures share (the marginal product, the moments, the
+Gaussian reference, the averaged pair) is kept with the state
+(``FockState.derive``).
 
 Error policy (``errors.FLAGGED``): a measure that raises ``NGCorrError`` or
 ``numpy.linalg.LinAlgError`` gets a ``flagged`` row with value nan.  Any
@@ -40,6 +44,7 @@ import numpy as np
 # that import inside the first sampled sweep instead of the package import
 from numpy.random import default_rng
 
+from . import phase
 from .blas import one_thread
 from .channels import apply_loss, ecs_loss_analytic
 from .distill import DistillConfig, distill
@@ -56,6 +61,7 @@ from .measures import (
     MeasureResult,
     delta_ng,
     mutual_information,
+    ng_bounds,
     ng_correlation,
     status_of,
 )
@@ -122,9 +128,13 @@ class Point:
         self.build = build
         self._kept = {}
 
+    def derive(self, build):
+        """``build(params)``, kept with the point (``fock.kept``)."""
+        return kept(self._kept, build, self.params)
+
     @property
     def state(self):
-        return kept(self._kept, self.build, self.params)
+        return self.derive(self.build)
 
 
 def _row(figure, name, params, res):
@@ -200,19 +210,50 @@ def _lossy_delta(kind):
     return fn
 
 
-def _lossy_ecs(support_tol):
+def _lossy_ecs(p, cutoff):
     """Closed-form lossy superposition at its amplitude's default cutoff
-    unless overridden, cut at ``support_tol`` (``ecs_loss_analytic``)."""
-    return lambda p, cutoff: ecs_loss_analytic(
-        p["gamma"], p["eta"], cutoff or default_cutoff(p["gamma"]), support_tol)
+    unless overridden (``ecs_loss_analytic``)."""
+    return ecs_loss_analytic(p["gamma"], p["eta"], cutoff or default_cutoff(p["gamma"]))
+
+
+#: Amplitudes at which the phase-space bounds of the lossy superposition
+#: are tested to meet a 50-digit evaluation of the same sums within 1e-12
+#: (tests/test_phase.py), fig5's range.  Below it the terms cancel: they
+#: miss by 1.5e-13 at gamma = 0.2, 4.7e-12 at 0.12 and 2e-11 at 0.1.
+PHASE_GAMMA_RANGE = (0.2, 1.5)
+
+
+def _lossy_ecs_terms(p):
+    """The lossy superposition N^2 (|g,g> - |-g,-g>)(<g,g| - <-g,-g|), with
+    N^2 = 1 / (2 - 2 exp(-4 g^2)), as four coherent dyads through loss."""
+    g = p["gamma"]
+    low, high = PHASE_GAMMA_RANGE
+    if not low <= g <= high:
+        raise DomainError(f"phase-space bounds tested for gamma in [{low}, {high}], "
+                          f"not at {g!r}")
+    norm = 1.0 / (2.0 - 2.0 * math.exp(-4.0 * g * g))
+    dyads = [(norm * s * t, phase.coherent_dyad([s * g] * 2, [t * g] * 2))
+             for s in (1, -1) for t in (1, -1)]
+    return phase.loss(phase.weighted_sum(dyads), p["eta"])
+
+
+def _lossy_bounds(p):
+    """(lb1, lb2) of the lossy superposition (``measures.ng_bounds``)."""
+    return ng_bounds(_lossy_ecs_terms(p))
+
+
+def _lossy_bound(kind):
+    """lb1 or lb2 of the lossy superposition, both kept with the point."""
+    index = ("lb1", "lb2").index(kind)
+    return lambda pt: pt.derive(_lossy_bounds)[index]
 
 
 def _ef_excess(pt):
     """Entanglement-of-formation excess over a separable Gaussian reference."""
-    if gaussian_log_negativity(pt.state.derive(moments_from_fock)) > 1e-9:
+    g, eta = pt.params["gamma"], pt.params["eta"]
+    if gaussian_log_negativity(analytic_cm("ecs_loss", gamma=g, eta=eta)) > 1e-9:
         raise DomainError("Gaussian reference is entangled: E_F excess ill-defined")
-    excess = eof_two_qubit(ecs_to_xstate(pt.params["gamma"], pt.params["eta"]))
-    return MeasureResult.on(pt.state, excess)
+    return eof_two_qubit(ecs_to_xstate(g, eta))
 
 
 def _werner(default):
@@ -260,6 +301,14 @@ class Figure:
     state: object = None
     grid: int = 51
 
+    @property
+    def unused(self):
+        """The options this figure has no use for, each with the reason."""
+        reasons = {"cutoff": "builds no Fock state"} if self.state is None else {}
+        if self.draws:
+            return {**reasons, "grid": "draws its points at random"}
+        return {**reasons, "samples": "sweeps a grid", "seed": "sweeps a grid"}
+
     def points(self, options):
         if self.draws:
             seed = int(_opt(options, "seed", 0))
@@ -299,21 +348,20 @@ FIGURES = {
     "fig2ef": Figure((("delta_hs", _lossy_delta("hs")),
                       ("delta_tr", _unless_full_loss(measure("delta", "tr")))),
                      axes=(("gamma", 0.2, 1.2, None), ("eta", 0.0, 1.0, None)),
-                     state=_lossy_ecs(None), grid=21),
+                     state=_lossy_ecs, grid=21),
     # loss dynamics of the three-level photon-number entangled state
     "fig3": Figure((("delta_hs", measure("delta", "hs")),),
                    axes=(("eta", 0.0, 1.0, None),),
                    state=lambda p, cutoff: apply_loss(make_state(StateSpec(
                        "pnes", {"coeffs": PNES_COEFFS}, cutoff=cutoff or 8)), p["eta"])),
     # non-Gaussian-correlation measures of the unit-amplitude superposition
-    "fig4": Figure((("ng_tr", measure("ng", "tr")), ("ng_lb1", measure("ng", "lb1")),
-                    ("ng_lb2", measure("ng", "lb2")), ("delta_vn", _lossy_delta("vn"))),
+    "fig4": Figure((("ng_tr", measure("ng", "tr")), ("ng_lb1", _lossy_bound("lb1")),
+                    ("ng_lb2", _lossy_bound("lb2")), ("delta_vn", _lossy_delta("vn"))),
                    axes=(("eta", 0.0, 1.0, None),), const={"gamma": 1.0},
-                   state=_lossy_ecs(None)),
+                   state=_lossy_ecs),
     # E_F excess against the superfidelity bound over sampled lossy states
-    "fig5": Figure((("delta_ef", _ef_excess), ("ng_lb1", measure("ng", "lb1"))),
-                   draws=(("gamma", 0.2, 1.5), ("eta", 0.0, 1.0)),
-                   state=_lossy_ecs(1e-10)),
+    "fig5": Figure((("delta_ef", _ef_excess), ("ng_lb1", _lossy_bound("lb1"))),
+                   draws=(("gamma", 0.2, 1.5), ("eta", 0.0, 1.0))),
     "fig6a": Figure((("ng_tr", measure("ng", "tr")),),
                     axes=(_R_AXIS, ("f", 0.0, 1.0, None)), state=_werner(10)),
     # negativity excess against the trace-distance measure over sampled mixtures
@@ -335,6 +383,9 @@ def run_figure(figure, options=None, threads=None):
         raise ValueError(f"unknown figure id {figure!r}; expected one of {FIGURE_IDS}")
     fig = FIGURES[figure]
     options = dict(options or {})
+    for key, why in fig.unused.items():
+        if options.get(key) is not None:
+            raise BadSpec(f"{figure} {why}; option {key!r} does not apply")
     threads = default_threads() if threads is None else _count(threads, "threads")
     cutoff = options.get("cutoff")
     cutoff = None if cutoff is None else _count(cutoff, "cutoff")

@@ -234,29 +234,22 @@ def partial_transpose(state, mode):
     return hermitize(arr.reshape(state.dim, state.dim))
 
 
-def support_dims(pops, tol):
-    """Per-mode cutoffs for the Fock populations ``pops`` (shaped as the
-    dims): the fewest levels, at least four, that leave less than ``tol`` of
-    the mode's population at and above the top level, plus two margin
-    levels, capped at the current cutoff."""
+def truncate_state(state, tol=1e-9):
+    """Cut each mode to the fewest levels, at least four, that leave less
+    than ``tol`` of its population at and above the top level, plus two
+    margin levels, and renormalise; the input itself when nothing can be
+    cut.  The margin levels do not protect the moments, which are exact on
+    the zero-padded state."""
+    pops = np.real(np.diagonal(state.rho)).reshape(state.dims)
     n = pops.ndim
-    dims = []
+    new_dims = []
     for m in range(n):
         marg = np.apply_over_axes(np.sum, pops, [ax for ax in range(n) if ax != m]).ravel()
         keep = pops.shape[m]
         while keep > 4 and marg[keep - 1 :].sum() < tol:
             keep -= 1
-        dims.append(min(pops.shape[m], keep + 2))
-    return tuple(dims)
-
-
-def truncate_state(state, tol=1e-9):
-    """Cut the state to ``support_dims`` of its populations and renormalise;
-    the input itself when nothing can be cut.  The two margin levels do not
-    protect the moments, which are exact on the zero-padded state; they fix
-    the dims, and so the values, of fig5, whose ``ecs_loss_analytic`` states
-    are cut by this rule before they are formed."""
-    new_dims = support_dims(np.real(np.diagonal(state.rho)).reshape(state.dims), tol)
+        new_dims.append(min(pops.shape[m], keep + 2))
+    new_dims = tuple(new_dims)
     if new_dims == state.dims:
         return state
     sl = tuple(slice(0, d) for d in new_dims) * 2

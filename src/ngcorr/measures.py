@@ -13,6 +13,11 @@ moments, the Gaussian reference and the averaged pair are built once per
 state, and the reference keeps its own marginals the same way.  The public
 builders (``marginal_product``, ``reference_state``, ``averaged_states``)
 are plain functions that build afresh on each call.
+
+``ng_bounds`` gives ``lb1`` and ``lb2`` of a state held as a sum of Gaussian
+terms (``phase.Terms``) exactly, with no cutoff.  It is the figures' route
+for the lossy ECS; ``ng_correlation`` is the only route for a ``FockState``
+and the tests' oracle for ``ng_bounds``.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import phase
 from .errors import BadSpec
 from .fock import (
     EIG_SUPPORT_FLOOR,
@@ -216,9 +222,31 @@ def ng_correlation(kind, state):
         return MeasureResult.on(state, distance("trace", rt, st))
     if kind == "fid":
         f = min(1.0, fidelity("uhlmann", rt, st))
-        return MeasureResult.on(state, -math.log(max(f, 1e-300)))
+        return MeasureResult.on(state, _neg_log(f))
     if kind == "lb1":
-        g = min(1.0, fidelity("super", rt, st))
-        return MeasureResult.on(state, -math.log(max(g, 1e-300)))
+        return MeasureResult.on(state, _neg_log(min(1.0, fidelity("super", rt, st))))
     d2 = distance("hilbert_schmidt", rt, st) ** 2
-    return MeasureResult.on(state, -math.log(max(1.0 - 0.5 * d2, 1e-300)))
+    return MeasureResult.on(state, _neg_log(1.0 - 0.5 * d2))
+
+
+def _neg_log(x):
+    """-ln x of a fidelity-like x <= 1, floored at 1e-300; + 0.0 so that
+    -ln 1 is 0, not -0."""
+    return -math.log(max(x, 1e-300)) + 0.0
+
+
+def ng_bounds(rho):
+    """(lb1, lb2) of a unit-trace two-mode ``phase.Terms`` state, as
+    ``ng_correlation`` defines them, from tr rho~^2, tr sigma~^2 and
+    tr rho~ sigma~ of the averaged pair's term sums (5 and 17 terms for a
+    4-term state).  sigma is the Gaussian state of the sum's own moments."""
+    sigma = phase.gaussian_state(phase.moments(rho))
+
+    def product(t):
+        return phase.tensor(phase.partial_trace(t, [0]), phase.partial_trace(t, [1]))
+
+    rt = phase.weighted_sum([(0.5, rho), (0.5, product(sigma))])
+    st = phase.weighted_sum([(0.5, sigma), (0.5, product(rho))])
+    rr, ss, rs = (phase.overlap(a, b).real for a, b in ((rt, rt), (st, st), (rt, st)))
+    g = min(1.0, rs + math.sqrt(max(0.0, 1.0 - rr)) * math.sqrt(max(0.0, 1.0 - ss)))
+    return _neg_log(g), _neg_log(1.0 - 0.5 * max(0.0, rr + ss - 2.0 * rs))

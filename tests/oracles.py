@@ -124,8 +124,9 @@ def kraus_lossy_ecs(p, cutoff):
 
 
 def dense_sampled_lossy_ecs(p, cutoff):
-    """fig5's state builder: the lossy superposition at the full cutoff, then
-    ``truncate_state`` at tolerance 1e-10."""
+    """fig5's state builder before its rows came from closed forms: the lossy
+    superposition at the full cutoff, then ``truncate_state`` at tolerance
+    1e-10."""
     g, eta = p["gamma"], p["eta"]
     if eta * g * g > 1e-8:
         state = ecs_loss_analytic(g, eta, cutoff or default_cutoff(g))

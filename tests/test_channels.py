@@ -13,7 +13,7 @@ from ngcorr.fock import (
     truncate_state,
 )
 from ngcorr.gaussian import analytic_cm
-from ngcorr.states import StateSpec, coherent_amps, default_cutoff, make_state
+from ngcorr.states import StateSpec, cat_vectors, coherent_amps, default_cutoff, make_state
 from ngcorr.xstate import ecs_to_xstate, ecs_weights
 from oracles import beam_splitter, kraus_loss
 from sampling import random_density_matrix
@@ -99,16 +99,18 @@ def test_ecs_loss_analytic_matches_kraus():
         assert distance("trace", target, closed) < 1e-10, (g, eta)
 
 
-@pytest.mark.parametrize("support_tol", [None, 1e-10])
+@pytest.mark.parametrize("cut", [None, 1e-10])
 @pytest.mark.parametrize("gamma", [0.2, 1.0, 1.5])
 @pytest.mark.parametrize("eta", [0.0, 1e-9, 0.5, 1.0])
-def test_ecs_loss_analytic_is_the_rank_two_mixture_of_its_branches(eta, gamma, support_tol):
+def test_ecs_loss_analytic_is_the_rank_two_mixture_of_its_branches(eta, gamma, cut):
+    # and so is its cut to the converged support (truncate_state at ``cut``)
     x = ecs_to_xstate(gamma, eta)
     assert x.u == x.b == x.c
     assert abs(x.v**2 - x.a * x.d) <= 4.0 * np.finfo(float).eps * (x.a + x.d) ** 2
-    rho = ecs_loss_analytic(gamma, eta, default_cutoff(gamma), support_tol).rho
+    state = ecs_loss_analytic(gamma, eta, default_cutoff(gamma))
+    rho = (state if cut is None else truncate_state(state, tol=cut)).rho
     w = np.linalg.eigvalsh(rho)
-    tol = 1e-14 if support_tol is None else 1e-12
+    tol = 1e-14 if cut is None else 1e-12
     assert np.max(np.abs(w[-2:] - sorted((x.b + x.c, x.a + x.d)))) <= tol
     assert np.max(np.abs(w[:-2])) < 1e-14
 
@@ -177,39 +179,39 @@ def test_loss_matches_the_kraus_oracle(case, eta):
     assert np.max(np.abs(fast.rho - fast.rho.conj().T)) <= 1e-15 * np.max(np.abs(fast.rho))
 
 
-def _assert_same_state(a, b):
-    assert a.dims == b.dims
-    assert np.array_equal(a.rho, b.rho)
-    assert a.tail_mass == b.tail_mass
-
-
 @pytest.mark.parametrize("eta", [0.01, 0.5, 1.0])
 @pytest.mark.parametrize("gamma", [0.2, 0.8, 1.3, 1.5])
 def test_ecs_cut_on_the_branches_equals_the_truncated_dense_state(gamma, eta):
+    # truncate_state on the closed form is the rank-2 mixture of the branch
+    # vectors cut to the same dims, renormalised
     cutoff = default_cutoff(gamma)
     full = ecs_loss_analytic(gamma, eta, cutoff)
     assert full.dims == (cutoff, cutoff)
-    cut = ecs_loss_analytic(gamma, eta, cutoff, support_tol=1e-10)
+    cut = truncate_state(full, tol=1e-10)
     assert max(cut.dims) < cutoff
-    _assert_same_state(cut, truncate_state(full, tol=1e-10))
+    x = ecs_to_xstate(gamma, eta)
+    plus, minus = (v.real for v in cat_vectors(math.sqrt(eta) * gamma, cutoff))
+    branches = (math.sqrt(x.b) * (np.outer(plus, minus) + np.outer(minus, plus)),
+                math.sqrt(x.a) * np.outer(plus, plus) + math.sqrt(x.d) * np.outer(minus, minus))
+    kept = [b[: cut.dims[0], : cut.dims[1]] for b in branches]
+    rho = sum(np.outer(b, b) for b in kept)
+    assert np.max(np.abs(cut.rho - rho / np.trace(rho))) <= 1e-15
 
 
 def test_ecs_with_nothing_to_cut_is_the_full_state():
     full = ecs_loss_analytic(1.5, 0.5, 12)
     assert truncate_state(full, tol=1e-10) is full
-    _assert_same_state(ecs_loss_analytic(1.5, 0.5, 12, support_tol=1e-10), full)
 
 
 def test_ecs_cut_checks_the_tail_at_the_full_cutoff():
     with pytest.raises(TruncationError):
         truncate_state(ecs_loss_analytic(1.5, 1.0, 12), tol=1e-10)
-    with pytest.raises(TruncationError):
-        ecs_loss_analytic(1.5, 1.0, 12, support_tol=1e-10)
 
 
-@pytest.mark.parametrize("support_tol", [None, 1e-10])
-def test_ecs_loss_analytic_is_exactly_hermitian(support_tol):
-    rho = ecs_loss_analytic(0.8, 0.5, 20, support_tol=support_tol).rho
+@pytest.mark.parametrize("cut", [None, 1e-10])
+def test_ecs_loss_analytic_is_exactly_hermitian(cut):
+    state = ecs_loss_analytic(0.8, 0.5, 20)
+    rho = (state if cut is None else truncate_state(state, tol=cut)).rho
     assert np.array_equal(rho, rho.conj().T)
 
 

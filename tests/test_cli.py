@@ -23,19 +23,27 @@ import ngcorr.measures
 import numpy as np
 
 from ngcorr.channels import apply_loss, ecs_loss_analytic
+from ngcorr.entanglement import eof_two_qubit
 from ngcorr.errors import BadSpec, ConvergenceFailure
+from ngcorr.fock import tensor, truncate_state
 from ngcorr.figures import (
     COLUMNS,
     FIGURES,
     Point,
     _lossy_delta,
     default_threads,
+    measure,
     run_figure,
     sweep,
 )
-from ngcorr.gaussian import CLOSED_FORM_KINDS, ORDERED_KINDS
+from ngcorr.gaussian import (
+    CLOSED_FORM_KINDS,
+    ORDERED_KINDS,
+    gaussian_log_negativity,
+    moments_from_fock,
+)
 from ngcorr.measures import delta_ng, ng_correlation
-from ngcorr.states import StateSpec, make_state
+from ngcorr.states import StateSpec, default_cutoff, make_state
 from ngcorr.xstate import ecs_to_xstate
 from oracles import (
     dense_sampled_lossy_ecs,
@@ -203,7 +211,7 @@ def test_csv_writer_format():
 def test_csv_byte_determinism():
     bufs = []
     for _ in range(2):
-        rows = run_figure("fig6b", {"grid": 3, "samples": 5, "seed": 11}, threads=2)
+        rows = run_figure("fig6b", {"samples": 5, "seed": 11}, threads=2)
         buf = io.StringIO()
         write_csv(rows, buf)
         bufs.append(buf.getvalue())
@@ -301,18 +309,31 @@ def test_fig4_builds_the_averaged_pair_once_per_point(monkeypatch):
     assert [r["status"] for r in rows] == ["ok"] * 8
 
 
-@pytest.mark.parametrize("options", [{"samples": 40, "seed": 3},
-                                     {"samples": 40, "seed": 4, "cutoff": 12}])
-def test_fig5_rows_match_the_dense_state_builder(monkeypatch, options):
+#: fig5's lb1 rows against the Fock route at cutoff 40, which misses the
+#: phase-space value by up to 1.2e-7 at the edge of fig5's range (gamma 1.5,
+#: eta 0.9)
+FIG5_FOCK40_GAP = 3e-7
+
+
+@pytest.mark.parametrize("options", [{"samples": 40, "seed": 3}, {"samples": 40, "seed": 4}])
+def test_fig5_rows_match_the_dense_state_builder(options):
+    # fig5 once built each sample's state (the dense builder, cut to its
+    # support): delta_ef and its flag came from that state's moments, lb1
+    # from its Fock pair; every row now comes from closed forms
     rows = run_figure("fig5", options, threads=1)
-    dense = dataclasses.replace(FIGURES["fig5"], state=dense_sampled_lossy_ecs)
-    monkeypatch.setitem(FIGURES, "fig5", dense)
-    expected = run_figure("fig5", options, threads=1)
-    assert [r.keys() for r in rows] == [r.keys() for r in expected]
-    for row, ref in zip(rows, expected):
-        assert [repr(row[c]) for c in COLUMNS] == [repr(ref[c]) for c in COLUMNS]
-    flagged = sum(r["status"] == "flagged" for r in rows)
-    assert flagged == (4 if "cutoff" in options else 0)
+    assert [r["measure"] for r in rows] == ["delta_ef", "ng_lb1"] * 40
+    assert {r["status"] for r in rows} == {"ok"}
+    assert {(r["cutoff"], r["tail_mass"]) for r in rows} == {("", "")}
+    for k, (ef, lb1) in enumerate(zip(rows[::2], rows[1::2])):
+        params = {"gamma": ef["gamma"], "eta": ef["eta"]}
+        dense = dense_sampled_lossy_ecs(params, None)
+        assert gaussian_log_negativity(moments_from_fock(dense)) <= 1e-9
+        want = float(eof_two_qubit(ecs_to_xstate(ef["gamma"], ef["eta"])))
+        assert repr(ef["value"]) == repr(want)
+        if k % 10 == 0:
+            fock40 = ng_correlation("lb1", ecs_loss_analytic(ef["gamma"], ef["eta"], 40)).value
+            old = ng_correlation("lb1", dense).value
+            assert abs(lb1["value"] - fock40) <= min(FIG5_FOCK40_GAP, abs(old - fock40) + 1e-13)
 
 
 @pytest.mark.parametrize("figure, options", [("fig4", {"grid": 6}), ("fig2ef", {"grid": 3})])
@@ -362,9 +383,11 @@ SMALL_LOSS_ETAS = (0.0, 1e-300, 1e-14, 1e-10, 2.4e-9)
 
 @pytest.mark.parametrize("gamma", [0.2, 1.0, 1.5])
 def test_fig5_closed_form_matches_the_channel_at_small_eta(gamma):
+    # the closed form that fig2ef and fig4 build, cut to its support, against
+    # the loss channel (the dense builder takes it at these etas)
     for eta in (*SMALL_LOSS_ETAS, np.nextafter(1e-8 / gamma**2, 0.0)):
         params = {"gamma": gamma, "eta": eta}
-        got = FIGURES["fig5"].state(params, None)
+        got = truncate_state(ecs_loss_analytic(gamma, eta, default_cutoff(gamma)), tol=1e-10)
         want = dense_sampled_lossy_ecs(params, None)
         assert got.dims == want.dims, eta
         assert np.max(np.abs(got.rho - want.rho)) <= 1e-15, eta
@@ -373,7 +396,7 @@ def test_fig5_closed_form_matches_the_channel_at_small_eta(gamma):
 def test_fig5_ef_excess_just_below_the_old_small_loss_threshold():
     params = {"gamma": 0.2, "eta": 2.4975e-7}
     fig = FIGURES["fig5"]
-    rows = sweep("fig5", [params], fig.measures, lambda p: fig.state(p, None))
+    rows = sweep("fig5", [params], fig.measures, lambda p: pytest.fail("fig5 built a state"))
     (row,) = [r for r in rows if r["measure"] == "delta_ef"]
     want = wootters_eof(spin_flip_concurrence(ecs_to_xstate(0.2, 2.4975e-7)))
     assert row["status"] == "ok" and row["value"] > 0.0
@@ -427,10 +450,10 @@ VANISHING = {
         StateSpec("ecs", {"gamma": 1.0}, cutoff=1), None, ["vn", "delta:tr", "ng:lb1"]), ()),
     "measure_state_odd_cat": (lambda: measure_rows(
         StateSpec("cat", {"gamma": 1.0, "sign": -1}, cutoff=1), None, ["vn"]), ()),
-    "fig4": (lambda: run_figure("fig4", {"grid": 2, "cutoff": 1}, threads=1), ("delta_vn",)),
+    "fig4": (lambda: run_figure("fig4", {"grid": 2, "cutoff": 1}, threads=1),
+             ("ng_lb1", "ng_lb2", "delta_vn")),
     "fig2ef": (lambda: run_figure(
         "fig2ef", {"grid": 2, "eta": (0.5, 1.0, 2), "cutoff": 1}, threads=1), ("delta_hs",)),
-    "fig5": (lambda: run_figure("fig5", {"samples": 3, "cutoff": 1}, threads=1), ()),
 }
 
 
@@ -785,10 +808,66 @@ def test_row_status_is_infinity_exactly_when_the_value_is_infinite(tmp_path):
     assert (pure_delta["value"], pure_delta["status"]) == ("-inf", "infinity")
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
 def test_importing_the_cli_loads_no_scipy():
+    # numpy is the one runtime dependency, and every run pays the import;
+    # the phase-space module is part of it
     code = ("import sys, ngcorr.cli; "
-            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    out = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True,
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')), "
+            "'ngcorr.phase' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": "src"})
-    assert out.stdout == "[]\n"
+    assert out.stdout == "[] True\n"
+
+
+#: Why a figure refuses each option it has no use for.
+REFUSED = {"cutoff": "builds no Fock state", "grid": "draws its points at random",
+           "samples": "sweeps a grid", "seed": "sweeps a grid"}
+
+
+@pytest.mark.parametrize("figure, key", [
+    ("fig2a", "cutoff"), ("fig2b", "cutoff"), ("fig2cd", "cutoff"), ("fig5", "cutoff"),
+    ("fig5", "grid"), ("fig6b", "grid"), ("fig3", "samples"), ("fig3", "seed"),
+    ("fig4", "seed"),
+])
+def test_an_option_the_figure_cannot_use_is_refused(capsys, figure, key):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run_figure", figure, f"--{key}", "2"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert err.endswith(f"error: {figure} {REFUSED[key]}; --{key} does not apply\n")
+    with pytest.raises(BadSpec, match=f"{figure} {REFUSED[key]}; option '{key}' does not apply"):
+        run_figure(figure, {key: 2}, threads=1)
+
+
+def test_a_closed_pipe_ends_the_run_without_a_traceback():
+    # fig2a's 1681 rows overfill the pipe, so the writer meets the closed end
+    proc = subprocess.Popen([sys.executable, "-m", "ngcorr.cli", "run_figure", "fig2a",
+                             "--threads", "1"], cwd=ROOT, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": "src"})
+    assert proc.stdout.readline().decode() == ",".join(COLUMNS) + "\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+NG_IDS = ("ng:tr", "ng:fid", "ng:lb1", "ng:lb2")
+
+
+def test_no_ng_row_is_a_negative_zero():
+    # -ln 1 is -0.0, which the CSV writes as -0
+    rows = run_figure("fig4", {"grid": 11}, threads=1) + run_figure("fig6a", {"grid": 5},
+                                                                     threads=1)
+    coherent = tensor(make_state(StateSpec("coherent", {"gamma": 0.6}, cutoff=16)),
+                      make_state(StateSpec("coherent", {"gamma": -0.4j}, cutoff=16)))
+    measures = [(mid, measure(*_parse_measure_id(mid))) for mid in NG_IDS]
+    rows += sweep("measure_state", [{}], measures, lambda _: coherent)
+    rows += measure_rows(StateSpec("tmsv", {"r": 0.3}, cutoff=20), None, NG_IDS)
+    values = [r["value"] for r in rows if r["measure"].startswith("ng")]
+    assert len(values) == 3 * 11 + 10 + 4 + 4
+    assert all(v == v and math.copysign(1.0, v) == 1.0 for v in values), values
