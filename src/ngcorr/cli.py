@@ -7,8 +7,8 @@ line, each key at most once, ``#`` comments allowed.  Keys: ``family``
 family's parameters (``states.FAMILY_PARAMS``: ``gamma``, ``f``, ``r``,
 ``nbar``, ``coeffs`` as a comma-separated list, ``levels`` likewise,
 ``sign``, ``modes``); a missing required parameter, one the family does not
-take, or a non-finite one is refused.  ``eta`` applies a symmetric loss
-channel after construction.  One state per file.
+take, or a non-finite one is refused.  ``eta``, in [0, 1], applies a
+symmetric loss channel after construction.  One state per file.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .channels import apply_loss
-from .errors import BadSpec, NGCorrError
+from .errors import BadSpec, NGCorrError, check_eta
 from .figures import COLUMNS, FIGURE_IDS, FIGURES, measure, run_figure, sweep
 from .gaussian import MI_KINDS, ORDERED_KINDS
 from .measures import NG_KINDS
@@ -50,12 +50,13 @@ def write_csv(rows, stream):
         stream.write(",".join(_fmt(row[c]) for c in COLUMNS) + "\n")
 
 
-def _count_arg(text):
+def _count_arg(text, name="count", least=1):
     """``states._count`` as an argparse type: a bad count is a usage error."""
     try:
-        return _count(text, "count")
+        return _count(text, name, least)
     except BadSpec:
-        raise argparse.ArgumentTypeError(f"count {text!r} must be an integer >= 1") from None
+        raise argparse.ArgumentTypeError(
+            f"{name} {text!r} must be an integer >= {least}") from None
 
 
 def _parse_range(text):
@@ -113,11 +114,14 @@ def parse_state_file(path):
     def number(key):
         value, lineno = keys.pop(key)
         try:
-            return _SPEC_VALUES.get(key, float)(value)
+            num = _SPEC_VALUES.get(key, float)(value)
         except ValueError:
             raise BadSpec(
                 f"{path}:{lineno}: key {key!r}: value {value!r} is not numeric"
             ) from None
+        if key == "eta":
+            check_eta(num, f"{path}:{lineno}: ")
+        return num
 
     cutoff = number("cutoff") if "cutoff" in keys else None
     loss_eta = number("eta") if "eta" in keys else None
@@ -231,7 +235,8 @@ def build_parser():
     p_fig.add_argument("--cutoff", type=_count_arg, help="Fock cutoff override")
     p_fig.add_argument("--grid", type=_count_arg, help="grid density override")
     p_fig.add_argument("--samples", type=_count_arg, help="sample count override")
-    p_fig.add_argument("--seed", type=int, help="sampling seed (default 0)")
+    p_fig.add_argument("--seed", type=lambda text: _count_arg(text, "seed", 0),
+                       help="sampling seed, an integer >= 0 (default 0)")
     p_fig.add_argument("--threads", type=int, default=None,
                        help="worker threads (default: NGCORR_THREADS or all cores)")
     for key in _RANGE_KEYS:

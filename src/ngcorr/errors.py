@@ -35,10 +35,11 @@ class BadEta(NGCorrError):
     """Transmittance outside [0, 1]."""
 
 
-def check_eta(eta):
-    """Raise ``BadEta`` unless the transmittance ``eta`` lies in [0, 1]."""
+def check_eta(eta, where=""):
+    """Raise ``BadEta``, its message led by ``where``, unless the transmittance
+    ``eta`` lies in [0, 1]."""
     if not 0.0 <= eta <= 1.0:
-        raise BadEta(f"eta = {eta} outside [0, 1]")
+        raise BadEta(f"{where}eta = {eta} outside [0, 1]")
 
 
 class UnphysicalCM(NGCorrError):

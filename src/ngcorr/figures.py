@@ -311,7 +311,7 @@ class Figure:
 
     def points(self, options):
         if self.draws:
-            seed = int(_opt(options, "seed", 0))
+            seed = _count(_opt(options, "seed", 0), "seed", least=0)
             rng = default_rng(seed)
             return [{**self.const, **{n: rng.uniform(lo, hi) for n, lo, hi in self.draws},
                      "seed": seed}

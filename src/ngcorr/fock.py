@@ -11,7 +11,7 @@ dense solver's own backward error: ||dropped||_F <= sqrt(d) eps ||M||_F.
 Otherwise M is solved as one complex block by the same code.
 
 A ``FockState`` keeps what is derived from it alone (``FockState.derive``),
-its eigensystem among them (``FockState.spectrum``); a ``tensor`` product
+its one eigensystem among them (``FockState.spectrum``); a ``tensor`` product
 builds its eigensystem from its factors' through ``kron_spectrum`` instead
 of solving it.  ``paired`` lines up two such eigensystems so their
 eigenvectors combine sector by sector.
@@ -102,15 +102,10 @@ class FockState:
         builders of the state alone, whose results are read-only."""
         return kept(self._derived, build, self)
 
-    def spectrum(self, vectors=True):
+    def spectrum(self):
         """Eigensystem of rho, kept with the state; its arrays are read-only.
-        ``vectors=False`` is a values-only solve of its own, never read off
-        the vector solve, so a value does not depend on which of the two was
-        asked for first."""
-        return self.derive(_eigensystem if vectors else _eigenvalues)
-
-    def purity(self):
-        return float(np.sum(np.abs(self.rho) ** 2))
+        It is the state's only eigensolve: the entropies read its values."""
+        return self.derive(_eigensystem)
 
     def __repr__(self):
         return f"FockState(dims={self.dims}, tail_mass={self.tail_mass:.3e})"
@@ -136,10 +131,6 @@ def _eigensystem(state):
     if state.factors:
         return kron_spectrum(*(f.spectrum() for f in state.factors))
     return spectra(state.dims, state.rho)
-
-
-def _eigenvalues(state):
-    return spectra(state.dims, state.rho, vectors=False)
 
 
 LadderOps = namedtuple("LadderOps", ["annihilation", "creation", "number", "q", "p"])
@@ -303,7 +294,8 @@ def _read_only(spec):
 def spectra(dims, mat, vectors=True):
     """Hermitian eigensystem of one operand on ``dims``, as a Spectrum with
     read-only arrays: two real total-photon-parity sectors, or one complex
-    block (see the module docstring)."""
+    block (see the module docstring).  ``vectors=False`` solves for the values
+    alone, for operands that are not states (a state's is its ``spectrum``)."""
     parity = np.indices(dims).sum(axis=0).ravel() % 2
     halves = [idx for idx in (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1))
               if idx.size]
@@ -416,23 +408,12 @@ def overlap(a, b):
     return float(np.real(np.sum(a.rho * b.rho.conj())))
 
 
-def fidelity(kind, a, b):
-    """Uhlmann fidelity (tr sqrt(sqrt(A) B sqrt(A)))^2 or its superfidelity bound.
-
-    The superfidelity G = tr[AB] + sqrt(1 - tr A^2) sqrt(1 - tr B^2)
-    upper-bounds the Uhlmann value for density matrices.
-    """
+def fidelity(a, b):
+    """Uhlmann fidelity (tr sqrt(sqrt(A) B sqrt(A)))^2 of two states."""
     _check_same_dims(a, b)
-    if kind == "uhlmann":
-        # tr sqrt(sqrt(A) B sqrt(A)) is the sum of the b = 1/2 values
-        sa, sb = paired(a.spectrum(), b.spectrum())
-        return float(np.sum(sandwich_singular_values(sa, sb, 0.5, sb.rank_floor())) ** 2)
-    if kind == "super":
-        ov = overlap(a, b)
-        ia = math.sqrt(max(0.0, 1.0 - a.purity()))
-        ib = math.sqrt(max(0.0, 1.0 - b.purity()))
-        return float(ov + ia * ib)
-    raise ValueError(f"unknown fidelity kind {kind!r}")
+    # tr sqrt(sqrt(A) B sqrt(A)) is the sum of the b = 1/2 values
+    sa, sb = paired(a.spectrum(), b.spectrum())
+    return float(np.sum(sandwich_singular_values(sa, sb, 0.5, sb.rank_floor())) ** 2)
 
 
 def unit_vector(vec):

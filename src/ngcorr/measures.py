@@ -17,7 +17,9 @@ are plain functions that build afresh on each call.
 ``ng_bounds`` gives ``lb1`` and ``lb2`` of a state held as a sum of Gaussian
 terms (``phase.Terms``) exactly, with no cutoff.  It is the figures' route
 for the lossy ECS; ``ng_correlation`` is the only route for a ``FockState``
-and the tests' oracle for ``ng_bounds``.
+and the tests' oracle for ``ng_bounds``.  Both routes take the two bounds
+from the same three traces of the averaged pair, through one formula
+(``_lower_bounds``).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .fock import (
     FockState,
     distance,
     fidelity,
+    overlap,
     paired,
     partial_trace,
     sandwich_singular_values,
@@ -77,7 +80,7 @@ class MeasureResult:
 
 
 def _support_eigs(state):
-    w = state.spectrum(vectors=False).eigenvalues()
+    w = state.spectrum().eigenvalues()
     return w[w > EIG_SUPPORT_FLOOR]
 
 
@@ -164,7 +167,7 @@ def mutual_information(kind, state, alpha=None):
     if kind == "tr":
         return MeasureResult.on(state, distance("trace", state, prod))
     # bures
-    f = min(1.0, fidelity("uhlmann", state, prod))
+    f = min(1.0, fidelity(state, prod))
     return MeasureResult.on(state, math.sqrt(max(0.0, 2.0 * (1.0 - math.sqrt(f)))))
 
 
@@ -213,7 +216,7 @@ def ng_correlation(kind, state):
 
     kinds: 'tr' (trace distance), 'fid' (order-1/2 relative entropy from the
     Uhlmann fidelity), 'lb1' (superfidelity lower bound), 'lb2'
-    (Hilbert-Schmidt lower bound); fid >= lb1 >= lb2.
+    (Hilbert-Schmidt lower bound, both from ``_lower_bounds``); fid >= lb1 >= lb2.
     """
     if kind not in NG_KINDS:
         raise ValueError(f"unknown ng_correlation kind {kind!r}")
@@ -221,12 +224,19 @@ def ng_correlation(kind, state):
     if kind == "tr":
         return MeasureResult.on(state, distance("trace", rt, st))
     if kind == "fid":
-        f = min(1.0, fidelity("uhlmann", rt, st))
+        f = min(1.0, fidelity(rt, st))
         return MeasureResult.on(state, _neg_log(f))
-    if kind == "lb1":
-        return MeasureResult.on(state, _neg_log(min(1.0, fidelity("super", rt, st))))
-    d2 = distance("hilbert_schmidt", rt, st) ** 2
-    return MeasureResult.on(state, _neg_log(1.0 - 0.5 * d2))
+    lb1, lb2 = _lower_bounds(overlap(rt, rt), overlap(st, st), overlap(rt, st))
+    return MeasureResult.on(state, lb1 if kind == "lb1" else lb2)
+
+
+def _lower_bounds(rr, ss, rs):
+    """(lb1, lb2) = -ln of G = rs + sqrt(1 - rr) sqrt(1 - ss), the superfidelity
+    (Miszczak et al., Quantum Inf. Comput. 9, 103 (2009)), and of 1 - D_HS^2 / 2
+    = 1 - (rr + ss - 2 rs) / 2, from rr = tr rho~^2, ss = tr sigma~^2 and
+    rs = tr rho~ sigma~.  F <= G <= 1 - D_HS^2 / 2 (AM-GM): fid >= lb1 >= lb2."""
+    g = min(1.0, rs + math.sqrt(max(0.0, 1.0 - rr)) * math.sqrt(max(0.0, 1.0 - ss)))
+    return _neg_log(g), _neg_log(1.0 - 0.5 * max(0.0, rr + ss - 2.0 * rs))
 
 
 def _neg_log(x):
@@ -237,9 +247,9 @@ def _neg_log(x):
 
 def ng_bounds(rho):
     """(lb1, lb2) of a unit-trace two-mode ``phase.Terms`` state, as
-    ``ng_correlation`` defines them, from tr rho~^2, tr sigma~^2 and
-    tr rho~ sigma~ of the averaged pair's term sums (5 and 17 terms for a
-    4-term state).  sigma is the Gaussian state of the sum's own moments."""
+    ``ng_correlation`` gives them, from the traces of the averaged pair's term
+    sums (5 and 17 terms for a 4-term state).  sigma is the Gaussian state of
+    the sum's own moments."""
     sigma = phase.gaussian_state(phase.moments(rho))
 
     def product(t):
@@ -247,6 +257,5 @@ def ng_bounds(rho):
 
     rt = phase.weighted_sum([(0.5, rho), (0.5, product(sigma))])
     st = phase.weighted_sum([(0.5, sigma), (0.5, product(rho))])
-    rr, ss, rs = (phase.overlap(a, b).real for a, b in ((rt, rt), (st, st), (rt, st)))
-    g = min(1.0, rs + math.sqrt(max(0.0, 1.0 - rr)) * math.sqrt(max(0.0, 1.0 - ss)))
-    return _neg_log(g), _neg_log(1.0 - 0.5 * max(0.0, rr + ss - 2.0 * rs))
+    return _lower_bounds(*(phase.overlap(a, b).real
+                           for a, b in ((rt, rt), (st, st), (rt, st))))

@@ -25,11 +25,12 @@ FAMILY_PARAMS = {
 FAMILIES = tuple(FAMILY_PARAMS)
 
 
-def _count(value, name):
-    """A cutoff, mode, thread, grid, sample or range count: an integer of at
-    least 1, given as an int or its decimal string."""
-    if not str(value).strip().isdecimal() or int(value) < 1:
-        raise BadSpec(f"{name}={value!r} is not a positive integer")
+def _count(value, name, least=1):
+    """A cutoff, mode, thread, grid, sample or range count, or a seed with
+    ``least`` 0: an integer >= ``least``, given as an int or its decimal string."""
+    if not str(value).strip().isdecimal() or int(value) < least:
+        sign = "positive" if least else "non-negative"
+        raise BadSpec(f"{name}={value!r} is not a {sign} integer")
     return int(value)
 
 

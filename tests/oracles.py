@@ -284,7 +284,7 @@ def ng_lb2_fast(case, state, reference=None):
         ra, rb = _marginals(state)
         for m in (ra, rb):
             mref = reference_gaussian_fock(moments_from_fock(m), m.dims)
-            f = fidelity("uhlmann", m, mref)
+            f = fidelity(m, mref)
             if f < 1.0 - LOCAL_GAUSSIAN_TOL:
                 raise CaseNotApplicable(
                     f"marginal is non-Gaussian: fidelity to reference {f!r}"
@@ -313,8 +313,11 @@ def displacement(alpha, cutoff):
 
 
 def superfidelity_chain(a, b):
-    """(F, G, 1 - D_HS^2/2) for two states; the three are ordered increasingly."""
-    f = fidelity("uhlmann", a, b)
-    g = fidelity("super", a, b)
+    """(F, G, 1 - D_HS^2/2) for two states; the three are ordered increasingly.
+    G = tr AB + sqrt(1 - tr A^2) sqrt(1 - tr B^2) from its own matrix products,
+    not from the library's bound formula."""
+    f = fidelity(a, b)
+    ab, aa, bb = (float(np.trace(x.rho @ y.rho).real) for x, y in ((a, b), (a, a), (b, b)))
+    g = ab + math.sqrt(max(0.0, 1.0 - aa)) * math.sqrt(max(0.0, 1.0 - bb))
     d2 = distance("hilbert_schmidt", a, b) ** 2
     return f, g, 1.0 - 0.5 * d2

@@ -68,13 +68,11 @@ def test_cache_is_bounded_and_hands_out_read_only_arrays(name):
 def test_memoised_spectra_are_kept_and_hand_out_read_only_arrays():
     state = apply_loss(make_state(StateSpec("ecs", {"gamma": 1.0}, cutoff=12)), 0.7)
     product = marginal_product(state)
-    for spec in (state.spectrum(), state.spectrum(vectors=False), product.spectrum(),
-                 state.spectrum().one_block()):
+    for spec in (state.spectrum(), product.spectrum(), state.spectrum().one_block()):
         arrays = list(_arrays(tuple(spec)))
         assert arrays
         assert not any(a.flags.writeable for a in arrays)
     assert state.spectrum() is state.spectrum()
-    assert state.spectrum(vectors=False) is state.spectrum(vectors=False)
     assert product.spectrum() is product.spectrum()
     with pytest.raises(ValueError):
         state.spectrum().vectors[0][0, 0] = 0.0
@@ -82,7 +80,7 @@ def test_memoised_spectra_are_kept_and_hand_out_read_only_arrays():
 
 #: What a two-mode state keeps once every measure kind has run on it: the
 #: builders of the state alone, none that depends on an order alpha.
-KEPT = {"_eigensystem", "_eigenvalues", "_marginals", "marginal_product",
+KEPT = {"_eigensystem", "_marginals", "marginal_product",
         "moments_from_fock", "reference_state", "averaged_states"}
 
 

@@ -8,6 +8,7 @@ from ngcorr.errors import BadEta, DomainError, TruncationError
 from ngcorr.fock import (
     FockState,
     distance,
+    overlap,
     pure_state,
     tensor,
     truncate_state,
@@ -117,7 +118,7 @@ def test_ecs_loss_analytic_is_the_rank_two_mixture_of_its_branches(eta, gamma, c
 
 def test_ecs_loss_unit_transmittance_is_pure():
     st = ecs_loss_analytic(0.8, 1.0, 20)
-    assert st.purity() == pytest.approx(1.0, abs=1e-10)
+    assert overlap(st, st) == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("eta", [-0.1, 1.5])

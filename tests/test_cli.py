@@ -733,6 +733,23 @@ def test_library_non_finite_range_end_is_a_bad_spec(figure, options):
         FIGURES[figure].points(options)
 
 
+@pytest.mark.parametrize("seed", ["-1", "2.5", "x"])
+def test_a_seed_that_is_not_a_non_negative_integer_is_a_usage_error(capsys, seed):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run_figure", "fig5", "--samples", "2", f"--seed={seed}"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and f"seed {seed!r} must be an integer >= 0" in err
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, "2.5", True],
+                         ids=["negative", "float", "float-text", "bool"])
+def test_library_seed_that_is_not_a_non_negative_integer_is_a_bad_spec(seed):
+    with pytest.raises(BadSpec, match="is not a non-negative integer"):
+        FIGURES["fig5"].points({"samples": 2, "seed": seed})
+    assert {p["seed"] for p in FIGURES["fig5"].points({"samples": 2, "seed": 0})} == {0}
+
+
 @pytest.mark.parametrize("cutoff", ["0", "-3"])
 def test_cutoff_below_one_is_refused_on_every_route(tmp_path, capsys, cutoff):
     with pytest.raises(SystemExit) as exit_info:
@@ -779,6 +796,18 @@ def test_spec_file_the_family_cannot_build_is_reported(tmp_path, capsys, text, m
         main(["measure_state", str(path), "vn"])
     assert exit_info.value.code == 2
     assert capsys.readouterr().err == f"ngcorr: error: {message.format(path=path)}\n"
+
+
+@pytest.mark.parametrize("eta", ["1.5", "nan", "-0.1"])
+def test_spec_file_eta_outside_the_unit_interval_is_reported_with_its_line(
+        tmp_path, capsys, eta):
+    path = tmp_path / "x.spec"
+    path.write_text(f"family = ecs\ngamma = 1.0\neta = {eta}\ncutoff = 8\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["measure_state", str(path), "vn"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == (
+        f"ngcorr: error: {path}:3: eta = {float(eta)} outside [0, 1]\n")
 
 
 #: One id of every kind, delta and ng ids included.

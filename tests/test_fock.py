@@ -18,6 +18,7 @@ from ngcorr.fock import (
     tensor,
     truncate_state,
 )
+from ngcorr.measures import _lower_bounds
 from ngcorr.states import StateSpec, make_state
 from oracles import expect
 from sampling import random_density_matrix
@@ -89,14 +90,16 @@ def test_uhlmann_fidelity_pure_overlap(rng):
     w /= np.linalg.norm(w)
     a = pure_state(v, (4,))
     b = pure_state(w, (4,))
-    assert fidelity("uhlmann", a, b) == pytest.approx(abs(np.vdot(v, w)) ** 2, abs=1e-12)
+    assert fidelity(a, b) == pytest.approx(abs(np.vdot(v, w)) ** 2, abs=1e-12)
 
 
 def test_superfidelity_upper_bounds_fidelity(rng):
+    # the superfidelity G = exp(-lb1) of the bound formula both ng routes use
     for _ in range(20):
         a = FockState((6,), random_density_matrix(rng, 6), validate=False)
         b = FockState((6,), random_density_matrix(rng, 6), validate=False)
-        assert fidelity("super", a, b) >= fidelity("uhlmann", a, b) - 1e-10
+        lb1, _ = _lower_bounds(overlap(a, a), overlap(b, b), overlap(a, b))
+        assert math.exp(-lb1) >= fidelity(a, b) - 1e-10
 
 
 def test_overlap_matches_trace(rng):

@@ -54,7 +54,7 @@ def test_relative_entropy_half_order_is_log_fidelity():
         st = make_state(spec)
         prod = marginal_product(st)
         v = sandwiched_relative_entropy(st, prod, 0.5)
-        assert v == pytest.approx(-math.log(fidelity("uhlmann", st, prod)), abs=1e-9)
+        assert v == pytest.approx(-math.log(fidelity(st, prod)), abs=1e-9)
 
 
 def test_support_mismatch_infinite():
@@ -127,12 +127,16 @@ def test_averaged_states_are_states():
 
 
 def test_ng_kind_ordering():
-    st = apply_loss(make_state(StateSpec("ecs", {"gamma": 1.0}, cutoff=20)), 0.6)
-    fid_v = ng_correlation("fid", st).value
-    lb1 = ng_correlation("lb1", st).value
-    lb2 = ng_correlation("lb2", st).value
-    assert fid_v >= lb1 - 1e-9
-    assert lb1 >= lb2 - 1e-10
+    # lb1 >= lb2 is AM-GM on the same three traces, so it holds to rounding,
+    # also on the TMSV, whose bounds are both noise about 0 at its cutoff 8
+    for st in (apply_loss(make_state(StateSpec("ecs", {"gamma": 1.0}, cutoff=20)), 0.6),
+               make_state(StateSpec("tmsv", {"r": 0.3})),
+               make_state(StateSpec("cv_werner", {"f": 0.4, "r": 0.2}, cutoff=12))):
+        fid_v = ng_correlation("fid", st).value
+        lb1 = ng_correlation("lb1", st).value
+        lb2 = ng_correlation("lb2", st).value
+        assert fid_v >= lb1 - 1e-9
+        assert lb1 >= lb2 - 1e-15
 
 
 def test_lb2_fast_product_reference_case():
