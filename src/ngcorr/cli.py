@@ -21,12 +21,10 @@ from pathlib import Path
 
 from .channels import apply_loss
 from .errors import BadSpec, NGCorrError, check_eta
-from .figures import COLUMNS, FIGURE_IDS, FIGURES, measure, run_figure, sweep
+from .figures import COLUMNS, FIGURE_IDS, FIGURES, RANGE_KEYS, measure, run_figure, sweep
 from .gaussian import MI_KINDS, ORDERED_KINDS
 from .measures import NG_KINDS
 from .states import FAMILIES, StateSpec, _count, make_state
-
-_RANGE_KEYS = ("gamma", "alpha", "eta", "f", "r", "x")
 
 #: The checkout's test suites, next to ``src/``.
 TESTS_DIR = Path(__file__).resolve().parents[2] / "tests"
@@ -183,7 +181,7 @@ def _cmd_run_figure(args):
         "seed": args.seed,
         "cutoff": args.cutoff,
     }
-    for key in _RANGE_KEYS:
+    for key in RANGE_KEYS:
         val = getattr(args, key)
         if val is not None:
             options[key] = val
@@ -239,7 +237,7 @@ def build_parser():
                        help="sampling seed, an integer >= 0 (default 0)")
     p_fig.add_argument("--threads", type=int, default=None,
                        help="worker threads (default: NGCORR_THREADS or all cores)")
-    for key in _RANGE_KEYS:
+    for key in RANGE_KEYS:
         p_fig.add_argument(f"--{key}", type=_parse_range, metavar="START:STOP:COUNT")
     p_fig.set_defaults(func=_cmd_run_figure)
 
@@ -262,14 +260,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "run_figure":
-        fig = FIGURES[args.id]
-        swept = [axis[0] for axis in fig.axes]
-        for key in _RANGE_KEYS:
-            if getattr(args, key) is not None and key not in swept:
-                accepted = " ".join(f"--{name}" for name in swept) or "none"
-                parser.error(f"{args.id} sweeps no {key} axis; "
-                             f"its range flags: {accepted}")
-        for key, why in fig.unused.items():
+        for key, why in FIGURES[args.id].unused.items():
             if getattr(args, key) is not None:
                 parser.error(f"{args.id} {why}; --{key} does not apply")
     try:

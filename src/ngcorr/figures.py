@@ -282,6 +282,10 @@ def _en_distilled(pt):
     return MeasureResult.on(dist, log_negativity_fock(dist))
 
 
+#: The axes a figure may sweep, each one a START:STOP:COUNT range option.
+RANGE_KEYS = ("gamma", "alpha", "eta", "f", "r", "x")
+
+
 @dataclass(frozen=True)
 class Figure:
     """One figure's sweep.
@@ -305,6 +309,9 @@ class Figure:
     def unused(self):
         """The options this figure has no use for, each with the reason."""
         reasons = {"cutoff": "builds no Fock state"} if self.state is None else {}
+        swept = [axis[0] for axis in self.axes]
+        reasons.update((key, f"sweeps no {key} axis")
+                       for key in RANGE_KEYS if key not in swept)
         if self.draws:
             return {**reasons, "grid": "draws its points at random"}
         return {**reasons, "samples": "sweeps a grid", "seed": "sweeps a grid"}

@@ -28,10 +28,6 @@ import numpy as np
 from .errors import (FLAGGED, BadModeIndex, DimMismatch, InvalidCutoff, InvalidState,
                      TruncationError)
 
-#: Eigenvalues below this are treated as exactly zero in fractional or
-#: negative matrix powers (double-precision eigensolver noise scale).
-EIG_SUPPORT_FLOOR = 1e-12
-
 #: Default tolerance on the population of the highest retained Fock level.
 DEFAULT_TAIL_TOL = 1e-6
 

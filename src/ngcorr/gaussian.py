@@ -285,13 +285,22 @@ def reference_gaussian_fock(spec, cutoff):
     return state
 
 
+def _at_half(lams, mat):
+    """The symplectic eigenvalues ``lams`` of the d x d matrix ``mat``, each
+    within 2 d eps ||mat||_F of 1/2 set to exactly 1/2: the numerical-rank
+    rule of ``fock.Spectrum.rank_floor`` for a spectrum whose floor is 1/2,
+    where the closed forms raise lambda - 1/2 to fractional powers.  Twice
+    the eigensolve's own scale d eps ||mat||_F, as a composed matrix carries
+    rounding of its own (up to 5.1 eps ||mat||_F on the figures' grids)."""
+    tol = 2 * mat.shape[0] * np.finfo(float).eps * np.linalg.norm(mat)
+    return [0.5 if abs(lam - 0.5) <= tol else lam for lam in lams]
+
+
 def g_func(x, alpha):
-    """g(x, alpha) = 1 / ((x + 1/2)^alpha - (x - 1/2)^alpha); g(x, 1) = 1."""
+    """g(x, alpha) = 1 / ((x + 1/2)^alpha - (x - 1/2)^alpha)."""
     if x < 0.5 - PHYSICALITY_TOL:
         raise DomainError(f"g undefined for x = {x} < 1/2")
     x = max(x, 0.5)
-    if alpha == 1.0:
-        return 1.0
     return 1.0 / ((x + 0.5) ** alpha - (x - 0.5) ** alpha)
 
 
@@ -305,8 +314,6 @@ def _zeta(x, beta):
     """Thermal parameter of sigma^beta / tr[sigma^beta] for a single mode."""
     xp = complex(x + 0.5)
     xm = complex(x - 0.5)
-    if abs(xm) < 1e-15:
-        return 0.5
     return 0.5 * (xp**beta + xm**beta) / (xp**beta - xm**beta)
 
 
@@ -351,7 +358,9 @@ def gaussian_mi(kind, spec, alpha=None):
             raise UnphysicalCM("standard form outside the physical region")
         val = 0.25 / math.sqrt(m1) + 0.25 / (a * b) - 2.0 / math.sqrt(m2)
         return math.sqrt(max(0.0, val))
-    lam1, lam2 = standard_form_symplectic_eigs(sf)
+    a, b, lam1, lam2 = _at_half((a, b, *standard_form_symplectic_eigs(sf)), sf.assemble())
+    if 0.5 in (a, b):  # a pure marginal: a product state after all
+        return 0.0
     if alpha == 1.0:
         return (
             _thermal_entropy(a)
@@ -363,20 +372,20 @@ def gaussian_mi(kind, spec, alpha=None):
         num = g_func(a, alpha) * g_func(b, alpha)
         den = g_func(lam1, alpha) * g_func(lam2, alpha)
         return float(math.log(num / den) / (1.0 - alpha))
-    return _sandwiched_gaussian(sf, alpha)
+    return _sandwiched_gaussian(sf, a, b, lam1, alpha)
 
 
-def _sandwiched_gaussian(sf, alpha):
-    """Composition-rule pipeline for the relative-entropy type mutual information.
+def _sandwiched_gaussian(sf, a, b, lam1, alpha):
+    """Composition-rule pipeline for the relative-entropy type mutual
+    information of the standard form ``sf``, given its local symplectic
+    eigenvalues a, b and the larger global one, lam1, after ``_at_half``.
 
     For alpha > 1 the rescaled marginal covariance is an analytic
     continuation (negative thermal parameter), so the intermediate algebra
     is done over the complex field and the result is realized at the end.
     """
-    a, b = sf.a, sf.b
     # A pure correlated two-mode Gaussian state has a geometric Schmidt
-    # spectrum, so the defining trace diverges for alpha >= 2.
-    lam1, _ = standard_form_symplectic_eigs(sf)
+    # spectrum, so the defining trace diverges for alpha >= 2;
     # the purity margin sits above the sqrt(eps) cancellation noise that the
     # symplectic eigenvalue inherits from (ab - c^2)(ab - d^2)
     if alpha >= 2.0 and lam1 <= 0.5 + 1e-7 and sf.c > 1e-9:
@@ -393,7 +402,7 @@ def _sandwiched_gaussian(sf, alpha):
     h1 = _h_compose(gprime, gm)
     det2 = np.linalg.det(h1 + gprime)
     h2 = _h_compose(h1, gprime)
-    lam = _symplectic_eigs_raw(h2)
+    lam = _at_half(_symplectic_eigs_raw(h2), h2)
     # thermal-series ratio |(lam - 1/2)/(lam + 1/2)| touching the unit
     # circle marks the end of the convergent region of the defining trace
     if max(abs((l - 0.5) / (l + 0.5)) for l in lam) >= 1.0 - 1e-9:

@@ -10,9 +10,9 @@ Two families of scalars:
 Every measure reads the operands it shares with the others through the
 state's memo (``FockState.derive``): the marginals, their product, the
 moments, the Gaussian reference and the averaged pair are built once per
-state, and the reference keeps its own marginals the same way.  The public
-builders (``marginal_product``, ``reference_state``, ``averaged_states``)
-are plain functions that build afresh on each call.
+state, and the reference keeps its own marginals and their product the
+same way.  The public builders (``marginal_product``, ``reference_state``,
+``averaged_states``) are plain functions that build afresh on each call.
 
 ``ng_bounds`` gives ``lb1`` and ``lb2`` of a state held as a sum of Gaussian
 terms (``phase.Terms``) exactly, with no cutoff.  It is the figures' route
@@ -32,7 +32,6 @@ import numpy as np
 from . import phase
 from .errors import BadSpec
 from .fock import (
-    EIG_SUPPORT_FLOOR,
     FockState,
     distance,
     fidelity,
@@ -48,11 +47,12 @@ NG_KINDS = ("tr", "fid", "lb1", "lb2")
 #: Delta kinds whose reference value needs the synthesized Fock reference.
 FOCK_REFERENCE_KINDS = ("tr", "bures")
 
-#: Mass of rho outside supp(sigma) above which the alpha > 1 sandwiched
+#: Mass of rho outside supp(sigma) above which the alpha >= 1 sandwiched
 #: divergence is reported as infinite.  Full-rank states with geometrically
-#: decaying spectra dip below the numerical support floor at large photon
-#: number, carrying target mass of order 1e-8 there; the tolerance sits well
-#: above that but far below any structural support mismatch.
+#: decaying spectra dip below sigma's numerical rank at large photon number,
+#: carrying target mass there (3.3e-7 for a cutoff-30 two-mode squeezed
+#: vacuum at r = 0.6); the tolerance sits above that but far below any
+#: structural support mismatch.
 SUPPORT_LEAK_TOL = 1e-6
 
 
@@ -74,14 +74,12 @@ class MeasureResult:
         """A value derived from ``state``, reported at its cutoff and tail mass."""
         return cls(float(value), state.dims, state.tail_mass)
 
-    @property
-    def status(self):
-        return status_of(self.value)
-
 
 def _support_eigs(state):
-    w = state.spectrum().eigenvalues()
-    return w[w > EIG_SUPPORT_FLOOR]
+    """The state's eigenvalues above its numerical rank (``rank_floor``)."""
+    spec = state.spectrum()
+    w = spec.eigenvalues()
+    return w[w > spec.rank_floor()]
 
 
 def _vn_entropy(state):
@@ -111,31 +109,29 @@ def marginal_product(state):
 def sandwiched_relative_entropy(rho, sigma, alpha):
     """Order-alpha sandwiched relative entropy of rho with respect to sigma.
 
-    Infinite when alpha >= 1 and rho leaks outside the support of sigma.
+    Infinite when alpha >= 1 and rho leaks outside the support of sigma, the
+    span of its eigenvectors above its numerical rank (``Spectrum.rank_floor``).
     alpha = 1 gives the ordinary relative entropy.
     """
     _, alpha = mi_kind("sandwiched", alpha)
     r, s = paired(rho.spectrum(), sigma.spectrum())
+    floor = s.rank_floor()
     if alpha >= 1.0:
         # populations sum_k p_k |<v_j|u_k>|^2 of rho in the eigenbasis of sigma
         pops = [
             (np.abs(v.conj().T @ u) ** 2) @ w
             for w, u, v in zip(r.values, r.vectors, s.vectors)
         ]
-        leak = sum(
-            float(np.sum(q[w <= EIG_SUPPORT_FLOOR])) for q, w in zip(pops, s.values)
-        )
+        leak = sum(float(np.sum(q[w <= floor])) for q, w in zip(pops, s.values))
         if leak > SUPPORT_LEAK_TOL:
             return math.inf
     if alpha == 1.0:
-        wr = r.eigenvalues()
-        wr = wr[wr > EIG_SUPPORT_FLOOR]
         # tr[rho log sigma] = sum_j <v_j|rho|v_j> log s_j
         tr_rho_log_sigma = 0.0
         for q, w in zip(pops, s.values):
-            on = w > EIG_SUPPORT_FLOOR
+            on = w > floor
             tr_rho_log_sigma += float(np.sum(q[on] * np.log(w[on])))
-        return float(np.sum(wr * np.log(wr))) - tr_rho_log_sigma
+        return -_vn_entropy(rho) - tr_rho_log_sigma
     # sigma keeps its whole positive spectrum: at alpha > 1 a support floor
     # would drop real weight (a structural leak is already infinite above)
     w = sandwich_singular_values(r, s, (1.0 - alpha) / (2.0 * alpha), 0.0) ** 2
@@ -199,16 +195,14 @@ def averaged_states(state):
     rho_tilde = (rho_AB + sigma_A x sigma_B)/2 and
     sigma_tilde = (sigma_AB + rho_A x rho_B)/2, where sigma is the Gaussian
     reference of rho.  Their difference keeps the full target-vs-reference
-    information while both operands stay valid states.
+    information while both operands stay valid states.  Each product is the
+    one kept with its state (``marginal_product``).
     """
     sigma = state.derive(reference_state)
-    sa, sb = sigma.derive(_marginals)
-    prod = state.derive(marginal_product)
-    rho_tilde = FockState(
-        state.dims, 0.5 * (state.rho + np.kron(sa.rho, sb.rho)), validate=False
-    )
-    sigma_tilde = FockState(state.dims, 0.5 * (sigma.rho + prod.rho), validate=False)
-    return rho_tilde, sigma_tilde
+    rho_tilde = 0.5 * (state.rho + sigma.derive(marginal_product).rho)
+    sigma_tilde = 0.5 * (sigma.rho + state.derive(marginal_product).rho)
+    return (FockState(state.dims, rho_tilde, validate=False),
+            FockState(state.dims, sigma_tilde, validate=False))
 
 
 def ng_correlation(kind, state):

@@ -192,6 +192,24 @@ def test_measure_rows_build_the_states_marginal_product_once(
     ]
 
 
+def test_a_point_builds_each_marginal_product_once(monkeypatch):
+    # rho_A x rho_B and sigma_A x sigma_B, once each: delta:tr keeps the
+    # reference's product with it, where ng:tr's averaged pair reads it
+    spec = StateSpec("ecs", {"gamma": 1.0}, cutoff=12)
+    kron, products = np.kron, []
+
+    def counted(a, b):
+        out = kron(a, b)
+        if out.shape == (144, 144):
+            products.append(out)
+        return out
+
+    monkeypatch.setattr(np, "kron", counted)
+    rows = measure_rows(spec, 0.7, ["delta:tr", "ng:tr"])
+    assert [r["status"] for r in rows] == ["ok", "ok"]
+    assert len(products) == 2
+
+
 def test_measure_rows_flags_each_id_when_synthesis_fails(monkeypatch):
     calls = _count_synthesis(monkeypatch, fail=True)
     rows = measure_rows(LOSSY_ECS, 0.7, ["ng:tr", "vn", "delta:tr", "ng:lb1"])
@@ -431,6 +449,15 @@ def test_range_flag_without_an_axis_is_a_usage_error(capsys, figure, flag):
     err = capsys.readouterr().err
     assert err.startswith("usage:")
     assert f"{figure} sweeps no {flag[2:]} axis" in err
+
+
+@pytest.mark.parametrize("figure, axis", [("fig4", "gamma"), ("fig5", "gamma"),
+                                          ("fig6cd", "eta"), ("fig2a", "r")])
+def test_library_range_option_without_an_axis_is_a_bad_spec(figure, axis):
+    # no option is ignored: fig4 fixes gamma = 1, and fig5 draws it
+    with pytest.raises(BadSpec, match=f"{figure} sweeps no {axis} axis; "
+                                      f"option '{axis}' does not apply"):
+        run_figure(figure, {axis: (0.5, 0.9, 3), "grid": 2}, threads=1)
 
 
 def test_fig2_domain_error_is_flagged():

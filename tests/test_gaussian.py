@@ -157,20 +157,106 @@ def test_fock_bures_mi_meets_the_pure_tmsv_anchor(r):
     assert abs(got - math.sqrt(2.0 * (1.0 - math.sqrt(fid)))) < 1e-12
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="at the pure reference the closed form's (lambda - 1/2)^alpha "
-    "turns eps-level noise in the symplectic eigenvalue into about sqrt(eps): "
-    "it misses the anchor by 2.1e-8, 3.0e-8 and 4.2e-8 (see CHANGES.md)",
-)
+def _tmsv_spec(r):
+    ch, sh = 0.5 * math.cosh(2 * r), 0.5 * math.sinh(2 * r)
+    return StandardFormCM(ch, ch, sh, -sh).to_spec()
+
+
 @pytest.mark.parametrize("r", [0.1, 0.3, 0.6])
 def test_sandwiched_half_closed_form_meets_the_pure_tmsv_anchor(r):
     # the order-1/2 sandwiched divergence is -ln F, with F as above
     x = math.tanh(r) ** 2
-    ch, sh = 0.5 * math.cosh(2 * r), 0.5 * math.sinh(2 * r)
-    tmsv = StandardFormCM(ch, ch, sh, -sh)
-    got = gaussian_mi("sandwiched", tmsv.to_spec(), 0.5)
+    got = gaussian_mi("sandwiched", _tmsv_spec(r), 0.5)
     assert abs(got + math.log((1.0 - x) ** 3 / (1.0 - x**3))) < 1e-12
+
+
+def test_a_local_eigenvalue_at_rounding_distance_from_half_is_a_pure_marginal():
+    # a - 1/2 = 1.6e-15 is within the rule's 2 d eps ||Gamma||_F = 1.8e-15,
+    # so the marginals are pure and the state a product: every entropic kind
+    # reads 0, where the alpha > 1 pipeline would divide by 0^beta
+    spec = _tmsv_spec(4e-8)
+    for kind in ("renyi", "sandwiched"):
+        for alpha in (0.5, 1.5):
+            assert gaussian_mi(kind, spec, alpha) == 0.0
+    assert gaussian_mi("vn", spec) == 0.0
+
+
+@pytest.mark.parametrize("r", [0.1, 0.3, 0.6])
+def test_fock_renyi_half_mi_meets_the_tmsv_closed_form(r):
+    # the marginals' geometric spectra reach far below 1e-12, and at order
+    # 1/2 each eigenvalue p adds sqrt(p): all above the numerical rank count
+    st = make_state(StateSpec("tmsv", {"r": r}, cutoff=30))
+    got = mutual_information("renyi", st, 0.5).value
+    assert abs(got - gaussian_mi("renyi", _tmsv_spec(r), 0.5)) < 5e-7
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+def test_fock_sandwiched_mi_of_a_full_rank_tmsv_is_finite(alpha):
+    # the target's mass beyond the product's numerical rank is 3.3e-7 here,
+    # a truncated tail and no support mismatch
+    st = make_state(StateSpec("tmsv", {"r": 0.6}, cutoff=30))
+    got = mutual_information("sandwiched", st, alpha).value
+    assert got == pytest.approx(gaussian_mi("sandwiched", _tmsv_spec(0.6), alpha), abs=1e-4)
+
+
+def _mp_ecs_reference_mi(mp, kind, gamma, eta, alpha):
+    """``gaussian_mi`` of ``analytic_cm("ecs_loss", ...)`` through the same
+    formulas in mpmath, from the exact standard form: a = b, c and d."""
+    half = mp.mpf(1) / 2
+    g2 = 2 * mp.mpf(gamma) ** 2
+    x1, x2 = (mp.mpf(eta) * g2 / 2 / mp.sinh(g2) * mp.exp(s * g2) for s in (1, -1))
+    a = mp.sqrt((x1 + half) * (x2 + half))
+    c, d = a * x1 / (x1 + half), a * x2 / (x2 + half)
+    ell, m = a * a + c * d, (a * a - c * c) * (a * a - d * d)
+    lams = [mp.sqrt(ell + s * mp.sqrt(ell * ell - m)) for s in (1, -1)]
+    if kind == "vn":
+        def entropy(x):
+            low = max(x - half, 0)
+            return (x + half) * mp.log(x + half) - (low * mp.log(low) if low else 0)
+
+        return 2 * entropy(a) - sum(entropy(x) for x in lams)
+    alpha = mp.mpf(alpha)
+
+    def g(x, order):
+        return 1 / (mp.mpc(x + half) ** order - mp.mpc(x - half) ** order)
+
+    if kind == "renyi":
+        return mp.re(mp.log(g(a, alpha) ** 2 / (g(lams[0], alpha) * g(lams[1], alpha)))
+                     / (1 - alpha))
+    beta = (1 - alpha) / (2 * alpha)
+    om = mp.matrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+    i2 = 1j * om / 2
+
+    def compose(m1, m2):
+        return -i2 + (m2 + i2) * mp.inverse(m1 + m2) * (m1 + i2)
+
+    gm = mp.matrix([[a, 0, c, 0], [0, a, 0, d], [c, 0, a, 0], [0, d, 0, a]])
+    zeta = half * ((a + half) ** beta + (a - half) ** beta) / ((a + half) ** beta
+                                                              - (a - half) ** beta)
+    gp = mp.diag([zeta] * 4)
+    h1 = compose(gp, gm)
+    h2 = compose(h1, gp)
+    lam = [e for e in mp.eig(1j * om * h2, left=False, right=False) if mp.re(e) > 0]
+    total = (2 * alpha / (alpha - 1) * mp.log(g(a, beta) ** 2)
+             - alpha / (2 * (alpha - 1)) * mp.log(mp.det(gp + gm) * mp.det(h1 + gp))
+             + mp.log(g(lam[0], alpha) * g(lam[1], alpha)) / (alpha - 1))
+    return mp.re(total)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.5, 2.3, 2.5])
+def test_ecs_reference_closed_forms_meet_a_50_digit_evaluation(gamma):
+    # the reference's antisymmetric mode is exactly the vacuum, so one
+    # symplectic eigenvalue is 1/2, and so is one of the composed matrix's
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for eta in (1.0, 0.825, 0.3):
+            spec = analytic_cm("ecs_loss", gamma=gamma, eta=eta)
+            cases = [("vn", None)] + [(kind, alpha) for kind in ("renyi", "sandwiched")
+                                      for alpha in (0.5, 0.75, 1.5)]
+            for kind, alpha in cases:
+                want = float(_mp_ecs_reference_mi(mpmath.mp, kind, gamma, eta, alpha))
+                got = gaussian_mi(kind, spec, alpha)
+                assert abs(got - want) < 1e-13, (kind, eta, alpha, got - want)
 
 
 def test_reference_roundtrip_moments():

@@ -22,7 +22,6 @@ from ngcorr.distill import DistillConfig, _projected_bs, distill
 from ngcorr.entanglement import log_negativity_fock
 from ngcorr.figures import FIGURES, Point, measure
 from ngcorr.fock import (
-    EIG_SUPPORT_FLOOR,
     FockState,
     distance,
     fidelity,
@@ -70,9 +69,14 @@ def _dense(mat):
     return hermitize(np.asarray(mat, dtype=complex))
 
 
+def _rank_floor(w):
+    """Numerical-rank threshold w_max d eps of the eigenvalues ``w``."""
+    return float(np.max(w)) * w.size * np.finfo(float).eps
+
+
 def dense_entropy(state, alpha):
     w = np.linalg.eigvalsh(_dense(state.rho))
-    w = w[w > EIG_SUPPORT_FLOOR]
+    w = w[w > _rank_floor(w)]
     if alpha == 1.0:
         return float(-np.sum(w * np.log(w)))
     return float(math.log(np.sum(w**alpha)) / (1.0 - alpha))
@@ -81,20 +85,20 @@ def dense_entropy(state, alpha):
 def dense_sandwiched(rho, sigma, alpha):
     if alpha >= 1.0:
         ws, vs = np.linalg.eigh(_dense(sigma.rho))
-        off = vs[:, ws <= EIG_SUPPORT_FLOOR]
+        off = vs[:, ws <= _rank_floor(ws)]
         leak = float(np.real(np.sum(off.conj() * (rho.rho @ off))))
         if leak > SUPPORT_LEAK_TOL:
             return math.inf
     if alpha == 1.0:
-        on = ws > EIG_SUPPORT_FLOOR
+        on = ws > _rank_floor(ws)
         log_sigma = (vs[:, on] * np.log(ws[on])) @ vs[:, on].conj().T
         wr = np.linalg.eigvalsh(_dense(rho.rho))
-        wr = wr[wr > EIG_SUPPORT_FLOOR]
+        wr = wr[wr > _rank_floor(wr)]
         tr_rho_log_sigma = float(np.real(np.sum(rho.rho * log_sigma.T)))
         return float(np.sum(wr * np.log(wr))) - tr_rho_log_sigma
     b = (1.0 - alpha) / (2.0 * alpha)
     pw, pu = np.linalg.eigh(_dense(rho.rho))
-    keep_p = pw > float(pw[-1]) * pw.size * np.finfo(float).eps
+    keep_p = pw > _rank_floor(pw)
     sw, su = np.linalg.eigh(_dense(sigma.rho))
     keep_s = sw > 0.0
     a_mat = (sw[keep_s, None] ** b) * (su[:, keep_s].conj().T @ pu[:, keep_p])
@@ -110,11 +114,10 @@ def dense_trace_distance(a, b):
 
 
 def dense_uhlmann(a, b):
-    eps = np.finfo(float).eps
     wa, va = np.linalg.eigh(_dense(a.rho))
-    ka = wa > float(wa[-1]) * wa.size * eps
+    ka = wa > _rank_floor(wa)
     wb, vb = np.linalg.eigh(_dense(b.rho))
-    kb = wb > float(wb[-1]) * wb.size * eps
+    kb = wb > _rank_floor(wb)
     cross = (vb[:, kb].conj().T @ va[:, ka]) * np.sqrt(wa[ka])[None, :]
     cross = np.sqrt(wb[kb])[:, None] * cross
     return float(np.sum(np.linalg.svd(cross, compute_uv=False)) ** 2)
