@@ -78,8 +78,7 @@ def ecs_loss_analytic(gamma, eta, cutoff):
     ``DEFAULT_TAIL_TOL``.
     """
     x = ecs_to_xstate(gamma, eta)
-    # real vectors for a real amplitude
-    plus, minus = (v.real for v in cat_vectors(math.sqrt(eta) * float(gamma), cutoff))
+    plus, minus = cat_vectors(math.sqrt(eta) * float(gamma), cutoff)
     bell = math.sqrt(x.b) * (np.outer(plus, minus) + np.outer(minus, plus))
     even = math.sqrt(x.a) * np.outer(plus, plus) + math.sqrt(x.d) * np.outer(minus, minus)
     pops = bell * bell + even * even
@@ -88,5 +87,5 @@ def ecs_loss_analytic(gamma, eta, cutoff):
         raise TruncationError(f"lossy-ECS tail mass {tail:.3e} >= {DEFAULT_TAIL_TOL}")
     # np.outer flattens the branches; its entries are products of branch
     # amplitudes, so rho is exactly symmetric
-    rho = (np.outer(bell, bell) + np.outer(even, even)).astype(complex)
+    rho = np.outer(bell, bell) + np.outer(even, even)
     return FockState(pops.shape, rho, validate=False)

@@ -66,11 +66,12 @@ def _projected_bs(dim, config, x):
 
 
 def _apply_rows(ma, mb, mat):
-    """(M_a x M_b) @ mat for complex mat, in real arithmetic, one mode at a time."""
+    """(M_a x M_b) @ mat in real arithmetic, one mode at a time; a complex
+    mat as its real and imaginary parts side by side."""
     da, db = ma.shape[0], mb.shape[0]
     re = np.ascontiguousarray(mat).view(float)
     re = (ma @ re.reshape(da, -1)).reshape(da, db, -1)
-    return (mb @ re).view(complex).reshape(mat.shape)
+    return (mb @ re).view(mat.dtype).reshape(mat.shape)
 
 
 def distill(state, config):

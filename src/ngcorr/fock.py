@@ -8,7 +8,15 @@ Every Hermitian eigensolve of a density-matrix-sized operand goes through
 total-photon-parity sector (even and odd n_1 + ... + n_k), when what that
 split drops, the off-sector entries and the imaginary part, is within the
 dense solver's own backward error: ||dropped||_F <= sqrt(d) eps ||M||_F.
-Otherwise M is solved as one complex block by the same code.
+On two modes with equal cutoffs each parity block splits once more, into
+its blocks on the states symmetric and antisymmetric under the mode swap,
+|nn> and (|mn> +- |nm>)/sqrt 2, when everything both splits drop, the
+swap-anticommuting part included, meets the same rule; the eigenvectors are
+lifted back onto the parity sector exactly.  Otherwise M is solved as its
+parity blocks, or as one complex block, by the same code.
+
+A ``FockState`` holds rho as float64 when its imaginary part is exactly
+zero, as for every state with real parameters, and as complex128 otherwise.
 
 A ``FockState`` keeps what is derived from it alone (``FockState.derive``),
 its one eigensystem among them (``FockState.spectrum``); a ``tensor`` product
@@ -61,13 +69,18 @@ class FockState:
     convergence-sensitive operations compare it against a tolerance
     instead of silently truncating.  ``factors`` are the states whose
     Kronecker product this is, if it was built as one by ``tensor``.
+    ``rho`` is float64 when its imaginary part is exactly zero, else
+    complex128.
     """
 
     __slots__ = ("dims", "rho", "tail_mass", "factors", "_derived")
 
     def __init__(self, dims, rho, validate=True, factors=None):
         dims = tuple(int(d) for d in dims)
-        rho = np.asarray(rho, dtype=complex)
+        rho = np.asarray(rho)
+        if np.iscomplexobj(rho) and not rho.imag.any():
+            rho = rho.real
+        rho = np.ascontiguousarray(rho, dtype=np.result_type(rho, float))
         d = math.prod(dims)
         if rho.shape != (d, d):
             raise DimMismatch(f"rho shape {rho.shape} != ({d}, {d}) from dims {dims}")
@@ -247,12 +260,13 @@ def truncate_state(state, tol=1e-9):
 class Spectrum(namedtuple("Spectrum", ["sectors", "real", "values", "vectors"])):
     """Eigensystem of one operand, sector by sector.
 
-    ``sectors`` holds the basis indices of each block; ``real`` says whether
-    the operand took the real parity split, whose sector k holds the basis
-    states of total parity k, and whose vectors are real.  ``values`` holds
-    each block's ascending eigenvalues and ``vectors`` its eigenvectors as
-    columns, indexed within the sector (None when only eigenvalues were
-    asked for).
+    ``sectors`` holds the basis indices of each block, ascending; ``real``
+    says whether the operand took the real parity split, whose sector k
+    holds the basis states of total parity k, and whose vectors are real.
+    ``values`` holds each block's ascending eigenvalues and ``vectors`` its
+    eigenvectors as columns, indexed within the sector (None when only
+    eigenvalues were asked for).  A parity sector solved as its two exchange
+    blocks has the same layout: their values merged, their vectors lifted.
     """
 
     __slots__ = ()
@@ -287,32 +301,95 @@ def _read_only(spec):
     return spec
 
 
+def _parity_layout(dims):
+    """Each nonempty total-parity sector's basis indices, ascending, and the
+    order its block is gathered in.  When the mode swap maps the basis onto
+    itself (two modes, equal cutoffs) that order is [diagonal |nn>, lower
+    pairs |mn> with m > n, their images |nm>], and the diagonal count comes
+    with it; else it is ascending, with None."""
+    n = np.indices(dims).reshape(len(dims), -1)
+    parity = n.sum(axis=0) % 2
+    swap = len(dims) == 2 and dims[0] == dims[1]
+    out = []
+    for idx in (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)):
+        if not idx.size:
+            continue
+        if swap:
+            a, b = n[:, idx]
+            diag, lower = idx[a == b], idx[a > b]
+            upper = lower % dims[0] * dims[0] + lower // dims[0]
+            out.append((idx, np.concatenate([diag, lower, upper]), diag.size))
+        else:
+            out.append((idx, idx, None))
+    return out
+
+
+def _pair_rotation(x, nd):
+    """Q x for the orthogonal Q = Q^T that takes the rows [diagonal |nn>,
+    lower |mn>, upper |nm>] of a parity sector (``_parity_layout``) to
+    [|nn>, (|mn> + |nm>)/sqrt 2, (|mn> - |nm>)/sqrt 2]: slice sums, no gather."""
+    m = (x.shape[0] - nd) // 2
+    lo, up = x[nd : nd + m], x[nd + m :]
+    return np.concatenate([x[:nd], (lo + up) * math.sqrt(0.5), (lo - up) * math.sqrt(0.5)])
+
+
+def _exchange_eigensystem(rotated, nd, order, solve):
+    """One parity sector's eigensystem from Q B Q (``_pair_rotation``) of its
+    block B: the swap-symmetric and antisymmetric blocks solved, their values
+    merged ascending and their vectors lifted by Q onto the sector's ascending
+    basis (``order`` is the gather order); vectors None when ``solve``'s are."""
+    k = (rotated.shape[0] + nd) // 2
+    (ws, ys), (wa, ya) = (solve(hermitize(b)) for b in (rotated[:k, :k], rotated[k:, k:]))
+    values = np.concatenate([ws, wa])
+    cols = np.argsort(values, kind="stable")
+    if ys is None:
+        return values[cols], None
+    vecs = np.zeros(rotated.shape)
+    vecs[:k, :k], vecs[k:, k:] = ys, ya
+    lifted = _pair_rotation(vecs, nd)
+    return values[cols], lifted.take(np.argsort(order), axis=0).take(cols, axis=1)
+
+
 def spectra(dims, mat, vectors=True):
     """Hermitian eigensystem of one operand on ``dims``, as a Spectrum with
-    read-only arrays: two real total-photon-parity sectors, or one complex
-    block (see the module docstring).  ``vectors=False`` solves for the values
-    alone, for operands that are not states (a state's is its ``spectrum``)."""
-    parity = np.indices(dims).sum(axis=0).ravel() % 2
-    halves = [idx for idx in (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1))
-              if idx.size]
-    # each parity block gathered once: the split drops the off-diagonal
-    # blocks and the diagonal blocks' imaginary parts
-    grid = [[mat[np.ix_(r, c)] for c in halves] for r in halves]
-    dropped = math.hypot(*(np.linalg.norm(b.imag if r == c else b)
-                           for r, row in enumerate(grid) for c, b in enumerate(row)))
-    bound = math.sqrt(parity.size) * np.finfo(float).eps
-    real = bool(dropped <= bound * np.linalg.norm(mat))
-    if real:
-        sectors = tuple(halves)
-        blocks = tuple(hermitize(row[k].real) for k, row in enumerate(grid))
-    else:
-        sectors = (np.arange(parity.size),)
-        blocks = (hermitize(mat),)
-    if vectors:
-        values, vecs = zip(*(np.linalg.eigh(b) for b in blocks))
-    else:
-        values, vecs = tuple(np.linalg.eigvalsh(b) for b in blocks), None
-    return _read_only(Spectrum(sectors, real, tuple(values), vecs))
+    read-only arrays: two real total-photon-parity sectors, each solved as
+    its two exchange blocks when they split too, or one complex block (see
+    the module docstring).  ``vectors=False`` solves for the values alone,
+    for operands that are not states (a state's is its ``spectrum``)."""
+    layout = _parity_layout(dims)
+    # each parity block gathered once: the parity split drops the
+    # off-diagonal blocks and the diagonal blocks' imaginary parts
+    grid = [[rows.take(c, axis=1) for _, c, _ in layout]
+            for rows in (mat.take(r, axis=0) for _, r, _ in layout)]
+    blocks = [row[k] for k, row in enumerate(grid)]
+    dropped = [np.linalg.norm(b) for r, row in enumerate(grid)
+               for c, b in enumerate(row) if r != c]
+    if np.iscomplexobj(mat):
+        dropped += [np.linalg.norm(b.imag) for b in blocks]
+        blocks = [b.real for b in blocks]
+    limit = math.sqrt(mat.shape[0]) * np.finfo(float).eps * np.linalg.norm(mat)
+    real = bool(math.hypot(*dropped) <= limit)
+    sectors = tuple(idx for idx, _, _ in layout)
+    solve = np.linalg.eigh if vectors else lambda b: (np.linalg.eigvalsh(b), None)
+    if real and layout[0][2] is not None:
+        # Q B Q couples the symmetric and antisymmetric blocks off its
+        # diagonal blocks; the exchange split drops those couplings too
+        rotated = [_pair_rotation(_pair_rotation(b, nd).T, nd).T
+                   for b, (_, _, nd) in zip(blocks, layout)]
+        for r, (_, _, nd) in zip(rotated, layout):
+            k = (r.shape[0] + nd) // 2
+            dropped += [np.linalg.norm(r[:k, k:]), np.linalg.norm(r[k:, :k])]
+        if math.hypot(*dropped) <= limit:
+            values, vecs = zip(*(_exchange_eigensystem(r, nd, order, solve)
+                                 for r, (_, order, nd) in zip(rotated, layout)))
+            return _read_only(Spectrum(sectors, True, values, vecs if vectors else None))
+        # the parity path solves each block in ascending basis order
+        perms = (np.argsort(order) for _, order, _ in layout)
+        blocks = [b.take(p, axis=0).take(p, axis=1) for b, p in zip(blocks, perms)]
+    if not real:
+        sectors, blocks = (np.arange(mat.shape[0]),), [mat]
+    values, vecs = zip(*(solve(hermitize(b)) for b in blocks))
+    return _read_only(Spectrum(sectors, real, values, vecs if vectors else None))
 
 
 def kron_spectrum(a, b):
@@ -415,7 +492,7 @@ def fidelity(a, b):
 def unit_vector(vec):
     """The flat amplitude vector ``vec`` normalised; ``TruncationError`` when
     it vanishes, as a state with no amplitude below the cutoff does."""
-    vec = np.asarray(vec, dtype=complex).ravel()
+    vec = np.asarray(vec).ravel()
     norm = np.linalg.norm(vec)
     if not norm > 0.0:
         raise TruncationError("the state vanishes at this cutoff")

@@ -25,8 +25,9 @@ CLOSED_FORM_KINDS = ("vn", "renyi", "sandwiched", "hs")
 
 
 def mi_kind(kind, alpha=None, kinds=MI_KINDS):
-    """Normalised (kind, alpha) of a kind among ``kinds``: 'vn' is order-1
-    'renyi', and only an ordered kind keeps its order, a finite positive float."""
+    """Normalised (kind, alpha) of a kind among ``kinds``: 'vn' and order-1
+    'sandwiched' are order-1 'renyi' (D(rho || rho_A x rho_B) = I(A:B)), and
+    only an ordered kind keeps its order, a finite positive float."""
     if kind not in kinds:
         raise ValueError(f"mutual-information kind {kind!r} is not one of {kinds}")
     if kind == "vn":
@@ -37,6 +38,8 @@ def mi_kind(kind, alpha=None, kinds=MI_KINDS):
         raise DomainError("entropic kinds require alpha")
     if not 0.0 < float(alpha) < math.inf:
         raise DomainError(f"alpha must be positive and finite, got {alpha!r}")
+    if float(alpha) == 1.0:
+        return "renyi", 1.0
     return kind, float(alpha)
 
 

@@ -143,8 +143,9 @@ def mutual_information(kind, state, alpha=None):
     """Correlation content of a two-mode state against its marginal product.
 
     kinds: 'vn' and 'renyi' (entropy combinations), 'sandwiched'
-    (relative-entropy type), 'hs' and 'tr' (distance type), 'bures'
-    (fidelity type, the metric sqrt(2(1 - sqrt(F)))); see ``gaussian.mi_kind``.
+    (relative-entropy type, 'vn' at order 1), 'hs' and 'tr' (distance type),
+    'bures' (fidelity type, the metric sqrt(2(1 - sqrt(F)))); see
+    ``gaussian.mi_kind``.
     """
     kind, alpha = mi_kind(kind, alpha)
     if kind == "renyi":

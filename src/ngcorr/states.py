@@ -111,13 +111,11 @@ def log_factorials(count):
 
 
 def coherent_amps(gamma, cutoff):
-    """Fock amplitudes of |gamma>, truncated (not renormalized)."""
+    """Fock amplitudes of |gamma>, truncated (not renormalized); real for a
+    real gamma."""
     n = np.arange(cutoff)
-    gamma = complex(gamma)
     if gamma == 0:
-        amps = np.zeros(cutoff, dtype=complex)
-        amps[0] = 1.0
-        return amps
+        return np.eye(1, cutoff)[0]
     # log-domain magnitude avoids overflow of gamma**n / sqrt(n!)
     logmag = n * math.log(abs(gamma)) - 0.5 * log_factorials(cutoff) - 0.5 * abs(gamma) ** 2
     # powers by repeated multiplication: exactly (-1)^n for a real negative gamma
@@ -156,7 +154,7 @@ def _thermal_diag(nbar, cutoff):
 def _tmsv_vec(r, cutoff):
     k = np.arange(cutoff)
     amps = np.tanh(r) ** k / np.cosh(r)
-    vec = np.zeros((cutoff, cutoff), dtype=complex)
+    vec = np.zeros((cutoff, cutoff))
     vec[k, k] = amps
     return vec.ravel()
 
@@ -172,39 +170,39 @@ def make_state(spec):
     if fam == "vacuum":
         modes = int(p.get("modes", 2))
         cut = spec.cutoff or 4
-        vec = np.zeros(cut**modes, dtype=complex)
+        vec = np.zeros(cut**modes)
         vec[0] = 1.0
         state = pure_state(vec, (cut,) * modes, validate=False)
     elif fam == "coherent":
-        g = complex(p["gamma"])
+        g = p["gamma"]
         cut = spec.cutoff or default_cutoff(g)
         state = pure_state(coherent_amps(g, cut), (cut,), validate=False)
     elif fam == "thermal":
         nbar = float(p["nbar"])
         cut = spec.cutoff or thermal_cutoff(nbar)
         d = _thermal_diag(nbar, cut)
-        state = FockState((cut,), np.diag(d / d.sum()).astype(complex), validate=False)
+        state = FockState((cut,), np.diag(d / d.sum()), validate=False)
     elif fam == "cat":
-        g = complex(p["gamma"])
+        g = p["gamma"]
         sign = int(p.get("sign", +1))
         cut = spec.cutoff or default_cutoff(g)
         plus, minus = cat_basis(g, cut)
         state = pure_state(plus if sign >= 0 else minus, (cut,), validate=False)
     elif fam == "ecs":
-        g = complex(p["gamma"])
+        g = p["gamma"]
         cut = spec.cutoff or default_cutoff(g)
         c = coherent_amps(g, cut)
         cm = coherent_amps(-g, cut)
         vec = np.kron(c, c) - np.kron(cm, cm)
         state = pure_state(vec, (cut, cut), validate=False)
     elif fam == "pnes":
-        coeffs = np.asarray(p["coeffs"], dtype=complex)
+        coeffs = np.asarray(p["coeffs"])
         levels = p.get("levels")
         levels = np.arange(coeffs.size) if levels is None else np.asarray(levels, int)
         cut = spec.cutoff or max(int(levels.max()) + 2, 4)
         if levels.min() < 0 or levels.max() >= cut:
             raise BadSpec(f"pnes levels {levels.tolist()} do not fit cutoff {cut}")
-        vec = np.zeros((cut, cut), dtype=complex)
+        vec = np.zeros((cut, cut), dtype=np.result_type(coeffs, float))
         vec[levels, levels] = coeffs
         state = pure_state(vec.ravel(), (cut, cut), validate=False)
     elif fam == "tmsv":
@@ -215,18 +213,18 @@ def make_state(spec):
         f = float(p["f"])
         r = float(p["r"])
         cut = spec.cutoff or thermal_cutoff(math.sinh(r) ** 2)
-        vac = np.zeros(cut * cut, dtype=complex)
+        vac = np.zeros(cut * cut)
         vac[0] = 1.0
         phi = _tmsv_vec(r, cut)
         phi = phi / np.linalg.norm(phi)
-        rho = (1.0 - f) * np.outer(vac, vac.conj()) + f * np.outer(phi, phi.conj())
+        rho = (1.0 - f) * np.outer(vac, vac) + f * np.outer(phi, phi)
         state = FockState((cut, cut), rho, validate=False)
     elif fam == "photon_correlated":
         nbar = float(p["nbar"])
         cut = spec.cutoff or thermal_cutoff(nbar)
         d = _thermal_diag(nbar, cut)
         d = d / d.sum()
-        rho = np.zeros((cut * cut, cut * cut), dtype=complex)
+        rho = np.zeros((cut * cut, cut * cut))
         idx = np.arange(cut) * cut + np.arange(cut)
         rho[idx, idx] = d
         state = FockState((cut, cut), rho, validate=False)

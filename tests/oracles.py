@@ -53,7 +53,7 @@ from ngcorr.xstate import XStateParams
 
 def kraus_ops(eta, cutoff):
     """K_k = sqrt((1-eta)^k / k!) eta^(n/2) a^k from powers of the ladder matrix."""
-    a = ladder_ops(cutoff).annihilation
+    a = ladder_ops(cutoff).annihilation.real  # real operators keep a real state real
     eta_half_n = math.sqrt(eta) ** np.arange(cutoff)
     ops, ak = [], np.eye(cutoff)
     for k in range(cutoff):

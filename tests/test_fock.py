@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from ngcorr.channels import apply_loss, ecs_loss_analytic
+from ngcorr.distill import DistillConfig, distill
 from ngcorr.errors import BadModeIndex, DimMismatch, InvalidState
 from ngcorr.fock import (
     FockState,
@@ -18,7 +20,7 @@ from ngcorr.fock import (
     tensor,
     truncate_state,
 )
-from ngcorr.measures import _lower_bounds
+from ngcorr.measures import _lower_bounds, averaged_states, marginal_product, reference_state
 from ngcorr.states import StateSpec, make_state
 from oracles import expect
 from sampling import random_density_matrix
@@ -159,3 +161,51 @@ def test_cached_operator_arrays_are_read_only():
     for op in quadrature_ops((3, 4)):
         with pytest.raises(ValueError):
             op[0, 0] = 1.0
+
+
+#: A state of every family with real parameters.
+REAL_SPECS = (
+    StateSpec("vacuum", {}),
+    StateSpec("coherent", {"gamma": -0.7}),
+    StateSpec("thermal", {"nbar": 0.2}),
+    StateSpec("cat", {"gamma": 0.8, "sign": -1}),
+    StateSpec("ecs", {"gamma": 1.0}, cutoff=14),
+    StateSpec("pnes", {"coeffs": (0.6, -0.8)}),
+    StateSpec("tmsv", {"r": 0.3}),
+    StateSpec("cv_werner", {"f": 0.4, "r": 0.2}),
+    StateSpec("photon_correlated", {"nbar": 0.3}),
+)
+
+
+@pytest.mark.parametrize("spec", REAL_SPECS, ids=lambda s: s.family)
+def test_a_real_state_is_stored_as_float64(spec):
+    assert make_state(spec).rho.dtype == np.float64
+
+
+def test_real_states_stay_float64_through_every_builder():
+    state = make_state(StateSpec("ecs", {"gamma": 1.0}, cutoff=14))
+    lossy = apply_loss(state, 0.7)
+    built = {
+        "apply_loss": lossy,
+        "ecs_loss_analytic": ecs_loss_analytic(1.0, 0.7, 14),
+        "reference_state": reference_state(lossy),
+        "averaged_states": averaged_states(lossy)[0],
+        "averaged_states[1]": averaged_states(lossy)[1],
+        "marginal_product": marginal_product(lossy),
+        "distill": distill(state, DistillConfig(0.9, 0.8, 0.8))[0],
+    }
+    for name, out in built.items():
+        assert out.rho.dtype == np.float64, name
+
+
+@pytest.mark.parametrize("spec", (
+    StateSpec("coherent", {"gamma": 0.3 + 0.5j}),
+    StateSpec("cat", {"gamma": 0.3 + 0.5j}),
+    StateSpec("ecs", {"gamma": 0.3 + 0.5j}, cutoff=14),
+    StateSpec("pnes", {"coeffs": (0.6, 0.8j)}),
+), ids=lambda s: s.family)
+def test_complex_amplitudes_keep_complex128(spec):
+    state = make_state(spec)
+    assert state.rho.dtype == np.complex128
+    if state.n_modes == 2:
+        assert distill(state, DistillConfig(0.9, 0.8, 0.8))[0].rho.dtype == np.complex128

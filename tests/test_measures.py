@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ngcorr.channels import apply_loss
+from ngcorr.cli import measure_rows
 from ngcorr.fock import fidelity, tensor
 from ngcorr.measures import (
     averaged_states,
@@ -181,3 +182,16 @@ def test_pnes_has_no_gaussian_correlation():
     d = delta_ng("hs", st)
     t = mutual_information("hs", st)
     assert d.value == pytest.approx(t.value, abs=1e-9)
+
+
+@pytest.mark.parametrize("spec", (
+    StateSpec("tmsv", {"r": 0.3}, cutoff=30),
+    StateSpec("photon_correlated", {"nbar": 0.5}, cutoff=20),
+    StateSpec("cv_werner", {"f": 0.4, "r": 0.2}, cutoff=12),
+), ids=lambda s: s.family)
+def test_order_one_sandwiched_row_is_the_von_neumann_row(spec):
+    # D(rho || rho_A x rho_B) = I(A:B): the order-1 row reads the entropies,
+    # where a support cut on sigma's small eigenvalues would truncate tr rho log sigma
+    vn, sandwiched = measure_rows(spec, None, ["vn", "sandwiched:1"])
+    assert sandwiched["status"] == vn["status"] == "ok"
+    assert sandwiched["value"] == vn["value"]

@@ -1,5 +1,5 @@
-"""The parity-blocked real eigensolves of ``fock.spectra`` against the dense
-complex path they replace.
+"""The parity- and exchange-blocked real eigensolves of ``fock.spectra``
+against the dense complex path they replace.
 
 The dense path lives on here only, as the oracle: every eigensolve is one
 complex LAPACK call on the full d = N1 N2 space, exactly as the measures
@@ -16,6 +16,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from ngcorr import fock
 from ngcorr.channels import apply_loss
 from ngcorr.cli import measure_rows, write_csv
 from ngcorr.distill import DistillConfig, _projected_bs, distill
@@ -29,6 +30,7 @@ from ngcorr.fock import (
     paired,
     partial_trace,
     partial_transpose,
+    pure_state,
     spectra,
     tensor,
 )
@@ -41,6 +43,7 @@ from ngcorr.measures import (
     sandwiched_relative_entropy,
 )
 from ngcorr.states import StateSpec, make_state
+from sampling import random_two_mode_state
 
 TWO_LN_2 = 2.0 * math.log(2.0)
 ALPHAS = (0.5, 0.9, 1.0, 1.5, 2.0)
@@ -124,9 +127,11 @@ def dense_uhlmann(a, b):
 
 
 def dense_mi(kind, state, alpha=None):
+    """The mutual information of ``kind``; order-1 sandwiched is D(rho || rho_A x
+    rho_B) = I(A:B), read from the entropies as ``mutual_information`` does."""
     prod = marginal_product(state)
-    if kind in ("vn", "renyi"):
-        alpha = 1.0 if kind == "vn" else alpha
+    if kind in ("vn", "renyi") or (kind, alpha) == ("sandwiched", 1.0):
+        alpha = 1.0 if kind != "renyi" else alpha
         ra, rb = partial_trace(state, [0]), partial_trace(state, [1])
         return (dense_entropy(ra, alpha) + dense_entropy(rb, alpha)
                 - dense_entropy(state, alpha))
@@ -239,6 +244,10 @@ def test_mutual_information_matches_dense_oracle(name):
         got = mutual_information(kind, state, alpha).value
         want = dense_mi(kind, state, alpha)
         assert got == pytest.approx(want, abs=_tolerance(name, kind, alpha)), (kind, alpha)
+    # the order-1 divergence of a generic pair keeps its own route
+    prod = marginal_product(state)
+    assert sandwiched_relative_entropy(state, prod, 1.0) == pytest.approx(
+        dense_sandwiched(state, prod, 1.0), abs=TOL)
 
 
 @pytest.mark.parametrize("gamma", (0.5, 1.0, 1.5))
@@ -334,36 +343,78 @@ def test_perturbed_state_above_the_bound_matches_dense_oracle():
 
 
 def _record_solves(monkeypatch):
-    """Operands of every numpy.linalg eigh and eigvalsh call, in call order."""
+    """Operands of every ``fock.spectra`` call and of every numpy.linalg eigh
+    and eigvalsh call, in call order."""
     calls = []
-    for name in ("eigh", "eigvalsh"):
-        original = getattr(np.linalg, name)
+    for owner, name in ((fock, "spectra"), (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
+        original = getattr(owner, name)
+        operand = 1 if name == "spectra" else 0
 
-        def wrapper(a, *args, _original=original, _name=name, **kwargs):
-            calls.append((_name, np.array(a)))
-            return _original(a, *args, **kwargs)
+        def wrapper(*args, _original=original, _name=name, _at=operand, **kwargs):
+            calls.append((_name, np.array(args[_at])))
+            return _original(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
     return calls
 
 
-def _solves(calls, sectors, dims, operands):
-    """Full-size solves per (operand, kernel), in sector calls: every call
-    larger than a marginal must be a parity block of exactly one operand."""
+def _exchange_bases(n):
+    """Orthonormal columns of the swap-symmetric and antisymmetric blocks of
+    each total-parity sector on dims (n, n), in the documented order: the
+    |kk>, then (|jk> +- |kj>)/sqrt 2 for j > k, built one vector at a time."""
+    bases = []
+    for parity in (0, 1):
+        diag, sym, anti = [], [], []
+        for j in range(n):
+            for k in range(j + 1):
+                if (j + k) % 2 != parity:
+                    continue
+                e, f = np.zeros((2, n * n))
+                e[j * n + k] = f[k * n + j] = 1.0
+                if j == k:
+                    diag.append(e)
+                else:
+                    sym.append((e + f) / math.sqrt(2.0))
+                    anti.append((e - f) / math.sqrt(2.0))
+        bases += [np.array(diag + sym).T, np.array(anti).T]
+    return bases
+
+
+def _solves(calls, dims, operands):
+    """Solves per (operand, kernel, block kind, block): every call larger than
+    a marginal is attributed to the operand of the ``spectra`` call it runs
+    in, which must be one of ``operands``, and its k-th such call there must
+    be that operand's k-th exchange block (to rounding) or k-th parity block
+    (exactly)."""
+    parity = np.indices(dims).sum(axis=0).ravel() % 2
+    bases = _exchange_bases(dims[0])
     counts = Counter()
     for name, a in calls:
+        if name == "spectra":
+            key = next((key for key, mat in operands.items() if np.array_equal(a, mat)), None)
+            k = 0
+            continue
         if a.shape[0] <= max(dims):
             continue
-        (match,) = [key for key, mat in operands.items()
-                    if any(np.array_equal(a, hermitize(mat.real[np.ix_(s, s)]))
-                           for s in sectors)]
-        counts[match, name] += 1
+        re = hermitize(operands[key].real)
+        exchange = bases[k].T @ re @ bases[k]
+        sector = np.flatnonzero(parity == k) if k < 2 else np.zeros(0, int)
+        if a.shape == exchange.shape and np.max(np.abs(a - exchange)) <= 1e-13 * np.max(
+                np.abs(re)):
+            counts[key, name, "exchange", k] += 1
+        else:
+            assert np.array_equal(a, re[np.ix_(sector, sector)]), (key, name, k)
+            counts[key, name, "parity", k] += 1
+        k += 1
     return counts
+
+
+def _once(operand, kernel, nblocks=4):
+    return {(operand, kernel, "exchange", k): 1 for k in range(nblocks)}
 
 
 def test_sandwiched_decomposes_each_operand_once(monkeypatch):
     state = lossy_ecs(12)
-    sectors = spectra(state.dims, state.rho, vectors=False).sectors
     calls = _record_solves(monkeypatch)
     for alpha in ALPHAS:
         rho = FockState(state.dims, state.rho, validate=False)
@@ -371,8 +422,7 @@ def test_sandwiched_decomposes_each_operand_once(monkeypatch):
         calls.clear()
         sandwiched_relative_entropy(rho, prod, alpha)
         operands = {"rho": rho.rho, "product": prod.rho}
-        solves = _solves(calls, sectors, state.dims, operands)
-        assert solves == {("rho", "eigh"): len(sectors)}, alpha
+        assert _solves(calls, state.dims, operands) == _once("rho", "eigh"), alpha
 
 
 SIX_IDS = (("vn", None), ("renyi", 0.5), ("sandwiched", 1.5), ("bures", None),
@@ -380,20 +430,19 @@ SIX_IDS = (("vn", None), ("renyi", 0.5), ("sandwiched", 1.5), ("bures", None),
 
 
 def test_six_mi_ids_solve_each_operand_once(monkeypatch):
-    # one solve of rho, whose eigensystem the entropies read too, one
-    # values-only solve of rho - rho_A x rho_B, and none of the product itself
+    # one solve of rho per exchange block, whose eigensystem the entropies
+    # read too, one values-only solve of rho - rho_A x rho_B per block, and
+    # none of the product itself
     state = lossy_ecs(30)
     prod = marginal_product(state)
     operands = {"rho": state.rho, "product": prod.rho, "difference": state.rho - prod.rho}
-    sectors = spectra(state.dims, state.rho, vectors=False).sectors
-    nsec = len(sectors)
-    assert nsec == 2
+    assert len(spectra(state.dims, state.rho, vectors=False).sectors) == 2
     calls = _record_solves(monkeypatch)
     point = Point({}, lambda p: state)
     for kind, alpha in SIX_IDS:
         measure("mi", kind, alpha)(point)
-    assert _solves(calls, sectors, state.dims, operands) == {
-        ("rho", "eigh"): nsec, ("difference", "eigvalsh"): nsec}
+    assert _solves(calls, state.dims, operands) == {
+        **_once("rho", "eigh"), **_once("difference", "eigvalsh")}
 
 
 def test_measure_state_csv_is_the_same_in_every_id_order():
@@ -490,3 +539,100 @@ def test_fig4_full_loss_ng_operand_takes_the_real_route():
     rt, st = point.state.derive(averaged_states)
     spec = spectra(rt.dims, rt.rho - st.rho, vectors=False)
     assert spec.real
+
+
+# --- the exchange split against the paths it refines ---------------------------
+
+def test_lossy_ecs_solves_four_exchange_blocks_and_lifts_them_exactly(monkeypatch):
+    state = lossy_ecs(30)
+    calls = _record_solves(monkeypatch)
+    spec = spectra(state.dims, state.rho)
+    sizes = [a.shape[0] for name, a in calls if name == "eigh"]
+    assert len(sizes) == 4 and max(sizes) <= 240 and sum(sizes) == state.dim
+    assert spec.real and len(spec.sectors) == 2
+    eps = np.finfo(float).eps
+    rebuilt = 4 * state.dim * eps * np.linalg.norm(state.rho)
+    for idx, w, v in zip(spec.sectors, spec.values, spec.vectors):
+        assert np.all(np.diff(w) >= 0.0)
+        assert np.max(np.abs(v.T @ v - np.eye(idx.size))) <= state.dim * eps
+        assert np.linalg.norm((v * w) @ v.T - state.rho[np.ix_(idx, idx)]) <= rebuilt
+
+
+def _random_real_parity_mixture(seed=20240817):
+    """A criterion-8 random mixture made real and parity-diagonal, (rho + rho*)/2
+    dephased in total parity: still a state, with no swap symmetry."""
+    rho = random_two_mode_state(np.random.default_rng(seed), levels=3, cutoff=10).rho
+    parity = np.indices((10, 10)).sum(axis=0).ravel() % 2
+    return FockState((10, 10), rho.real * (parity[:, None] == parity[None, :]))
+
+
+def _unequal_cutoffs():
+    """The r = 0.4 TMSV on dims (12, 10), where the swap maps no basis state
+    onto the basis."""
+    k = np.arange(10)
+    vec = np.zeros((12, 10))
+    vec[k, k] = np.tanh(0.4) ** k
+    return pure_state(vec.ravel(), (12, 10))
+
+
+def _swap_anticommuting_perturbation(scale=10.0, seed=5):
+    """The cutoff-12 lossy ECS plus a real, parity-preserving part H with
+    S H S = -H (S the mode swap), of Frobenius norm scale * sqrt(d) eps ||rho||_F."""
+    state = lossy_ecs(12)
+    n = state.dims[0]
+    parity = np.indices(state.dims).sum(axis=0).ravel() % 2
+    swap = (np.arange(state.dim) % n) * n + np.arange(state.dim) // n
+    h = np.random.default_rng(seed).normal(size=(state.dim, state.dim))
+    h = (h + h.T) * (parity[:, None] == parity[None, :])
+    h = h - h[np.ix_(swap, swap)]
+    bound = math.sqrt(state.dim) * np.finfo(float).eps * np.linalg.norm(state.rho)
+    return FockState(state.dims, state.rho + h * (scale * bound / np.linalg.norm(h)),
+                     validate=False)
+
+
+def test_drop_bound_decides_the_exchange_split(monkeypatch):
+    calls = _record_solves(monkeypatch)
+    for scale, sizes in ((0.9, [42, 30, 36, 36]), (1.1, [72, 72])):
+        state = _swap_anticommuting_perturbation(scale)
+        calls.clear()
+        assert spectra(state.dims, state.rho).real
+        assert [a.shape[0] for name, a in calls if name == "eigh"] == sizes, scale
+
+
+PARITY_PATH = {
+    "random_real_mixture": _random_real_parity_mixture,
+    "unequal_cutoffs": _unequal_cutoffs,
+    "swap_anticommuting": _swap_anticommuting_perturbation,
+}
+
+
+@pytest.mark.parametrize("name", list(PARITY_PATH))
+def test_operands_without_exchange_symmetry_take_the_parity_path(name, monkeypatch):
+    state = PARITY_PATH[name]()
+    calls = _record_solves(monkeypatch)
+    spec = spectra(state.dims, state.rho)
+    solved = [a for kernel, a in calls if kernel == "eigh"]
+    assert spec.real and len(spec.sectors) == len(solved) == 2
+    for idx, a in zip(spec.sectors, solved):
+        assert np.array_equal(a, hermitize(state.rho[np.ix_(idx, idx)]))
+    assert np.max(np.abs(np.sort(spec.eigenvalues()) - np.linalg.eigvalsh(state.rho))) <= TOL
+
+
+COMPLEX_AMPLITUDES = {
+    "coherent": lambda: make_state(StateSpec("coherent", {"gamma": 0.3 + 0.5j}, cutoff=12)),
+    "coherent_pair": lambda: tensor(*2 * (make_state(
+        StateSpec("coherent", {"gamma": 0.3 + 0.5j}, cutoff=12)),)),
+    "pnes": lambda: make_state(StateSpec(
+        "pnes", {"coeffs": (0.6, 0.48j, 0.64 * np.exp(0.7j))}, cutoff=8)),
+}
+
+
+@pytest.mark.parametrize("name", list(COMPLEX_AMPLITUDES))
+def test_complex_amplitudes_take_one_complex_block(name, monkeypatch):
+    state = COMPLEX_AMPLITUDES[name]()
+    assert state.rho.dtype == np.complex128
+    calls = _record_solves(monkeypatch)
+    spec = spectra(state.dims, state.rho)
+    (solved,) = [a for kernel, a in calls if kernel == "eigh"]
+    assert not spec.real and len(spec.sectors) == 1
+    assert np.array_equal(solved, hermitize(state.rho))
