@@ -440,19 +440,31 @@ def paired(a, b):
     return a.one_block(), b.one_block()
 
 
-def sandwich_singular_values(rho, sigma, b, floor):
-    """Singular values of A = diag(s^b) V^dag U diag(sqrt(p)), sector by sector,
-    for the ``Spectrum``s rho = U diag(p) U^dag and sigma = V diag(s) V^dag:
-    the square roots of the nonzero spectrum of sigma^b rho sigma^b, resolved
-    to absolute accuracy ||A|| eps where an eigensolve of that product would
-    square its geometric tail below the noise floor.  rho keeps eigenvalues
-    above its numerical-rank threshold, sigma those above ``floor``."""
+def support_overlaps(rho, sigma, floor):
+    """(p, s, V^dag U) of each sector of the ``paired`` Spectrums
+    rho = U diag(p) U^dag and sigma = V diag(s) V^dag: p and U hold rho's
+    eigenpairs above its numerical rank (``Spectrum.rank_floor``), s and V
+    sigma's with eigenvalues above ``floor``.  One product per sector, which
+    every reader of the pair's overlaps shares."""
     floor_p = rho.rank_floor()
-    out = [np.zeros(0)]
+    out = []
     for pw, pu, sw, su in zip(rho.values, rho.vectors, sigma.values, sigma.vectors):
         kp, ks = pw > floor_p, sw > floor
-        mat = (sw[ks, None] ** b) * (su[:, ks].conj().T @ pu[:, kp])
-        mat = mat * np.sqrt(pw[kp])[None, :]
+        out.append((pw[kp], sw[ks], su[:, ks].conj().T @ pu[:, kp]))
+    return out
+
+
+def sandwich_singular_values(overlaps, b):
+    """Singular values of A = diag(s^b) V^dag U diag(sqrt(p)), sector by
+    sector, from ``support_overlaps`` over sigma's positive eigenvalues: the
+    square roots of the nonzero spectrum of sigma^b rho sigma^b, resolved to
+    absolute accuracy ||A|| eps where an eigensolve of that product would
+    square its geometric tail below the noise floor."""
+    out = [np.zeros(0)]
+    for p, s, m in overlaps:
+        ks = s > 0.0
+        mat = (s[ks, None] ** b) * m[ks]
+        mat = mat * np.sqrt(p)[None, :]
         if mat.size:
             out.append(np.linalg.svd(mat, compute_uv=False))
     return np.concatenate(out)
@@ -486,7 +498,8 @@ def fidelity(a, b):
     _check_same_dims(a, b)
     # tr sqrt(sqrt(A) B sqrt(A)) is the sum of the b = 1/2 values
     sa, sb = paired(a.spectrum(), b.spectrum())
-    return float(np.sum(sandwich_singular_values(sa, sb, 0.5, sb.rank_floor())) ** 2)
+    svals = sandwich_singular_values(support_overlaps(sa, sb, sb.rank_floor()), 0.5)
+    return float(np.sum(svals) ** 2)
 
 
 def unit_vector(vec):

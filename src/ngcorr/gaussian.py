@@ -18,16 +18,18 @@ from .fock import FockState, partial_trace
 PHYSICALITY_TOL = 1e-9
 
 #: Mutual-information kinds, of which the ordered ones take an order alpha
-#: and the closed-form ones have covariance-matrix and X-state closed forms.
+#: and the closed-form ones have covariance-matrix and X-state closed forms;
+#: 'tr' alone has none.
 MI_KINDS = ("vn", "renyi", "sandwiched", "hs", "tr", "bures")
 ORDERED_KINDS = ("renyi", "sandwiched")
-CLOSED_FORM_KINDS = ("vn", "renyi", "sandwiched", "hs")
+CLOSED_FORM_KINDS = ("vn", "renyi", "sandwiched", "hs", "bures")
 
 
 def mi_kind(kind, alpha=None, kinds=MI_KINDS):
     """Normalised (kind, alpha) of a kind among ``kinds``: 'vn' and order-1
     'sandwiched' are order-1 'renyi' (D(rho || rho_A x rho_B) = I(A:B)), and
-    only an ordered kind keeps its order, a finite positive float."""
+    only an ordered kind keeps its order, a finite positive float; 'hs',
+    'tr' and 'bures' ignore one."""
     if kind not in kinds:
         raise ValueError(f"mutual-information kind {kind!r} is not one of {kinds}")
     if kind == "vn":
@@ -41,6 +43,12 @@ def mi_kind(kind, alpha=None, kinds=MI_KINDS):
     if float(alpha) == 1.0:
         return "renyi", 1.0
     return kind, float(alpha)
+
+
+def bures_metric(root_fidelity):
+    """The 'bures' mutual information sqrt(2 (1 - sqrt F)) from sqrt F, the
+    root fidelity of a state and its marginal product, on every route."""
+    return math.sqrt(max(0.0, 2.0 * (1.0 - root_fidelity)))
 
 
 @lru_cache(maxsize=None)
@@ -344,10 +352,13 @@ def gaussian_mi(kind, spec, alpha=None):
     """Closed-form mutual information of a two-mode Gaussian state.
 
     kinds (``CLOSED_FORM_KINDS``, as in ``measures.mutual_information``):
-    'vn', 'renyi', 'sandwiched' (through the composition-rule pipeline) and
-    'hs'; order 1 is the von Neumann value.  'tr' and 'bures' have none.
+    'vn', 'renyi', 'sandwiched' (through the composition-rule pipeline), 'hs'
+    and 'bures', whose sqrt F is exp(-D/2) of the order-1/2 sandwiched value
+    D = -ln F; order 1 is the von Neumann value.  'tr' has none.
     """
     kind, alpha = mi_kind(kind, alpha, CLOSED_FORM_KINDS)
+    if kind == "bures":
+        return bures_metric(math.exp(-0.5 * gaussian_mi("sandwiched", spec, 0.5)))
     sf = _standard_of(spec)
     a, b, c, d = sf.a, sf.b, sf.c, sf.d
     if abs(c) < 1e-15 and abs(d) < 1e-15:

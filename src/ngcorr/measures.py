@@ -14,6 +14,11 @@ state, and the reference keeps its own marginals and their product the
 same way.  The public builders (``marginal_product``, ``reference_state``,
 ``averaged_states``) are plain functions that build afresh on each call.
 
+A delta takes its reference value from the covariance-matrix closed form
+(``gaussian_mi``) for every kind in ``CLOSED_FORM_KINDS``, and from the
+synthesized Fock reference only for 'tr', which has none.  The Bures kind
+is one function of sqrt F (``gaussian.bures_metric``) on every route.
+
 ``ng_bounds`` gives ``lb1`` and ``lb2`` of a state held as a sum of Gaussian
 terms (``phase.Terms``) exactly, with no cutoff.  It is the figures' route
 for the lossy ECS; ``ng_correlation`` is the only route for a ``FockState``
@@ -39,13 +44,13 @@ from .fock import (
     paired,
     partial_trace,
     sandwich_singular_values,
+    support_overlaps,
     tensor,
 )
-from .gaussian import gaussian_mi, mi_kind, moments_from_fock, reference_gaussian_fock
+from .gaussian import (CLOSED_FORM_KINDS, bures_metric, gaussian_mi, mi_kind,
+                       moments_from_fock, reference_gaussian_fock)
 
 NG_KINDS = ("tr", "fid", "lb1", "lb2")
-#: Delta kinds whose reference value needs the synthesized Fock reference.
-FOCK_REFERENCE_KINDS = ("tr", "bures")
 
 #: Mass of rho outside supp(sigma) above which the alpha >= 1 sandwiched
 #: divergence is reported as infinite.  Full-rank states with geometrically
@@ -111,17 +116,20 @@ def sandwiched_relative_entropy(rho, sigma, alpha):
 
     Infinite when alpha >= 1 and rho leaks outside the support of sigma, the
     span of its eigenvectors above its numerical rank (``Spectrum.rank_floor``).
-    alpha = 1 gives the ordinary relative entropy.
+    alpha = 1 gives the ordinary relative entropy.  rho enters through its
+    eigenpairs above its own numerical rank, as in the entropies, and every
+    branch reads the one overlap product per sector (``support_overlaps``).
     """
     _, alpha = mi_kind("sandwiched", alpha)
     r, s = paired(rho.spectrum(), sigma.spectrum())
     floor = s.rank_floor()
+    # sigma keeps its whole positive spectrum: at alpha > 1 a support floor
+    # would drop real weight (a structural leak is infinite below); at
+    # alpha >= 1 the support check reads every eigenvector of sigma
+    overlaps = support_overlaps(r, s, 0.0 if alpha < 1.0 else -math.inf)
     if alpha >= 1.0:
         # populations sum_k p_k |<v_j|u_k>|^2 of rho in the eigenbasis of sigma
-        pops = [
-            (np.abs(v.conj().T @ u) ** 2) @ w
-            for w, u, v in zip(r.values, r.vectors, s.vectors)
-        ]
+        pops = [(np.abs(m) ** 2) @ p for p, _, m in overlaps]
         leak = sum(float(np.sum(q[w <= floor])) for q, w in zip(pops, s.values))
         if leak > SUPPORT_LEAK_TOL:
             return math.inf
@@ -132,9 +140,7 @@ def sandwiched_relative_entropy(rho, sigma, alpha):
             on = w > floor
             tr_rho_log_sigma += float(np.sum(q[on] * np.log(w[on])))
         return -_vn_entropy(rho) - tr_rho_log_sigma
-    # sigma keeps its whole positive spectrum: at alpha > 1 a support floor
-    # would drop real weight (a structural leak is already infinite above)
-    w = sandwich_singular_values(r, s, (1.0 - alpha) / (2.0 * alpha), 0.0) ** 2
+    w = sandwich_singular_values(overlaps, (1.0 - alpha) / (2.0 * alpha)) ** 2
     w = w[w > 0.0]
     return float(math.log(np.sum(w**alpha)) / (alpha - 1.0))
 
@@ -164,8 +170,8 @@ def mutual_information(kind, state, alpha=None):
     if kind == "tr":
         return MeasureResult.on(state, distance("trace", state, prod))
     # bures
-    f = min(1.0, fidelity(state, prod))
-    return MeasureResult.on(state, math.sqrt(max(0.0, 2.0 * (1.0 - math.sqrt(f)))))
+    root_f = math.sqrt(min(1.0, fidelity(state, prod)))
+    return MeasureResult.on(state, bures_metric(root_f))
 
 
 def reference_state(state):
@@ -176,17 +182,17 @@ def reference_state(state):
 def delta_ng(kind, state, alpha=None):
     """Measure of the target minus the same measure of its Gaussian reference.
 
-    The reference value of ``FOCK_REFERENCE_KINDS`` comes from Fock
-    numerics on the synthesized reference, every other kind's from the
-    covariance-matrix closed form ``gaussian_mi`` (truncation-free).
+    The reference value of a kind in ``CLOSED_FORM_KINDS`` comes from the
+    covariance-matrix closed form ``gaussian_mi`` (truncation-free); that of
+    'tr', which has none, from Fock numerics on the synthesized reference.
     """
     target = mutual_information(kind, state, alpha)
     if math.isinf(target.value):  # the delta, where inf - inf would be nan
         return target
-    if kind in FOCK_REFERENCE_KINDS:
-        ref_val = mutual_information(kind, state.derive(reference_state)).value
-    else:
+    if kind in CLOSED_FORM_KINDS:
         ref_val = gaussian_mi(kind, state.derive(moments_from_fock), alpha)
+    else:
+        ref_val = mutual_information(kind, state.derive(reference_state)).value
     return MeasureResult.on(state, target.value - ref_val)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSpec, DomainError, check_eta
-from .gaussian import CLOSED_FORM_KINDS, mi_kind
+from .gaussian import CLOSED_FORM_KINDS, bures_metric, mi_kind
 
 
 @dataclass(frozen=True)
@@ -91,10 +91,13 @@ def _pow0(base, expo):
 def xstate_mi(kind, params, alpha=None):
     """Closed-form mutual information of an X-form two-qubit state.
 
-    kinds (``gaussian.CLOSED_FORM_KINDS``): 'vn', 'renyi', 'sandwiched'
-    and 'hs'; order 1 is the common von Neumann value.
+    kinds (``gaussian.CLOSED_FORM_KINDS``): 'vn', 'renyi', 'sandwiched',
+    'hs' and 'bures', from the order-1/2 sandwiched value as in
+    ``gaussian_mi``; order 1 is the common von Neumann value.
     """
     kind, alpha = mi_kind(kind, alpha, CLOSED_FORM_KINDS)
+    if kind == "bures":
+        return bures_metric(math.exp(-0.5 * xstate_mi("sandwiched", params, 0.5)))
     p = params
     a, b, c, d = p.a, p.b, p.c, p.d
     ma = (a + b, c + d)  # marginal of the first qubit

@@ -144,6 +144,14 @@ def test_measure_rows_synthesizes_the_reference_once(monkeypatch):
     ]
 
 
+def test_bures_rows_synthesize_no_reference(monkeypatch):
+    # delta:bures takes its reference value from the closed form
+    calls = _count_synthesis(monkeypatch)
+    rows = measure_rows(LOSSY_ECS, 0.7, ["bures", "delta:bures"])
+    assert len(calls) == 0
+    assert [r["status"] for r in rows] == ["ok", "ok"]
+
+
 @pytest.mark.parametrize("ids, products, reference_traces", [
     pytest.param(["vn"], 0, 0, id="vn"),
     pytest.param(["hs", "delta:hs"], 1, 0, id="hs"),

@@ -132,7 +132,7 @@ CLOSED_FORMS = {
 def test_a_closed_form_checks_the_kind_before_any_shortcut(route):
     fn, correlated, product = CLOSED_FORMS[route]
     for params in (correlated, product):
-        for kind in ("bogus", "hilbert_schmidt", "tr", "bures"):
+        for kind in ("bogus", "hilbert_schmidt", "tr"):
             for alpha in (None, 1.0, 2.0):
                 with pytest.raises(ValueError):
                     fn(kind, params, alpha)
@@ -143,7 +143,8 @@ def test_a_closed_form_checks_the_kind_before_any_shortcut(route):
     for kind in ("renyi", "sandwiched"):
         assert fn("vn", correlated) == fn(kind, correlated, 1.0)
     assert fn("vn", correlated, 2.0) == fn("renyi", correlated, 1.0)
-    assert fn("hs", correlated, 2.0) == fn("hs", correlated)
+    for kind in ("hs", "bures"):
+        assert fn(kind, correlated, 2.0) == fn(kind, correlated)
     assert fn("vn", product) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -152,9 +153,16 @@ def test_fock_bures_mi_meets_the_pure_tmsv_anchor(r):
     # F(psi, rho_A x rho_B) = sum_n p_n^3 = (1 - x)^3 / (1 - x^3), x = tanh^2 r
     x = math.tanh(r) ** 2
     fid = (1.0 - x) ** 3 / (1.0 - x**3)
+    exact = math.sqrt(2.0 * (1.0 - math.sqrt(fid)))
     st = make_state(StateSpec("tmsv", {"r": r}, cutoff=30))
     got = mutual_information("bures", st).value
-    assert abs(got - math.sqrt(2.0 * (1.0 - math.sqrt(fid)))) < 1e-12
+    assert abs(got - exact) < 1e-12
+    # the closed form, from the order-1/2 sandwiched value, against the
+    # anchor and the Fock route of the synthesized reference
+    closed = gaussian_mi("bures", _tmsv_spec(r))
+    assert abs(closed - exact) < 1e-12
+    reference = reference_gaussian_fock(_tmsv_spec(r), 30)
+    assert abs(mutual_information("bures", reference).value - closed) < 1e-12
 
 
 def _tmsv_spec(r):
@@ -201,13 +209,16 @@ def test_fock_sandwiched_mi_of_a_full_rank_tmsv_is_finite(alpha):
 
 def _mp_ecs_reference_mi(mp, kind, gamma, eta, alpha):
     """``gaussian_mi`` of ``analytic_cm("ecs_loss", ...)`` through the same
-    formulas in mpmath, from the exact standard form: a = b, c and d."""
+    formulas in mpmath, from the exact standard form: a = b, c and d; 'bures'
+    through a fidelity formula of its own (``_mp_bures``)."""
     half = mp.mpf(1) / 2
     g2 = 2 * mp.mpf(gamma) ** 2
     x1, x2 = (mp.mpf(eta) * g2 / 2 / mp.sinh(g2) * mp.exp(s * g2) for s in (1, -1))
     a = mp.sqrt((x1 + half) * (x2 + half))
     c, d = a * x1 / (x1 + half), a * x2 / (x2 + half)
     ell, m = a * a + c * d, (a * a - c * c) * (a * a - d * d)
+    if kind == "bures":
+        return _mp_bures(mp, [[a, 0, c, 0], [0, a, 0, d], [c, 0, a, 0], [0, d, 0, a]])
     lams = [mp.sqrt(ell + s * mp.sqrt(ell * ell - m)) for s in (1, -1)]
     if kind == "vn":
         def entropy(x):
@@ -243,6 +254,25 @@ def _mp_ecs_reference_mi(mp, kind, gamma, eta, alpha):
     return mp.re(total)
 
 
+def _mp_bures(mp, cm):
+    """sqrt(2 (1 - sqrt F)) of a zero-mean two-mode Gaussian state of
+    covariance ``cm`` and its marginal product, with F from the two-mode
+    Gaussian fidelity of Marian & Marian, Phys. Rev. A 86, 022340 (2012):
+    F = 1 / (sqrt G + sqrt L - sqrt((sqrt G + sqrt L)^2 - D)), D = det(V1 + V2),
+    G = 16 det(Omega V1 Omega V2 - I/4) and L = 16 det(V1 + i Omega/2)
+    det(V2 + i Omega/2).  A derivation of its own, not the sandwiched one."""
+    v1 = mp.matrix(cm)
+    v2 = mp.matrix([[v1[i, j] if i // 2 == j // 2 else 0 for j in range(4)] for i in range(4)])
+    om = mp.matrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+    big_g = 16 * mp.re(mp.det(om * v1 * om * v2 - mp.eye(4) / 4))
+    big_l = 16 * mp.re(mp.det(v1 + 1j * om / 2) * mp.det(v2 + 1j * om / 2))
+    # L vanishes when a state has a pure mode, as the ECS reference does,
+    # and may round below 0
+    root = mp.sqrt(big_g) + mp.sqrt(max(0, big_l))
+    fid = 1 / (root - mp.sqrt(root * root - mp.det(v1 + v2)))
+    return mp.sqrt(2 * (1 - mp.sqrt(fid)))
+
+
 @pytest.mark.parametrize("gamma", [1.0, 1.5, 2.3, 2.5])
 def test_ecs_reference_closed_forms_meet_a_50_digit_evaluation(gamma):
     # the reference's antisymmetric mode is exactly the vacuum, so one
@@ -251,12 +281,47 @@ def test_ecs_reference_closed_forms_meet_a_50_digit_evaluation(gamma):
     with mpmath.workdps(50):
         for eta in (1.0, 0.825, 0.3):
             spec = analytic_cm("ecs_loss", gamma=gamma, eta=eta)
-            cases = [("vn", None)] + [(kind, alpha) for kind in ("renyi", "sandwiched")
-                                      for alpha in (0.5, 0.75, 1.5)]
+            cases = [("vn", None), ("bures", None)] + [
+                (kind, alpha) for kind in ("renyi", "sandwiched") for alpha in (0.5, 0.75, 1.5)]
             for kind, alpha in cases:
                 want = float(_mp_ecs_reference_mi(mpmath.mp, kind, gamma, eta, alpha))
                 got = gaussian_mi(kind, spec, alpha)
                 assert abs(got - want) < 1e-13, (kind, eta, alpha, got - want)
+
+
+@pytest.mark.parametrize("f, r", [(0.4, 0.2), (0.7, 0.2), (0.9, 0.05), (0.5, 0.6)])
+def test_bures_closed_form_of_the_cv_werner_reference_meets_a_50_digit_fidelity(f, r):
+    # the reference (1 - f) I/2 + f V_TMSV(r) is mixed, so its float
+    # covariance matrix is a well-conditioned input to the 50-digit formula
+    # (rounding it moves the value by at most 2e-15).  The closed form
+    # misses by 4e-15 to 1.4e-13, and by 4.6e-12 at r = 0.05, whose marginals
+    # are nearly pure; the Fock route of the synthesized reference misses by
+    # 3.7e-12 to 3.1e-11, the same at cutoffs 10 to 20: its own error
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        mf, mr = mpmath.mpf(f), mpmath.mpf(r)
+        a = (1 - mf) / 2 + mf * mpmath.cosh(2 * mr) / 2
+        c = mf * mpmath.sinh(2 * mr) / 2
+        want = float(_mp_bures(mpmath.mp, [[a, 0, c, 0], [0, a, 0, -c],
+                                           [c, 0, a, 0], [0, -c, 0, a]]))
+    tmsv = _tmsv_spec(r).cm
+    spec = GaussianSpec(np.zeros(4), (1.0 - f) * 0.5 * np.eye(4) + f * tmsv)
+    got = gaussian_mi("bures", spec)
+    assert abs(got - want) < 1e-11
+    fock = mutual_information("bures", reference_gaussian_fock(spec, 20)).value
+    assert abs(fock - got) < 1e-10
+
+
+@pytest.mark.slow
+def test_fock_bures_of_the_lossy_ecs_reference_approaches_the_closed_form():
+    # the synthesized reference's truncation error: 1.4e-5, 6.3e-8 and
+    # 2.6e-10 at cutoffs 20, 30 and 40
+    spec = analytic_cm("ecs_loss", gamma=1.0, eta=0.7)
+    closed = gaussian_mi("bures", spec)
+    misses = [abs(mutual_information("bures", reference_gaussian_fock(spec, cut)).value
+                  - closed) for cut in (20, 30, 40)]
+    assert misses[0] > misses[1] > misses[2]
+    assert misses[2] < 1e-9
 
 
 def test_reference_roundtrip_moments():

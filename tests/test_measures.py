@@ -195,3 +195,13 @@ def test_order_one_sandwiched_row_is_the_von_neumann_row(spec):
     vn, sandwiched = measure_rows(spec, None, ["vn", "sandwiched:1"])
     assert sandwiched["status"] == vn["status"] == "ok"
     assert sandwiched["value"] == vn["value"]
+
+
+def test_a_product_reference_leaves_the_bures_row_as_its_delta():
+    # photon-number correlations only: the moments are those of a thermal
+    # pair, whose closed-form Bures value is exactly 0; the Fock value of
+    # the synthesized product reference is 7.8e-7 at this cutoff
+    spec = StateSpec("photon_correlated", {"nbar": 0.5}, cutoff=20)
+    bures, delta = measure_rows(spec, None, ["bures", "delta:bures"])
+    assert bures["status"] == delta["status"] == "ok"
+    assert abs(delta["value"] - bures["value"]) <= 1e-15

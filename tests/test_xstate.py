@@ -144,6 +144,15 @@ def test_ecs_to_xstate_matches_fock():
                 ), (g, eta, kind)
 
 
+@pytest.mark.parametrize("gamma, eta", [(1.0, 0.7), (0.8, 0.5), (1.2, 1.0)])
+def test_bures_closed_form_meets_the_fock_route_on_the_lossy_ecs(gamma, eta):
+    # from the order-1/2 sandwiched value on the X state; the Fock route
+    # reads the Uhlmann fidelity of the closed form embedded at cutoff 30
+    got = xstate_mi("bures", ecs_to_xstate(gamma, eta))
+    want = mutual_information("bures", ecs_loss_analytic(gamma, eta, 30)).value
+    assert abs(got - want) < 1e-14
+
+
 def test_pure_schmidt_bell_consistency():
     coeffs = (1 / math.sqrt(2), 1 / math.sqrt(2))
     for kind in ("renyi", "sandwiched"):
