@@ -72,20 +72,26 @@ def ecs_loss_analytic(gamma, eta, cutoff):
     attenuated cat basis |+-'> ~ |sqrt(eta) gamma> +- |-sqrt(eta) gamma> (van
     Enk & Hirota, PRA 64, 022313 (2001)).  It has rank 2 (u = b = c, v = sqrt(ad)):
     rho = |b><b| + |e><e|, the Bell-type branch |b> = sqrt(b) (|+-'> + |-+'>)
-    and the even branch |e> = sqrt(a) |++'> + sqrt(d) |--'>.
+    and the even branch |e> = sqrt(a) |++'> + sqrt(d) |--'>, which are the
+    state's ``columns``.
+
+    ``gamma`` is a positive amplitude, or a complex one of any phase: the
+    environment's overlaps exp(-2 (1 - eta) |gamma|^2) are real, so the
+    weights are those of ``ecs_to_xstate(|gamma|, eta)`` and the phase enters
+    only through the cat vectors.
 
     Raises ``TruncationError`` when the tail mass at ``cutoff`` reaches
     ``DEFAULT_TAIL_TOL``.
     """
-    x = ecs_to_xstate(gamma, eta)
-    plus, minus = cat_vectors(math.sqrt(eta) * float(gamma), cutoff)
+    x = ecs_to_xstate(abs(gamma) if isinstance(gamma, complex) else gamma, eta)
+    plus, minus = cat_vectors(math.sqrt(eta) * gamma, cutoff)
     bell = math.sqrt(x.b) * (np.outer(plus, minus) + np.outer(minus, plus))
     even = math.sqrt(x.a) * np.outer(plus, plus) + math.sqrt(x.d) * np.outer(minus, minus)
-    pops = bell * bell + even * even
+    pops = np.abs(bell) ** 2 + np.abs(even) ** 2
     tail = _tail_mass(pops)
     if tail >= DEFAULT_TAIL_TOL:
         raise TruncationError(f"lossy-ECS tail mass {tail:.3e} >= {DEFAULT_TAIL_TOL}")
-    # np.outer flattens the branches; its entries are products of branch
-    # amplitudes, so rho is exactly symmetric
-    rho = np.outer(bell, bell) + np.outer(even, even)
-    return FockState(pops.shape, rho, validate=False)
+    bell, even = bell.ravel(), even.ravel()
+    # its entries are products of branch amplitudes, so rho is exactly Hermitian
+    rho = np.outer(bell, bell.conj()) + np.outer(even, even.conj())
+    return FockState(pops.shape, rho, validate=False, columns=np.stack([bell, even], axis=1))

@@ -8,7 +8,10 @@ family's parameters (``states.FAMILY_PARAMS``: ``gamma``, ``f``, ``r``,
 ``nbar``, ``coeffs`` as a comma-separated list, ``levels`` likewise,
 ``sign``, ``modes``); a missing required parameter, one the family does not
 take, or a non-finite one is refused.  ``eta``, in [0, 1], applies a
-symmetric loss channel after construction.  One state per file.
+symmetric pure-loss channel after construction: the ``ecs`` family's lossy
+state is built in closed form (``channels.ecs_loss_analytic``, the figures'
+builder), with its tail checked after the loss, and every other family's
+through ``channels.apply_loss``.  One state per file.
 """
 
 from __future__ import annotations
@@ -19,12 +22,12 @@ import os
 import sys
 from pathlib import Path
 
-from .channels import apply_loss
+from .channels import apply_loss, ecs_loss_analytic
 from .errors import BadSpec, NGCorrError, check_eta
 from .figures import COLUMNS, FIGURE_IDS, FIGURES, RANGE_KEYS, measure, run_figure, sweep
 from .gaussian import MI_KINDS, ORDERED_KINDS
 from .measures import NG_KINDS
-from .states import FAMILIES, StateSpec, _count, make_state
+from .states import FAMILIES, StateSpec, _count, default_cutoff, make_state
 
 #: The checkout's test suites, next to ``src/``.
 TESTS_DIR = Path(__file__).resolve().parents[2] / "tests"
@@ -168,8 +171,15 @@ def measure_rows(spec, loss_eta, measure_ids):
         params["eta"] = loss_eta
 
     def build(_params):
-        state = make_state(spec)
-        return state if loss_eta is None else apply_loss(state, loss_eta)
+        if loss_eta is None:
+            return make_state(spec)
+        if spec.family == "ecs":
+            g = spec.params["gamma"]
+            # ECS(-gamma) = -ECS(gamma) is one state: a real amplitude enters
+            # the closed form as its magnitude
+            g = g if isinstance(g, complex) else abs(g)
+            return ecs_loss_analytic(g, loss_eta, spec.cutoff or default_cutoff(g))
+        return apply_loss(make_state(spec), loss_eta)
 
     return sweep("measure_state", [params], measures, build)
 

@@ -3,7 +3,8 @@
 ``FIGURES`` holds one entry per figure id: its axes (or seeded draws), its
 state builder (None for a figure that builds no Fock state) and its ordered
 measure list.  fig2ef and fig4 build the lossy superposition through one
-closed form, ``channels.ecs_loss_analytic``, for their Fock-route measures.
+closed form, ``channels.ecs_loss_analytic``, for their Fock-route measures,
+as ``measure_state`` does for an ``ecs`` spec with ``eta``.
 Its closed-form deltas (fig2cd, fig2ef's ``delta_hs``, fig4's ``delta_vn``)
 and its ``lb1``/``lb2`` bounds (fig4, fig5), which come from its
 phase-space terms (``measures.ng_bounds``), build no Fock state, and so

@@ -19,10 +19,15 @@ A ``FockState`` holds rho as float64 when its imaginary part is exactly
 zero, as for every state with real parameters, and as complex128 otherwise.
 
 A ``FockState`` keeps what is derived from it alone (``FockState.derive``),
-its one eigensystem among them (``FockState.spectrum``); a ``tensor`` product
-builds its eigensystem from its factors' through ``kron_spectrum`` instead
-of solving it.  ``paired`` lines up two such eigensystems so their
-eigenvectors combine sector by sector.
+its one eigensystem among them (``FockState.spectrum``).  Two kinds of state
+never solve a d x d operand for it: a ``tensor`` product builds its
+eigensystem from its factors' (``kron_spectrum``), and a state built from a
+few vectors, rho = C C^dag (its ``columns``: a pure state, the lossy ECS's
+two branches, the CV-Werner pair), takes it from the r x r Gram matrices of
+C's rows in each parity sector (``gram_spectrum``).  Such a spectrum is
+thin: it keeps one eigenvector per eigenvalue above its numerical rank.
+Dense ``spectra`` solves every other operand.  ``paired`` lines up two
+eigensystems so their eigenvectors combine sector by sector.
 """
 
 from __future__ import annotations
@@ -59,6 +64,17 @@ def _tail_mass(pops):
     return worst
 
 
+def _stored(arr):
+    """``arr`` as a read-only contiguous float64 array when its imaginary
+    part is exactly zero, else as complex128."""
+    arr = np.asarray(arr)
+    if np.iscomplexobj(arr) and not arr.imag.any():
+        arr = arr.real
+    arr = np.ascontiguousarray(arr, dtype=np.result_type(arr, float))
+    arr.setflags(write=False)
+    return arr
+
+
 class FockState:
     """Density matrix of an n-mode state with per-mode Fock cutoffs.
 
@@ -69,18 +85,17 @@ class FockState:
     convergence-sensitive operations compare it against a tolerance
     instead of silently truncating.  ``factors`` are the states whose
     Kronecker product this is, if it was built as one by ``tensor``.
-    ``rho`` is float64 when its imaginary part is exactly zero, else
-    complex128.
+    ``columns``, given by a builder that forms rho from a few vectors, is
+    the d x r matrix C with rho = C C^dag; the spectrum is then read from C
+    (``gram_spectrum``).  ``rho`` and ``columns`` are float64 when their
+    imaginary parts are exactly zero, else complex128.
     """
 
-    __slots__ = ("dims", "rho", "tail_mass", "factors", "_derived")
+    __slots__ = ("dims", "rho", "tail_mass", "factors", "columns", "_derived")
 
-    def __init__(self, dims, rho, validate=True, factors=None):
+    def __init__(self, dims, rho, validate=True, factors=None, columns=None):
         dims = tuple(int(d) for d in dims)
-        rho = np.asarray(rho)
-        if np.iscomplexobj(rho) and not rho.imag.any():
-            rho = rho.real
-        rho = np.ascontiguousarray(rho, dtype=np.result_type(rho, float))
+        rho = _stored(rho)
         d = math.prod(dims)
         if rho.shape != (d, d):
             raise DimMismatch(f"rho shape {rho.shape} != ({d}, {d}) from dims {dims}")
@@ -91,11 +106,11 @@ class FockState:
             tr = np.trace(rho).real
             if abs(tr - 1.0) > TRACE_TOL:
                 raise InvalidState(f"trace(rho) = {tr!r}, expected 1")
-        rho.setflags(write=False)
         self.dims = dims
         self.rho = rho
         self.tail_mass = _tail_mass(np.real(np.diagonal(rho)).reshape(dims))
         self.factors = factors
+        self.columns = None if columns is None else _stored(columns)
         self._derived = {}
 
     @property
@@ -136,9 +151,12 @@ def kept(memo, build, arg):
 
 
 def _eigensystem(state):
-    """A ``tensor`` product's from its factors', any other state's solved."""
+    """A ``tensor`` product's from its factors', that of a state with
+    ``columns`` from their Gram matrices, any other state's solved."""
     if state.factors:
         return kron_spectrum(*(f.spectrum() for f in state.factors))
+    if state.columns is not None:
+        return gram_spectrum(state.dims, state.columns)
     return spectra(state.dims, state.rho)
 
 
@@ -267,6 +285,8 @@ class Spectrum(namedtuple("Spectrum", ["sectors", "real", "values", "vectors"]))
     eigenvectors as columns, indexed within the sector (None when only
     eigenvalues were asked for).  A parity sector solved as its two exchange
     blocks has the same layout: their values merged, their vectors lifted.
+    A thin spectrum (``gram_spectrum``) keeps only the eigenpairs above its
+    numerical rank, one vector column per value; a sector may keep none.
     """
 
     __slots__ = ()
@@ -276,9 +296,10 @@ class Spectrum(namedtuple("Spectrum", ["sectors", "real", "values", "vectors"]))
         return np.concatenate(self.values)
 
     def rank_floor(self):
-        """Numerical-rank threshold w_max d eps of the whole operand."""
-        w = self.eigenvalues()
-        return float(np.max(w)) * w.size * np.finfo(float).eps
+        """Numerical-rank threshold w_max d eps of the whole operand, d the
+        dimension its sectors span (thin or not)."""
+        d = sum(idx.size for idx in self.sectors)
+        return float(np.max(self.eigenvalues())) * d * np.finfo(float).eps
 
     def one_block(self):
         """The same eigensystem as one full-basis block, each sector's
@@ -286,12 +307,13 @@ class Spectrum(namedtuple("Spectrum", ["sectors", "real", "values", "vectors"]))
         if len(self.sectors) == 1:
             return self
         d = sum(idx.size for idx in self.sectors)
-        vectors = np.zeros((d, d))
+        w = self.eigenvalues()
+        vectors = np.zeros((d, w.size))
         start = 0
         for idx, vecs in zip(self.sectors, self.vectors):
-            vectors[idx, start : start + idx.size] = vecs
-            start += idx.size
-        return _read_only(Spectrum((np.arange(d),), False, (self.eigenvalues(),), (vectors,)))
+            vectors[idx, start : start + vecs.shape[1]] = vecs
+            start += vecs.shape[1]
+        return _read_only(Spectrum((np.arange(d),), False, (w,), (vectors,)))
 
 
 def _read_only(spec):
@@ -419,7 +441,7 @@ def kron_spectrum(a, b):
             continue
         idx = np.sort(np.concatenate([flat for flat, *_ in group]))
         w = np.concatenate([wab for _, wab, *_ in group])
-        v = np.zeros((idx.size, idx.size), dtype=dtype)
+        v = np.zeros((idx.size, w.size), dtype=dtype)
         start = 0
         for flat, wab, ua, ub in group:
             v[np.searchsorted(idx, flat), start : start + wab.size] = np.kron(ua, ub)
@@ -429,6 +451,41 @@ def kron_spectrum(a, b):
         values.append(w[order])
         vectors.append(v[:, order])
     return _read_only(Spectrum(tuple(sectors), real, tuple(values), tuple(vectors)))
+
+
+def gram_spectrum(dims, cols):
+    """Spectrum of rho = C C^dag on ``dims`` from the d x r matrix C
+    (``FockState.columns``), with no d x d solve: each block's nonzero
+    eigenvalues are those of the r x r Gram matrix G = C_k^dag C_k of its
+    rows C_k, G Y = Y diag(w), and its eigenvectors C_k Y / sqrt(w).  The
+    Spectrum is thin: values at or below the rank floor w_max d eps
+    (``Spectrum.rank_floor``) are cut with their vectors.
+
+    A real C takes ``spectra``'s real parity split under the same rule, the
+    dropped off-sector part measured through the Gram matrices:
+    ||rho_eo||_F^2 = tr(G_e G_o) and ||rho||_F = ||C^dag C||_F.  A complex C,
+    or one that fails the rule, is one complex block.
+    """
+    d = cols.shape[0]
+    sectors = tuple(idx for idx, _, _ in _parity_layout(dims))
+    parts = [cols.take(idx, axis=0) for idx in sectors]
+    grams = [c.conj().T @ c for c in parts]
+    real = not np.iscomplexobj(cols)
+    if real and len(grams) == 2:
+        # both off-diagonal blocks, each of squared norm tr(G_e G_o)
+        dropped = 2.0 * float(np.sum(grams[0] * grams[1].T))
+        limit = math.sqrt(d) * np.finfo(float).eps * np.linalg.norm(grams[0] + grams[1])
+        real = bool(math.sqrt(max(dropped, 0.0)) <= limit)
+    if not real:
+        sectors, parts, grams = (np.arange(d),), [cols], [sum(grams)]
+    solved = [np.linalg.eigh(g) for g in grams]
+    floor = Spectrum(sectors, real, [w for w, _ in solved], None).rank_floor()
+    values, vectors = [], []
+    for c, (w, y) in zip(parts, solved):
+        keep = w > floor
+        values.append(w[keep])
+        vectors.append((c @ y[:, keep]) / np.sqrt(w[keep]))
+    return _read_only(Spectrum(sectors, real, tuple(values), tuple(vectors)))
 
 
 def paired(a, b):
@@ -513,6 +570,8 @@ def unit_vector(vec):
 
 
 def pure_state(vec, dims, validate=True):
-    """|psi><psi| as a FockState from a flat amplitude vector, normalised."""
+    """|psi><psi| as a FockState from a flat amplitude vector, normalised;
+    its one column is |psi>."""
     vec = unit_vector(vec)
-    return FockState(dims, np.outer(vec, vec.conj()), validate=validate)
+    return FockState(dims, np.outer(vec, vec.conj()), validate=validate,
+                     columns=vec[:, None])

@@ -116,9 +116,12 @@ def sandwiched_relative_entropy(rho, sigma, alpha):
 
     Infinite when alpha >= 1 and rho leaks outside the support of sigma, the
     span of its eigenvectors above its numerical rank (``Spectrum.rank_floor``).
-    alpha = 1 gives the ordinary relative entropy.  rho enters through its
-    eigenpairs above its own numerical rank, as in the entropies, and every
-    branch reads the one overlap product per sector (``support_overlaps``).
+    The leak is rho's mass less its mass on that span, which reads the same
+    on a thin sigma (``fock.gram_spectrum``), whose spectrum holds no
+    eigenvectors outside it.  alpha = 1 gives the ordinary relative entropy.
+    rho enters through its eigenpairs above its own numerical rank, as in
+    the entropies, and every branch reads the one overlap product per sector
+    (``support_overlaps``).
     """
     _, alpha = mi_kind("sandwiched", alpha)
     r, s = paired(rho.spectrum(), sigma.spectrum())
@@ -128,9 +131,11 @@ def sandwiched_relative_entropy(rho, sigma, alpha):
     # alpha >= 1 the support check reads every eigenvector of sigma
     overlaps = support_overlaps(r, s, 0.0 if alpha < 1.0 else -math.inf)
     if alpha >= 1.0:
-        # populations sum_k p_k |<v_j|u_k>|^2 of rho in the eigenbasis of sigma
+        # populations sum_k p_k |<v_j|u_k>|^2 of rho in the eigenbasis of
+        # sigma, which holds no eigenvector off its support when it is thin
         pops = [(np.abs(m) ** 2) @ p for p, _, m in overlaps]
-        leak = sum(float(np.sum(q[w <= floor])) for q, w in zip(pops, s.values))
+        leak = sum(float(np.sum(p) - np.sum(q[w > floor]))
+                   for (p, _, _), q, w in zip(overlaps, pops, s.values))
         if leak > SUPPORT_LEAK_TOL:
             return math.inf
     if alpha == 1.0:

@@ -218,7 +218,8 @@ def make_state(spec):
         phi = _tmsv_vec(r, cut)
         phi = phi / np.linalg.norm(phi)
         rho = (1.0 - f) * np.outer(vac, vac) + f * np.outer(phi, phi)
-        state = FockState((cut, cut), rho, validate=False)
+        columns = np.stack([math.sqrt(1.0 - f) * vac, math.sqrt(f) * phi], axis=1)
+        state = FockState((cut, cut), rho, validate=False, columns=columns)
     elif fam == "photon_correlated":
         nbar = float(p["nbar"])
         cut = spec.cutoff or thermal_cutoff(nbar)

@@ -116,6 +116,20 @@ def test_ecs_loss_analytic_is_the_rank_two_mixture_of_its_branches(eta, gamma, c
     assert np.max(np.abs(w[:-2])) < 1e-14
 
 
+@pytest.mark.parametrize("eta", [0.0, 0.6, 1.0])
+@pytest.mark.parametrize("gamma", [0.3 + 0.5j, 1.2 * np.exp(0.7j), -0.8j])
+def test_ecs_loss_analytic_of_a_complex_amplitude_matches_kraus(gamma, eta):
+    # the weights are those of |gamma|; the phase enters through the cat vectors
+    target = apply_loss(make_state(StateSpec("ecs", {"gamma": gamma}, cutoff=30)), eta)
+    closed = ecs_loss_analytic(gamma, eta, 30)
+    assert np.max(np.abs(closed.rho - target.rho)) <= 1e-14
+    cols = closed.columns
+    assert cols.shape == (900, 2)
+    assert np.max(np.abs(cols @ cols.conj().T - closed.rho)) <= 1e-15
+    x = ecs_to_xstate(abs(gamma), eta)
+    assert np.linalg.norm(cols, axis=0) ** 2 == pytest.approx([x.b + x.c, x.a + x.d], abs=1e-14)
+
+
 def test_ecs_loss_unit_transmittance_is_pure():
     st = ecs_loss_analytic(0.8, 1.0, 20)
     assert overlap(st, st) == pytest.approx(1.0, abs=1e-10)

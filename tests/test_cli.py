@@ -22,9 +22,9 @@ import ngcorr.figures
 import ngcorr.measures
 import numpy as np
 
-from ngcorr.channels import apply_loss, ecs_loss_analytic
+from ngcorr.channels import ecs_loss_analytic
 from ngcorr.entanglement import eof_two_qubit
-from ngcorr.errors import BadSpec, ConvergenceFailure
+from ngcorr.errors import BadSpec, ConvergenceFailure, TruncationError
 from ngcorr.fock import tensor, truncate_state
 from ngcorr.figures import (
     COLUMNS,
@@ -115,6 +115,81 @@ def test_measure_state_matches_figure_sweep(tmp_path):
     assert rows[0]["value"] == pytest.approx(mid["value"], abs=1e-10)
 
 
+def test_measure_state_on_the_lossy_ecs_matches_the_figure_sweeps():
+    # an ecs spec with eta builds the figures' closed form: its ng:tr and
+    # delta:tr rows are fig4's ng_tr and fig2ef's delta_tr at the same
+    # (gamma, eta, cutoff); a one-point sweep leaves BLAS at its default
+    # thread count, which may move the last digit
+    spec = StateSpec("ecs", {"gamma": 1.0}, cutoff=20)
+    etas = (0.2, 0.8, 3)
+    fig4 = run_figure("fig4", {"eta": etas, "cutoff": 20}, threads=1)
+    fig2ef = run_figure("fig2ef", {"gamma": (1.0, 1.0, 1), "eta": etas, "cutoff": 20},
+                        threads=1)
+    for rows, figure_id, mid in ((fig4, "ng_tr", "ng:tr"), (fig2ef, "delta_tr", "delta:tr")):
+        want = [r for r in rows if r["measure"] == figure_id]
+        assert len(want) == 3
+        for row in want:
+            (got,) = measure_rows(spec, row["eta"], [mid])
+            assert got["status"] == row["status"] == "ok"
+            assert abs(got["value"] - row["value"]) <= 1e-15, (mid, row["eta"])
+            assert (got["cutoff"], got["tail_mass"]) == (row["cutoff"], row["tail_mass"])
+
+
+#: Every measure kind, as a mutual information, a delta and an ng id.
+ALL_IDS = ("vn", "renyi:0.5", "renyi:2", "sandwiched:0.5", "sandwiched:1", "sandwiched:1.5",
+           "sandwiched:2", "hs", "tr", "bures", "delta:vn", "delta:renyi:2",
+           "delta:sandwiched:0.5", "delta:sandwiched:1.5", "delta:hs", "delta:tr",
+           "delta:bures", "ng:tr", "ng:fid", "ng:lb1", "ng:lb2")
+
+#: ng:fid's own spread: moving the averaged pair by a diagonal phase
+#: unitary, which leaves it unchanged in exact arithmetic, moves the dense
+#: value by up to 4.3e-11 (tests/test_spectral.py, ILL_CONDITIONED_TOL).
+NG_FID_SPREAD = 4.3e-11
+
+
+def test_measure_state_of_a_complex_amplitude_meets_the_kraus_route():
+    gamma, eta = 0.3 + 0.5j, 0.6
+    rows = measure_rows(StateSpec("ecs", {"gamma": gamma}, cutoff=20), eta, ALL_IDS)
+    kraus = sweep("measure_state", [{"gamma": abs(gamma), "eta": eta}],
+                  [(mid, measure(*_parse_measure_id(mid))) for mid in ALL_IDS],
+                  lambda p: kraus_lossy_ecs({"gamma": gamma, "eta": eta}, 20))
+    for got, want in zip(rows, kraus, strict=True):
+        tol = NG_FID_SPREAD if got["measure"] == "ng:fid" else 1e-12
+        assert got["status"] == want["status"] == "ok"
+        assert abs(got["value"] - want["value"]) <= tol, got["measure"]
+
+
+def test_the_lossy_ecs_is_tail_checked_after_the_loss():
+    # the pure ECS at gamma = 1.5 fails the tail check at cutoff 12, where
+    # the Kraus route checked it before the loss and flagged every row; the
+    # closed form checks the lossy state, which passes.  Its entropies are
+    # exact at any cutoff, and ng:tr approaches its cutoff-30 value
+    spec = StateSpec("ecs", {"gamma": 1.5}, cutoff=12)
+    with pytest.raises(TruncationError):
+        make_state(spec)
+
+    def values(cutoff):
+        rows = measure_rows(dataclasses.replace(spec, cutoff=cutoff), 0.3, ["vn", "ng:tr"])
+        assert [r["status"] for r in rows] == ["ok", "ok"]
+        return [r["value"] for r in rows]
+
+    (vn30, ng30), *rest = [values(cutoff) for cutoff in (30, 12, 16, 20)]
+    assert all(abs(vn - vn30) <= 1e-14 for vn, _ in rest)
+    misses = [abs(ng - ng30) for _, ng in rest]
+    assert misses[0] > misses[1] > misses[2]
+
+
+def test_a_negative_real_amplitude_is_the_same_lossy_ecs():
+    # ECS(-gamma) = -ECS(gamma): the closed form reads a real amplitude's
+    # magnitude, as the Kraus route built the same state from either sign
+    ids = ["vn", "sandwiched:1.5", "tr", "ng:tr"]
+    neg, pos = (measure_rows(StateSpec("ecs", {"gamma": g}, cutoff=16), 0.5, ids)
+                for g in (-0.5, 0.5))
+    for a, b in zip(neg, pos, strict=True):
+        assert a["status"] == b["status"] == "ok"
+        assert abs(a["value"] - b["value"]) <= 1e-15, a["measure"]
+
+
 LOSSY_ECS = StateSpec("ecs", {"gamma": 0.6}, cutoff=12)
 
 
@@ -136,7 +211,7 @@ def test_measure_rows_synthesizes_the_reference_once(monkeypatch):
     calls = _count_synthesis(monkeypatch)
     rows = measure_rows(LOSSY_ECS, 0.7, ["ng:tr", "ng:fid", "delta:tr"])
     assert len(calls) == 1
-    state = apply_loss(make_state(LOSSY_ECS), 0.7)
+    state = ecs_loss_analytic(0.6, 0.7, 12)
     assert [r["value"] for r in rows] == [
         ng_correlation("tr", state).value,
         ng_correlation("fid", state).value,
@@ -165,7 +240,7 @@ def test_measure_rows_build_the_states_marginal_product_once(
     # Gaussian reference once per mode however many ids read its marginals
     spec = StateSpec("ecs", {"gamma": 1.0}, cutoff=20)
     built, traced, made = [], [], []
-    original_loss = ngcorr.cli.apply_loss
+    original_loss = ngcorr.cli.ecs_loss_analytic
     original_trace = ngcorr.measures.partial_trace
     original_tensor = ngcorr.measures.tensor
 
@@ -182,7 +257,7 @@ def test_measure_rows_build_the_states_marginal_product_once(
         made.append((a, b))
         return original_tensor(a, b)
 
-    monkeypatch.setattr(ngcorr.cli, "apply_loss", build)
+    monkeypatch.setattr(ngcorr.cli, "ecs_loss_analytic", build)
     monkeypatch.setattr(ngcorr.measures, "partial_trace", partial_trace)
     monkeypatch.setattr(ngcorr.measures, "tensor", tensor)
     rows = measure_rows(spec, 0.7, ids)
@@ -483,6 +558,8 @@ def test_fig3_cutoff_below_the_pnes_levels_is_flagged():
 VANISHING = {
     "measure_state": (lambda: measure_rows(
         StateSpec("ecs", {"gamma": 1.0}, cutoff=1), None, ["vn", "delta:tr", "ng:lb1"]), ()),
+    "measure_state_lossy": (lambda: measure_rows(
+        StateSpec("ecs", {"gamma": 1.0}, cutoff=1), 0.5, ["vn", "delta:tr", "ng:lb1"]), ()),
     "measure_state_odd_cat": (lambda: measure_rows(
         StateSpec("cat", {"gamma": 1.0, "sign": -1}, cutoff=1), None, ["vn"]), ()),
     "fig4": (lambda: run_figure("fig4", {"grid": 2, "cutoff": 1}, threads=1),

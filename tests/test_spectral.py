@@ -1,5 +1,6 @@
-"""The parity- and exchange-blocked real eigensolves of ``fock.spectra``
-against the dense complex path they replace.
+"""The parity- and exchange-blocked real eigensolves of ``fock.spectra``,
+and the thin Gram spectrum of a state built from a few vectors
+(``fock.gram_spectrum``), against the dense paths they replace.
 
 The dense path lives on here only, as the oracle: every eigensolve is one
 complex LAPACK call on the full d = N1 N2 space, exactly as the measures
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from ngcorr import fock
-from ngcorr.channels import apply_loss
+from ngcorr.channels import apply_loss, ecs_loss_analytic
 from ngcorr.cli import measure_rows, write_csv
 from ngcorr.distill import DistillConfig, _projected_bs, distill
 from ngcorr.entanglement import log_negativity_fock
@@ -42,7 +43,7 @@ from ngcorr.measures import (
     ng_correlation,
     sandwiched_relative_entropy,
 )
-from ngcorr.states import StateSpec, make_state
+from ngcorr.states import StateSpec, coherent_amps, make_state
 from sampling import random_two_mode_state
 
 TWO_LN_2 = 2.0 * math.log(2.0)
@@ -636,3 +637,145 @@ def test_complex_amplitudes_take_one_complex_block(name, monkeypatch):
     (solved,) = [a for kernel, a in calls if kernel == "eigh"]
     assert not spec.real and len(spec.sectors) == 1
     assert np.array_equal(solved, hermitize(state.rho))
+
+
+# --- the Gram spectrum of a state built from a few vectors -------------------
+
+def _pure_tensor():
+    """Two real single-mode cats: the thin Kronecker spectrum of two pure states."""
+    return tensor(make_state(StateSpec("cat", {"gamma": 1.0}, cutoff=16)),
+                  make_state(StateSpec("cat", {"gamma": 0.7, "sign": -1}, cutoff=14)))
+
+
+#: States whose spectrum comes from their ``columns`` (or, for the tensor,
+#: from its factors' columns): every builder that keeps them, at real and
+#: complex amplitudes, and the lossy ECS at the transmittances where one of
+#: its branches vanishes.
+GRAM_STATES = {
+    "pure_ecs": lambda: make_state(StateSpec("ecs", {"gamma": 1.0}, cutoff=20)),
+    "tmsv": lambda: make_state(StateSpec("tmsv", {"r": 0.6}, cutoff=24)),
+    "complex_pnes": COMPLEX_AMPLITUDES["pnes"],
+    "lossy_ecs": lambda: ecs_loss_analytic(1.0, 0.7, 20),
+    "lossy_ecs_eta0": lambda: ecs_loss_analytic(1.0, 0.0, 20),
+    "lossy_ecs_eta1": lambda: ecs_loss_analytic(1.0, 1.0, 20),
+    # a Bell-branch weight of about 4e-16, positive and below the rank floor
+    "lossy_ecs_eta_tiny": lambda: ecs_loss_analytic(1.0, 1e-16, 20),
+    "lossy_ecs_complex": lambda: ecs_loss_analytic(0.3 + 0.5j, 0.6, 20),
+    "lossy_ecs_complex_eta0": lambda: ecs_loss_analytic(0.3 + 0.5j, 0.0, 20),
+    "lossy_ecs_complex_eta1": lambda: ecs_loss_analytic(0.3 + 0.5j, 1.0, 20),
+    "cv_werner": lambda: make_state(StateSpec("cv_werner", {"f": 0.6, "r": 0.2}, cutoff=12)),
+    "cv_werner_30": lambda: make_state(StateSpec("cv_werner", {"f": 0.5, "r": 0.6}, cutoff=30)),
+    "pure_tensor": _pure_tensor,
+    # a real vector with both parities fails the parity split: one block
+    "real_mixed_parity": lambda: pure_state(
+        np.kron(coherent_amps(0.8, 12), coherent_amps(-0.5, 12)), (12, 12)),
+}
+
+
+@pytest.mark.parametrize("name", list(GRAM_STATES))
+def test_gram_spectrum_matches_the_dense_solve(name, monkeypatch):
+    state = GRAM_STATES[name]()
+    rank = sum(f.columns.shape[1] for f in state.factors or (state,))
+    calls = _record_solves(monkeypatch)
+    got = state.spectrum()
+    # no solve larger than the number of vectors, and no d x d one
+    assert calls and all(a.shape[0] <= rank for _, a in calls)
+    monkeypatch.undo()
+    want = spectra(state.dims, state.rho)
+    assert got.real == want.real
+    assert got.real == (state.rho.dtype == np.float64 and name != "real_mixed_parity")
+    assert [s.tolist() for s in got.sectors] == [s.tolist() for s in want.sectors]
+    eps = np.finfo(float).eps
+    w_max = float(np.max(want.eigenvalues()))
+    floor = want.rank_floor()
+    assert got.rank_floor() == pytest.approx(floor, rel=1e-12, abs=0.0)
+    for idx, w, v, w_dense in zip(got.sectors, got.values, got.vectors, want.values):
+        kept = w_dense[w_dense > floor]
+        assert v.shape == (idx.size, w.size) and w.size == kept.size
+        assert np.all(np.diff(w) >= 0.0) and np.all(w > got.rank_floor())
+        assert np.max(np.abs(w - kept), initial=0.0) <= 4 * state.dim * eps * w_max
+        assert np.max(np.abs(v.conj().T @ v - np.eye(w.size)), initial=0.0) <= state.dim * eps
+        rebuilt = (v * w) @ v.conj().T
+        assert np.linalg.norm(rebuilt - state.rho[np.ix_(idx, idx)]) <= (
+            4 * state.dim * eps * np.linalg.norm(state.rho))
+
+
+@pytest.mark.parametrize("name", list(GRAM_STATES))
+def test_thin_spectra_give_the_dense_measures(name):
+    state = GRAM_STATES[name]()
+    if state.n_modes != 2:
+        return
+    dense = FockState(state.dims, state.rho, validate=False)
+    for kind, alpha in MI_CASES:
+        got = mutual_information(kind, state, alpha).value
+        want = mutual_information(kind, dense, alpha).value
+        if kind == "bures":
+            # sqrt(2 (1 - sqrt F)) lifts rounding in F to its square root:
+            # 1.5e-8 on the dense product of two pure states, 0 on the thin one
+            got, want = got**2, want**2
+        assert got == pytest.approx(want, abs=TOL), (kind, alpha)
+    assert fidelity(state, dense) == pytest.approx(1.0, abs=TOL)
+
+
+def test_rank_floor_is_unchanged_on_square_spectra():
+    state = lossy_ecs(12)
+    prod = marginal_product(state)
+    for spec in (state.spectrum(), prod.spectrum(), state.spectrum().one_block(),
+                 spectra(state.dims, state.rho - prod.rho, vectors=False)):
+        w = spec.eigenvalues()
+        assert spec.rank_floor() == float(np.max(w)) * w.size * np.finfo(float).eps
+
+
+def test_thin_one_block_and_kron_spectrum_place_one_column_per_value():
+    thin = make_state(StateSpec("ecs", {"gamma": 1.0}, cutoff=12)).spectrum()
+    assert [w.size for w in thin.values] == [0, 1]
+    block = thin.one_block()
+    ((vecs,), (w,)) = block.vectors, block.values
+    assert vecs.shape == (144, 1) and w.tolist() == thin.eigenvalues().tolist()
+    assert np.array_equal(vecs[thin.sectors[1], 0], thin.vectors[1][:, 0])
+    prod = _pure_tensor().spectrum()
+    assert [v.shape[1] for v in prod.vectors] == [w.size for w in prod.values] == [0, 1]
+
+
+def test_thin_spectrum_and_columns_are_read_only():
+    state = ecs_loss_analytic(1.0, 0.7, 12)
+    for arr in (state.columns, *state.spectrum().values, *state.spectrum().vectors):
+        assert not arr.flags.writeable
+
+
+def _pure_sigma_pair(leak):
+    """(rho, sigma): sigma the pure r = 0.3 TMSV at cutoff 10, kept as its
+    column, and rho = (1 - leak) sigma + leak |01><01|, whose mass outside
+    supp(sigma) is ``leak``."""
+    sigma = make_state(StateSpec("tmsv", {"r": 0.3}, cutoff=10))
+    out = np.zeros(100)
+    out[1] = 1.0
+    rho = (1.0 - leak) * sigma.rho + leak * np.outer(out, out)
+    return FockState(sigma.dims, rho), sigma
+
+
+def _pure_sigma_divergence(leak, alpha):
+    """D_alpha of ``_pure_sigma_pair``, sigma^b taken on its support:
+    alpha/(alpha - 1) ln(1 - leak), and at alpha = 1 minus the entropy of rho."""
+    if alpha == 1.0:
+        return sum(p * math.log(p) for p in (1.0 - leak, leak) if p > 0.0)
+    return alpha / (alpha - 1.0) * math.log1p(-leak)
+
+
+@pytest.mark.parametrize("leak", [0.0, 0.1 * SUPPORT_LEAK_TOL, 10.0 * SUPPORT_LEAK_TOL, 0.3])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+def test_support_verdicts_with_a_pure_sigma(leak, alpha):
+    # the thin sigma keeps one eigenvector: the leak is what its support
+    # keeps short of rho's mass, and the verdict is the full sigma's.  The
+    # dense complex oracle is no reference here: sigma's rounding-level
+    # eigenvalues, raised to a negative power, meet rho's leaked mass
+    rho, sigma = _pure_sigma_pair(leak)
+    assert [w.size for w in sigma.spectrum().values] == [1, 0]
+    full = FockState(sigma.dims, sigma.rho, validate=False)
+    got = sandwiched_relative_entropy(rho, sigma, alpha)
+    want = sandwiched_relative_entropy(rho, full, alpha)
+    infinite = alpha >= 1.0 and leak > SUPPORT_LEAK_TOL
+    assert math.isinf(got) is math.isinf(want) is infinite
+    if not infinite:
+        assert got == pytest.approx(want, abs=TOL)
+        assert got == pytest.approx(_pure_sigma_divergence(leak, alpha), abs=TOL)
