@@ -4,14 +4,15 @@ and the self-test oracle suites.  All data output is CSV.
 State-spec file grammar (measure subcommand): one ``key = value`` pair per
 line, each key at most once, ``#`` comments allowed.  Keys: ``family``
 (required), ``cutoff`` (optional integer >= 1), ``eta`` (optional), and the
-family's parameters (``states.FAMILY_PARAMS``: ``gamma``, ``f``, ``r``,
-``nbar``, ``coeffs`` as a comma-separated list, ``levels`` likewise,
-``sign``, ``modes``); a missing required parameter, one the family does not
-take, or a non-finite one is refused.  ``eta``, in [0, 1], applies a
-symmetric pure-loss channel after construction: the ``ecs`` family's lossy
-state is built in closed form (``channels.ecs_loss_analytic``, the figures'
-builder), with its tail checked after the loss, and every other family's
-through ``channels.apply_loss``.  One state per file.
+family's parameters (``states.FAMILY_PARAMS``: ``gamma``, real or complex
+as ``0.3+0.5j``, ``f``, ``r``, ``nbar``, ``coeffs`` as a comma-separated
+list of such numbers, ``levels`` likewise, ``sign``, ``modes``); a missing
+required parameter, one the family does not take, or a non-finite one is
+refused.  ``eta``, in [0, 1], applies a symmetric pure-loss channel after
+construction: the ``ecs`` family's lossy state is built in closed form
+(``channels.ecs_loss_analytic``, the figures' builder), with its tail
+checked after the loss, and every other family's through
+``channels.apply_loss``.  One state per file.
 """
 
 from __future__ import annotations
@@ -84,6 +85,7 @@ _SPEC_VALUES = {
     "modes": int,
     "levels": lambda v: [int(x) for x in v.split(",") if x.strip()],
     "coeffs": lambda v: [_complex_or_real(x) for x in v.split(",") if x.strip()],
+    "gamma": _complex_or_real,
 }
 
 

@@ -35,12 +35,11 @@ def eof_two_qubit(params):
     return -q * math.log(q) - (1.0 - q) * math.log1p(-q)
 
 
-def log_negativity_fock(state, tail_tol=DEFAULT_TAIL_TOL):
+def log_negativity_fock(state):
     """Logarithmic negativity ln of the trace norm of the partial transpose."""
-    if state.tail_mass >= tail_tol:
-        raise TruncationError(
-            f"tail mass {state.tail_mass:.3e} >= {tail_tol}; negativity unreliable"
-        )
+    if state.tail_mass >= DEFAULT_TAIL_TOL:
+        raise TruncationError(f"tail mass {state.tail_mass:.3e} >= {DEFAULT_TAIL_TOL}; "
+                              "negativity unreliable")
     pt = partial_transpose(state, state.n_modes - 1)
     spec = spectra(state.dims, pt, vectors=False)
     return max(0.0, float(math.log(np.sum(np.abs(spec.eigenvalues())))))

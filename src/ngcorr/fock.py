@@ -4,16 +4,14 @@ Conventions: hbar = 1, vacuum quadrature variance 1/2, natural logarithms.
 Mode 0 is always the slowest (leftmost) Kronecker factor.
 
 Every Hermitian eigensolve of a density-matrix-sized operand goes through
-``spectra``.  It solves an operand M in real arithmetic, one block per
-total-photon-parity sector (even and odd n_1 + ... + n_k), when what that
-split drops, the off-sector entries and the imaginary part, is within the
-dense solver's own backward error: ||dropped||_F <= sqrt(d) eps ||M||_F.
-On two modes with equal cutoffs each parity block splits once more, into
-its blocks on the states symmetric and antisymmetric under the mode swap,
-|nn> and (|mn> +- |nm>)/sqrt 2, when everything both splits drop, the
-swap-anticommuting part included, meets the same rule; the eigenvectors are
-lifted back onto the parity sector exactly.  Otherwise M is solved as its
-parity blocks, or as one complex block, by the same code.
+``spectra``.  It solves an operand M as one block per total-photon-parity
+sector (even and odd n_1 + ... + n_k) when the off-sector part that drops is
+within the dense solver's own backward error, ||dropped||_F <= sqrt(d) eps
+||M||_F.  On two modes with equal cutoffs each parity block splits again,
+into its blocks on the swap-symmetric and antisymmetric states |nn> and
+(|mn> +- |nm>)/sqrt 2, when what both splits drop meets the same rule; the
+eigenvectors are lifted back onto the parity sector exactly.  Otherwise M is
+its parity blocks, or one block.  Every block keeps M's dtype, real or complex.
 
 A ``FockState`` holds rho as float64 when its imaginary part is exactly
 zero, as for every state with real parameters, and as complex128 otherwise.
@@ -275,21 +273,25 @@ def truncate_state(state, tol=1e-9):
     return FockState(new_dims, rho / np.trace(rho).real, validate=False)
 
 
-class Spectrum(namedtuple("Spectrum", ["sectors", "real", "values", "vectors"])):
+class Spectrum(namedtuple("Spectrum", ["sectors", "values", "vectors"])):
     """Eigensystem of one operand, sector by sector.
 
-    ``sectors`` holds the basis indices of each block, ascending; ``real``
-    says whether the operand took the real parity split, whose sector k
-    holds the basis states of total parity k, and whose vectors are real.
-    ``values`` holds each block's ascending eigenvalues and ``vectors`` its
-    eigenvectors as columns, indexed within the sector (None when only
-    eigenvalues were asked for).  A parity sector solved as its two exchange
-    blocks has the same layout: their values merged, their vectors lifted.
-    A thin spectrum (``gram_spectrum``) keeps only the eigenpairs above its
-    numerical rank, one vector column per value; a sector may keep none.
+    ``sectors`` holds each block's basis indices, ascending: sector k holds
+    the states of total parity k when the operand took the parity split
+    (``split``), else there is one full-basis block.  ``values`` holds each
+    block's ascending eigenvalues and ``vectors`` its eigenvectors as
+    columns within the sector, in the operand's dtype (None when only
+    eigenvalues were asked for); two exchange blocks of a parity sector are
+    merged into it.  A thin spectrum (``gram_spectrum``) keeps one vector
+    column per value above its numerical rank; a sector may keep none.
     """
 
     __slots__ = ()
+
+    @property
+    def split(self):
+        """Whether the operand took the parity split: more than one sector."""
+        return len(self.sectors) > 1
 
     def eigenvalues(self):
         """All eigenvalues, sector after sector."""
@@ -304,16 +306,16 @@ class Spectrum(namedtuple("Spectrum", ["sectors", "real", "values", "vectors"]))
     def one_block(self):
         """The same eigensystem as one full-basis block, each sector's
         vectors placed at its indices.  Exact, with no re-solve."""
-        if len(self.sectors) == 1:
+        if not self.split:
             return self
         d = sum(idx.size for idx in self.sectors)
         w = self.eigenvalues()
-        vectors = np.zeros((d, w.size))
+        vectors = np.zeros((d, w.size), dtype=np.result_type(*self.vectors))
         start = 0
         for idx, vecs in zip(self.sectors, self.vectors):
             vectors[idx, start : start + vecs.shape[1]] = vecs
             start += vecs.shape[1]
-        return _read_only(Spectrum((np.arange(d),), False, (w,), (vectors,)))
+        return _read_only(Spectrum((np.arange(d),), (w,), (vectors,)))
 
 
 def _read_only(spec):
@@ -366,34 +368,36 @@ def _exchange_eigensystem(rotated, nd, order, solve):
     cols = np.argsort(values, kind="stable")
     if ys is None:
         return values[cols], None
-    vecs = np.zeros(rotated.shape)
+    vecs = np.zeros(rotated.shape, dtype=np.result_type(ys, ya))
     vecs[:k, :k], vecs[k:, k:] = ys, ya
     lifted = _pair_rotation(vecs, nd)
     return values[cols], lifted.take(np.argsort(order), axis=0).take(cols, axis=1)
 
 
+def _drops_within(dropped, d, norm):
+    """Whether a split of a d x d operand M, ||M||_F = ``norm``, that drops
+    parts of Frobenius norms ``dropped`` meets ||dropped||_F <= sqrt(d) eps ||M||_F."""
+    return bool(math.hypot(*dropped) <= math.sqrt(d) * np.finfo(float).eps * norm)
+
+
 def spectra(dims, mat, vectors=True):
     """Hermitian eigensystem of one operand on ``dims``, as a Spectrum with
-    read-only arrays: two real total-photon-parity sectors, each solved as
-    its two exchange blocks when they split too, or one complex block (see
-    the module docstring).  ``vectors=False`` solves for the values alone,
-    for operands that are not states (a state's is its ``spectrum``)."""
+    read-only arrays in ``mat``'s dtype: two parity sectors, each solved as
+    its two exchange blocks when they split too, or one block (see the
+    module docstring).  ``vectors=False`` solves for the values alone, for
+    operands that are not states (a state's is its ``spectrum``)."""
     layout = _parity_layout(dims)
-    # each parity block gathered once: the parity split drops the
-    # off-diagonal blocks and the diagonal blocks' imaginary parts
+    # each parity block gathered once: the parity split drops the others
     grid = [[rows.take(c, axis=1) for _, c, _ in layout]
             for rows in (mat.take(r, axis=0) for _, r, _ in layout)]
     blocks = [row[k] for k, row in enumerate(grid)]
     dropped = [np.linalg.norm(b) for r, row in enumerate(grid)
                for c, b in enumerate(row) if r != c]
-    if np.iscomplexobj(mat):
-        dropped += [np.linalg.norm(b.imag) for b in blocks]
-        blocks = [b.real for b in blocks]
-    limit = math.sqrt(mat.shape[0]) * np.finfo(float).eps * np.linalg.norm(mat)
-    real = bool(math.hypot(*dropped) <= limit)
+    d, norm = mat.shape[0], np.linalg.norm(mat)
+    split = _drops_within(dropped, d, norm)
     sectors = tuple(idx for idx, _, _ in layout)
     solve = np.linalg.eigh if vectors else lambda b: (np.linalg.eigvalsh(b), None)
-    if real and layout[0][2] is not None:
+    if split and layout[0][2] is not None:
         # Q B Q couples the symmetric and antisymmetric blocks off its
         # diagonal blocks; the exchange split drops those couplings too
         rotated = [_pair_rotation(_pair_rotation(b, nd).T, nd).T
@@ -401,32 +405,31 @@ def spectra(dims, mat, vectors=True):
         for r, (_, _, nd) in zip(rotated, layout):
             k = (r.shape[0] + nd) // 2
             dropped += [np.linalg.norm(r[:k, k:]), np.linalg.norm(r[k:, :k])]
-        if math.hypot(*dropped) <= limit:
+        if _drops_within(dropped, d, norm):
             values, vecs = zip(*(_exchange_eigensystem(r, nd, order, solve)
                                  for r, (_, order, nd) in zip(rotated, layout)))
-            return _read_only(Spectrum(sectors, True, values, vecs if vectors else None))
+            return _read_only(Spectrum(sectors, values, vecs if vectors else None))
         # the parity path solves each block in ascending basis order
         perms = (np.argsort(order) for _, order, _ in layout)
         blocks = [b.take(p, axis=0).take(p, axis=1) for b, p in zip(blocks, perms)]
-    if not real:
-        sectors, blocks = (np.arange(mat.shape[0]),), [mat]
+    if not split:
+        sectors, blocks = (np.arange(d),), [mat]
     values, vecs = zip(*(solve(hermitize(b)) for b in blocks))
-    return _read_only(Spectrum(sectors, real, values, vecs if vectors else None))
+    return _read_only(Spectrum(sectors, values, vecs if vectors else None))
 
 
 def kron_spectrum(a, b):
     """Spectrum of the Kronecker product of two operands, built from theirs
     with no eigensolve: eigenvalues w_a w_b and eigenvectors u_a (x) u_b.
 
-    When both took the real parity split, the products of a's sector k_a
-    and b's sector k_b form part of the total-parity sector
+    When both took the parity split (``Spectrum.split``), the products of
+    a's sector k_a and b's sector k_b form part of the total-parity sector
     (k_a + k_b) mod 2, laid out as ``spectra`` lays it out; otherwise the
-    product is one full-basis block.  The small products keep full relative
-    precision, where a solve of the assembled product resolves eigenvalues
-    only to about w_max d eps.
+    product is one full-basis block.  The vectors take the factors' common
+    dtype.  The small products keep full relative precision, where a solve
+    of the assembled product resolves eigenvalues only to about w_max d eps.
     """
-    real = a.real and b.real
-    if not real:
+    if not (a.split and b.split):
         a, b = a.one_block(), b.one_block()
     nb = sum(idx.size for idx in b.sectors)
     parts = ([], [])
@@ -434,7 +437,7 @@ def kron_spectrum(a, b):
         for kb, (ib, wb, ub) in enumerate(zip(b.sectors, b.values, b.vectors)):
             flat = (ia[:, None] * nb + ib[None, :]).ravel()
             parts[(ka + kb) % 2].append((flat, np.outer(wa, wb).ravel(), ua, ub))
-    dtype = np.result_type(a.vectors[0], b.vectors[0])
+    dtype = np.result_type(*a.vectors, *b.vectors)
     sectors, values, vectors = [], [], []
     for group in parts:
         if not group:
@@ -450,49 +453,45 @@ def kron_spectrum(a, b):
         sectors.append(idx)
         values.append(w[order])
         vectors.append(v[:, order])
-    return _read_only(Spectrum(tuple(sectors), real, tuple(values), tuple(vectors)))
+    return _read_only(Spectrum(tuple(sectors), tuple(values), tuple(vectors)))
 
 
 def gram_spectrum(dims, cols):
     """Spectrum of rho = C C^dag on ``dims`` from the d x r matrix C
     (``FockState.columns``), with no d x d solve: each block's nonzero
     eigenvalues are those of the r x r Gram matrix G = C_k^dag C_k of its
-    rows C_k, G Y = Y diag(w), and its eigenvectors C_k Y / sqrt(w).  The
-    Spectrum is thin: values at or below the rank floor w_max d eps
-    (``Spectrum.rank_floor``) are cut with their vectors.
-
-    A real C takes ``spectra``'s real parity split under the same rule, the
-    dropped off-sector part measured through the Gram matrices:
-    ||rho_eo||_F^2 = tr(G_e G_o) and ||rho||_F = ||C^dag C||_F.  A complex C,
-    or one that fails the rule, is one complex block.
+    rows C_k, G Y = Y diag(w), and its eigenvectors C_k Y / sqrt(w), in C's
+    dtype.  The Spectrum is thin: values at or below the rank floor
+    w_max d eps (``Spectrum.rank_floor``) are cut with their vectors.  C
+    takes ``spectra``'s parity split under the same rule, the dropped part
+    measured through the Gram matrices: ||rho_eo||_F^2 = tr(G_e G_o) and
+    ||rho||_F = ||C^dag C||_F.
     """
     d = cols.shape[0]
     sectors = tuple(idx for idx, _, _ in _parity_layout(dims))
     parts = [cols.take(idx, axis=0) for idx in sectors]
     grams = [c.conj().T @ c for c in parts]
-    real = not np.iscomplexobj(cols)
-    if real and len(grams) == 2:
+    if len(grams) == 2:
         # both off-diagonal blocks, each of squared norm tr(G_e G_o)
-        dropped = 2.0 * float(np.sum(grams[0] * grams[1].T))
-        limit = math.sqrt(d) * np.finfo(float).eps * np.linalg.norm(grams[0] + grams[1])
-        real = bool(math.sqrt(max(dropped, 0.0)) <= limit)
-    if not real:
-        sectors, parts, grams = (np.arange(d),), [cols], [sum(grams)]
+        dropped = 2.0 * float(np.sum(grams[0] * grams[1].T).real)
+        if not _drops_within([math.sqrt(max(dropped, 0.0))], d, np.linalg.norm(sum(grams))):
+            sectors, parts, grams = (np.arange(d),), [cols], [sum(grams)]
     solved = [np.linalg.eigh(g) for g in grams]
-    floor = Spectrum(sectors, real, [w for w, _ in solved], None).rank_floor()
+    floor = Spectrum(sectors, [w for w, _ in solved], None).rank_floor()
     values, vectors = [], []
     for c, (w, y) in zip(parts, solved):
         keep = w > floor
         values.append(w[keep])
         vectors.append((c @ y[:, keep]) / np.sqrt(w[keep]))
-    return _read_only(Spectrum(sectors, real, tuple(values), tuple(vectors)))
+    return _read_only(Spectrum(sectors, tuple(values), tuple(vectors)))
 
 
 def paired(a, b):
     """Two same-dims Spectrums on shared sectors, so their eigenvectors
-    combine sector by sector: as they are when both took the real parity
-    split, else each as one full-basis block (``Spectrum.one_block``)."""
-    if a.real and b.real:
+    combine sector by sector: as they are when both took the parity split
+    (``Spectrum.split``), else each as one full-basis block
+    (``Spectrum.one_block``)."""
+    if a.split and b.split:
         return a, b
     return a.one_block(), b.one_block()
 

@@ -159,6 +159,20 @@ def test_measure_state_of_a_complex_amplitude_meets_the_kraus_route():
         assert abs(got["value"] - want["value"]) <= tol, got["measure"]
 
 
+def test_a_spec_file_takes_a_complex_amplitude(tmp_path):
+    # gamma is parsed as a coeffs value is, so the file reaches the
+    # complex-amplitude closed form of the library spec
+    path = tmp_path / "ecs.spec"
+    path.write_text("family = ecs\ngamma = 0.3+0.5j\ncutoff = 16\neta = 0.6\n")
+    spec, loss_eta = parse_state_file(str(path))
+    assert spec.params["gamma"] == 0.3 + 0.5j and loss_eta == 0.6
+    ids = ["vn", "sandwiched:1.5", "tr", "delta:hs", "ng:tr"]
+    got = measure_rows(spec, loss_eta, ids)
+    want = measure_rows(StateSpec("ecs", {"gamma": 0.3 + 0.5j}, cutoff=16), 0.6, ids)
+    assert got == want
+    assert [row["status"] for row in got] == ["ok"] * len(ids)
+
+
 def test_the_lossy_ecs_is_tail_checked_after_the_loss():
     # the pure ECS at gamma = 1.5 fails the tail check at cutoff 12, where
     # the Kraus route checked it before the loss and flagged every row; the

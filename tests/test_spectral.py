@@ -1,5 +1,5 @@
-"""The parity- and exchange-blocked real eigensolves of ``fock.spectra``,
-and the thin Gram spectrum of a state built from a few vectors
+"""The parity- and exchange-blocked eigensolves of ``fock.spectra``, real
+and complex, and the thin Gram spectrum of a state built from a few vectors
 (``fock.gram_spectrum``), against the dense paths they replace.
 
 The dense path lives on here only, as the oracle: every eigensolve is one
@@ -17,7 +17,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ngcorr import fock
+from ngcorr import entanglement, fock
 from ngcorr.channels import apply_loss, ecs_loss_analytic
 from ngcorr.cli import measure_rows, write_csv
 from ngcorr.distill import DistillConfig, _projected_bs, distill
@@ -209,7 +209,7 @@ STATES = {
     "ginibre": lambda: ginibre((4, 5)),
 }
 
-#: Whether spectra may split each state into two real parity sectors.
+#: Whether spectra may split each state into two parity sectors.
 PARITY_BLOCKED = {
     "lossy_ecs_20": True,
     "lossy_ecs_30": True,
@@ -233,7 +233,7 @@ def _tolerance(*case):
 def test_structure_decision(name):
     state = STATES[name]()
     spec = spectra(state.dims, state.rho, vectors=False)
-    assert spec.real is PARITY_BLOCKED[name]
+    assert spec.split is PARITY_BLOCKED[name]
     assert len(spec.sectors) == (2 if PARITY_BLOCKED[name] else 1)
     assert sorted(np.concatenate(spec.sectors)) == list(range(state.dim))
 
@@ -255,7 +255,7 @@ def test_mutual_information_matches_dense_oracle(name):
 def test_pure_ecs_anchor_matches_dense_oracle(gamma):
     state = make_state(StateSpec("ecs", {"gamma": gamma}, cutoff=30))
     spec = spectra(state.dims, state.rho, vectors=False)
-    assert spec.real and len(spec.sectors) == 2
+    assert spec.split and state.rho.dtype == np.float64
     for kind in ("renyi", "sandwiched"):
         for alpha in ALPHAS:
             got = mutual_information(kind, state, alpha).value
@@ -283,9 +283,10 @@ def test_averaged_pair_primitives_on_ginibre_states_match_dense_oracle():
 
 
 @pytest.mark.parametrize("name", list(STATES))
-def test_log_negativity_matches_dense_oracle(name):
+def test_log_negativity_matches_dense_oracle(name, monkeypatch):
+    monkeypatch.setattr(entanglement, "DEFAULT_TAIL_TOL", 1.0)
     state = STATES[name]()
-    assert log_negativity_fock(state, tail_tol=1.0) == pytest.approx(
+    assert log_negativity_fock(state) == pytest.approx(
         dense_log_negativity(state), abs=TOL)
 
 
@@ -327,9 +328,9 @@ def _off_parity_perturbation(state, scale, seed=11):
 def test_drop_bound_decides_the_split():
     state = lossy_ecs(20)
     below = spectra(state.dims, _off_parity_perturbation(state, 0.9).rho)
-    assert below.real and len(below.sectors) == 2
+    assert below.split and below.vectors[0].dtype == np.float64
     above = spectra(state.dims, _off_parity_perturbation(state, 1.1).rho)
-    assert not above.real and len(above.sectors) == 1
+    assert not above.split and above.vectors[0].dtype == np.float64
     # a split operand paired with one above the bound joins it in one block
     pair = paired(spectra(state.dims, state.rho), above)
     assert [len(s.sectors) for s in pair] == [1, 1]
@@ -463,7 +464,7 @@ def test_measure_state_csv_is_the_same_in_every_id_order():
 
 #: States for the Kronecker spectrum of the marginal product: the lossy ECS,
 #: the pure ECS (the 2 ln 2 anchor), and complex amplitudes whose complex
-#: rho pairs with a real product.
+#: rho pairs with a product that is real up to rounding.
 KRON_STATES = {
     "lossy_ecs_20": lambda: lossy_ecs(20),
     "lossy_ecs_30": lambda: lossy_ecs(30),
@@ -477,7 +478,8 @@ def test_kron_spectrum_matches_dense_solve_of_the_product(name):
     prod = marginal_product(KRON_STATES[name]())
     got = prod.spectrum()
     want = spectra(prod.dims, prod.rho)
-    assert got.real == want.real
+    assert got.split == want.split
+    assert got.vectors[0].dtype == want.vectors[0].dtype
     assert [s.tolist() for s in got.sectors] == [s.tolist() for s in want.sectors]
     tol = want.rank_floor()
     for idx, w, v, w_dense in zip(got.sectors, got.values, got.vectors, want.values):
@@ -497,30 +499,44 @@ def test_shared_product_matches_dense_oracle(name):
         assert got == pytest.approx(want, abs=_tolerance(name, kind, alpha)), (kind, alpha)
         if name == "pure_ecs_20" and kind == "sandwiched":
             assert got == pytest.approx(TWO_LN_2, abs=1e-6)
+    # the complex rho takes its product's parity sectors, in complex blocks
     mixed = name == "lossy_complex_pnes"
-    assert state.spectrum().real is not mixed and (
-        point.state.derive(marginal_product).spectrum().real)
+    spec, prod = state.spectrum(), point.state.derive(marginal_product).spectrum()
+    assert spec.split and prod.split
+    assert (spec.vectors[0].dtype == np.complex128) is mixed
 
 
-def test_one_block_embedding_is_exact():
-    spec = lossy_ecs(12).spectrum()
+def _assert_exact_one_block(spec):
     block = spec.one_block()
     (full,), (w,) = block.vectors, block.values
     assert block.sectors[0].tolist() == list(range(full.shape[0]))
     assert np.array_equal(w, spec.eigenvalues())
+    assert full.dtype == spec.vectors[0].dtype
     start = 0
     for idx, v in zip(spec.sectors, spec.vectors):
         cols = slice(start, start + idx.size)
         assert np.array_equal(full[idx, cols], v)
         assert not np.any(np.delete(full[:, cols], idx, axis=0))
         start += idx.size
+    return full
+
+
+def test_one_block_embedding_is_exact():
+    _assert_exact_one_block(lossy_ecs(12).spectrum())
+
+
+def test_one_block_of_a_complex_split_spectrum_keeps_its_imaginary_parts():
+    spec = _phase_conjugated(lossy_ecs(12)).spectrum()
+    assert spec.split and spec.vectors[0].dtype == np.complex128
+    full = _assert_exact_one_block(spec)
+    assert np.max(np.abs(full.imag)) > 0.1
 
 
 def test_lossy_ecs_makes_no_complex_lapack_call(monkeypatch):
     """Structural guard: the sweep states take the real blocked route."""
     state = lossy_ecs(20)
     spec = spectra(state.dims, state.rho)
-    assert spec.real and len(spec.sectors) == 2
+    assert spec.split and spec.vectors[0].dtype == np.float64
     calls = []
     for name in ("eigh", "eigvalsh", "svd"):
         original = getattr(np.linalg, name)
@@ -538,8 +554,8 @@ def test_lossy_ecs_makes_no_complex_lapack_call(monkeypatch):
 def test_fig4_full_loss_ng_operand_takes_the_real_route():
     point = Point({"gamma": 1.0, "eta": 0.0}, lambda p: FIGURES["fig4"].state(p, None))
     rt, st = point.state.derive(averaged_states)
-    spec = spectra(rt.dims, rt.rho - st.rho, vectors=False)
-    assert spec.real
+    diff = rt.rho - st.rho
+    assert spectra(rt.dims, diff, vectors=False).split and diff.dtype == np.float64
 
 
 # --- the exchange split against the paths it refines ---------------------------
@@ -550,7 +566,7 @@ def test_lossy_ecs_solves_four_exchange_blocks_and_lifts_them_exactly(monkeypatc
     spec = spectra(state.dims, state.rho)
     sizes = [a.shape[0] for name, a in calls if name == "eigh"]
     assert len(sizes) == 4 and max(sizes) <= 240 and sum(sizes) == state.dim
-    assert spec.real and len(spec.sectors) == 2
+    assert spec.split and spec.vectors[0].dtype == np.float64
     eps = np.finfo(float).eps
     rebuilt = 4 * state.dim * eps * np.linalg.norm(state.rho)
     for idx, w, v in zip(spec.sectors, spec.values, spec.vectors):
@@ -596,7 +612,7 @@ def test_drop_bound_decides_the_exchange_split(monkeypatch):
     for scale, sizes in ((0.9, [42, 30, 36, 36]), (1.1, [72, 72])):
         state = _swap_anticommuting_perturbation(scale)
         calls.clear()
-        assert spectra(state.dims, state.rho).real
+        assert spectra(state.dims, state.rho).split
         assert [a.shape[0] for name, a in calls if name == "eigh"] == sizes, scale
 
 
@@ -613,7 +629,8 @@ def test_operands_without_exchange_symmetry_take_the_parity_path(name, monkeypat
     calls = _record_solves(monkeypatch)
     spec = spectra(state.dims, state.rho)
     solved = [a for kernel, a in calls if kernel == "eigh"]
-    assert spec.real and len(spec.sectors) == len(solved) == 2
+    assert spec.split and len(spec.sectors) == len(solved) == 2
+    assert spec.vectors[0].dtype == np.float64
     for idx, a in zip(spec.sectors, solved):
         assert np.array_equal(a, hermitize(state.rho[np.ix_(idx, idx)]))
     assert np.max(np.abs(np.sort(spec.eigenvalues()) - np.linalg.eigvalsh(state.rho))) <= TOL
@@ -623,20 +640,76 @@ COMPLEX_AMPLITUDES = {
     "coherent": lambda: make_state(StateSpec("coherent", {"gamma": 0.3 + 0.5j}, cutoff=12)),
     "coherent_pair": lambda: tensor(*2 * (make_state(
         StateSpec("coherent", {"gamma": 0.3 + 0.5j}, cutoff=12)),)),
-    "pnes": lambda: make_state(StateSpec(
-        "pnes", {"coeffs": (0.6, 0.48j, 0.64 * np.exp(0.7j))}, cutoff=8)),
 }
 
 
 @pytest.mark.parametrize("name", list(COMPLEX_AMPLITUDES))
 def test_complex_amplitudes_take_one_complex_block(name, monkeypatch):
+    # a state of both parities fails the parity split, complex or not
     state = COMPLEX_AMPLITUDES[name]()
     assert state.rho.dtype == np.complex128
     calls = _record_solves(monkeypatch)
     spec = spectra(state.dims, state.rho)
     (solved,) = [a for kernel, a in calls if kernel == "eigh"]
-    assert not spec.real and len(spec.sectors) == 1
+    assert not spec.split and spec.vectors[0].dtype == np.complex128
     assert np.array_equal(solved, hermitize(state.rho))
+
+
+def _phase_conjugated(state, phases=(0.7, -1.3)):
+    """U rho U^dag for the local phase unitary exp(i phi_1 n_1) (x) exp(i phi_2 n_2):
+    a complex rho with the same total-parity sectors and the same measures,
+    whose swap symmetry the two unequal phases break."""
+    n = np.indices(state.dims).reshape(state.n_modes, -1)
+    u = np.exp(1j * (np.asarray(phases)[:, None] * n).sum(axis=0))
+    return FockState(state.dims, hermitize(u[:, None] * state.rho * u.conj()), validate=False)
+
+
+#: Complex states that commute with total parity: complex amplitudes, and
+#: real states conjugated by a local phase unitary.
+COMPLEX_PARITY_SYMMETRIC = {
+    "pnes": lambda: make_state(StateSpec(
+        "pnes", {"coeffs": (0.6, 0.48j, 0.64 * np.exp(0.7j))}, cutoff=8)),
+    "lossy_ecs": lambda: apply_loss(make_state(StateSpec(
+        "ecs", {"gamma": 0.6 + 0.8j}, cutoff=12)), 0.7),
+    "phased_lossy_ecs": lambda: _phase_conjugated(lossy_ecs(12)),
+}
+
+
+@pytest.mark.parametrize("name", list(COMPLEX_PARITY_SYMMETRIC))
+def test_complex_parity_symmetric_states_take_complex_parity_blocks(name, monkeypatch):
+    state = COMPLEX_PARITY_SYMMETRIC[name]()
+    assert state.rho.dtype == np.complex128
+    calls = _record_solves(monkeypatch)
+    spec = spectra(state.dims, state.rho)
+    solved = [a for kernel, a in calls if kernel == "eigh"]
+    assert spec.split and all(v.dtype == np.complex128 for v in spec.vectors)
+    assert all(np.iscomplexobj(a) for a in solved)
+    # the exchange blocks of a swap-symmetric state, else the parity blocks
+    if name == "phased_lossy_ecs":
+        sizes = [idx.size for idx in spec.sectors]
+    else:
+        sizes = [basis.shape[1] for basis in _exchange_bases(state.dims[0])]
+    assert [a.shape[0] for a in solved] == sizes
+    want = np.linalg.eigvalsh(state.rho)
+    assert np.max(np.abs(np.sort(spec.eigenvalues()) - want)) <= TOL
+    for idx, w, v in zip(spec.sectors, spec.values, spec.vectors):
+        assert np.max(np.abs((v * w) @ v.conj().T - state.rho[np.ix_(idx, idx)])) <= TOL
+
+
+#: The real two-mode states of ``STATES``.
+REAL_STATES = ("lossy_ecs_20", "lossy_ecs_30", "tmsv", "cv_werner")
+
+
+@pytest.mark.parametrize("name", REAL_STATES)
+def test_local_phase_conjugation_keeps_the_sectors_and_every_mi(name):
+    state = STATES[name]()
+    phased = _phase_conjugated(state)
+    assert state.rho.dtype == np.float64 and phased.rho.dtype == np.complex128
+    got, want = (spectra(s.dims, s.rho, vectors=False) for s in (phased, state))
+    assert [s.tolist() for s in got.sectors] == [s.tolist() for s in want.sectors]
+    for kind, alpha in MI_CASES:
+        assert mutual_information(kind, phased, alpha).value == pytest.approx(
+            mutual_information(kind, state, alpha).value, abs=TOL), (kind, alpha)
 
 
 # --- the Gram spectrum of a state built from a few vectors -------------------
@@ -654,7 +727,7 @@ def _pure_tensor():
 GRAM_STATES = {
     "pure_ecs": lambda: make_state(StateSpec("ecs", {"gamma": 1.0}, cutoff=20)),
     "tmsv": lambda: make_state(StateSpec("tmsv", {"r": 0.6}, cutoff=24)),
-    "complex_pnes": COMPLEX_AMPLITUDES["pnes"],
+    "complex_pnes": COMPLEX_PARITY_SYMMETRIC["pnes"],
     "lossy_ecs": lambda: ecs_loss_analytic(1.0, 0.7, 20),
     "lossy_ecs_eta0": lambda: ecs_loss_analytic(1.0, 0.0, 20),
     "lossy_ecs_eta1": lambda: ecs_loss_analytic(1.0, 1.0, 20),
@@ -663,6 +736,9 @@ GRAM_STATES = {
     "lossy_ecs_complex": lambda: ecs_loss_analytic(0.3 + 0.5j, 0.6, 20),
     "lossy_ecs_complex_eta0": lambda: ecs_loss_analytic(0.3 + 0.5j, 0.0, 20),
     "lossy_ecs_complex_eta1": lambda: ecs_loss_analytic(0.3 + 0.5j, 1.0, 20),
+    # a real rho from complex branch vectors, one phase i^n per parity
+    "lossy_ecs_imaginary": lambda: ecs_loss_analytic(-0.8j, 0.6, 20),
+    "lossy_ecs_imaginary_eta1": lambda: ecs_loss_analytic(-0.8j, 1.0, 20),
     "cv_werner": lambda: make_state(StateSpec("cv_werner", {"f": 0.6, "r": 0.2}, cutoff=12)),
     "cv_werner_30": lambda: make_state(StateSpec("cv_werner", {"f": 0.5, "r": 0.6}, cutoff=30)),
     "pure_tensor": _pure_tensor,
@@ -682,8 +758,11 @@ def test_gram_spectrum_matches_the_dense_solve(name, monkeypatch):
     assert calls and all(a.shape[0] <= rank for _, a in calls)
     monkeypatch.undo()
     want = spectra(state.dims, state.rho)
-    assert got.real == want.real
-    assert got.real == (state.rho.dtype == np.float64 and name != "real_mixed_parity")
+    # the parity split is the dense solve's, whatever the columns' dtype;
+    # the vectors keep that dtype
+    assert got.split == want.split == (name != "real_mixed_parity")
+    columns = np.result_type(*(f.columns for f in state.factors or (state,)))
+    assert all(v.dtype == columns for v in got.vectors)
     assert [s.tolist() for s in got.sectors] == [s.tolist() for s in want.sectors]
     eps = np.finfo(float).eps
     w_max = float(np.max(want.eigenvalues()))
