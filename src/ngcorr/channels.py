@@ -8,8 +8,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import TruncationError, check_eta
-from .fock import DEFAULT_TAIL_TOL, FockState, _check_modes, _tail_mass
-from .states import cat_vectors, log_factorials
+from .fock import (DEFAULT_TAIL_TOL, FockState, _check_modes, _tail_mass, cat_vectors,
+                   log_factorials)
 from .xstate import ecs_to_xstate
 
 

@@ -8,11 +8,9 @@ family's parameters (``states.FAMILY_PARAMS``: ``gamma``, real or complex
 as ``0.3+0.5j``, ``f``, ``r``, ``nbar``, ``coeffs`` as a comma-separated
 list of such numbers, ``levels`` likewise, ``sign``, ``modes``); a missing
 required parameter, one the family does not take, or a non-finite one is
-refused.  ``eta``, in [0, 1], applies a symmetric pure-loss channel after
-construction: the ``ecs`` family's lossy state is built in closed form
-(``channels.ecs_loss_analytic``, the figures' builder), with its tail
-checked after the loss, and every other family's through
-``channels.apply_loss``.  One state per file.
+refused.  ``eta``, in [0, 1], is the spec's symmetric pure-loss channel,
+which ``states.make_state`` applies as it does for the figures.  One state
+per file.
 """
 
 from __future__ import annotations
@@ -23,12 +21,11 @@ import os
 import sys
 from pathlib import Path
 
-from .channels import apply_loss, ecs_loss_analytic
 from .errors import BadSpec, NGCorrError, check_eta
 from .figures import COLUMNS, FIGURE_IDS, FIGURES, RANGE_KEYS, measure, run_figure, sweep
 from .gaussian import MI_KINDS, ORDERED_KINDS
 from .measures import NG_KINDS
-from .states import FAMILIES, StateSpec, _count, default_cutoff, make_state
+from .states import FAMILIES, StateSpec, _count, make_state
 
 #: The checkout's test suites, next to ``src/``.
 TESTS_DIR = Path(__file__).resolve().parents[2] / "tests"
@@ -90,7 +87,7 @@ _SPEC_VALUES = {
 
 
 def parse_state_file(path):
-    """StateSpec plus optional loss transmittance from a key-value file."""
+    """The StateSpec of a key-value file."""
     keys = {}
     try:
         with open(path) as fh:
@@ -127,9 +124,9 @@ def parse_state_file(path):
         return num
 
     cutoff = number("cutoff") if "cutoff" in keys else None
-    loss_eta = number("eta") if "eta" in keys else None
+    eta = number("eta") if "eta" in keys else None
     params = {key: number(key) for key in list(keys)}
-    return StateSpec(family, params, cutoff=cutoff), loss_eta
+    return StateSpec(family, params, cutoff=cutoff, eta=eta)
 
 
 def _parse_measure_id(text):
@@ -161,29 +158,17 @@ def _parse_measure_id(text):
     return group, kind, alpha
 
 
-def measure_rows(spec, loss_eta, measure_ids):
-    """One row per measure id on the state of ``spec``, lossy if ``loss_eta``.
+def measure_rows(spec, measure_ids):
+    """One row per measure id on the state of ``spec`` (``make_state``).
 
     Every id is parsed before the state is built.
     """
     measures = [(mid, measure(*_parse_measure_id(mid))) for mid in measure_ids]
     params = {key: float(abs(val) if isinstance(val, complex) else val)
               for key, val in spec.params.items() if key in ("gamma", "f", "r")}
-    if loss_eta is not None:
-        params["eta"] = loss_eta
-
-    def build(_params):
-        if loss_eta is None:
-            return make_state(spec)
-        if spec.family == "ecs":
-            g = spec.params["gamma"]
-            # ECS(-gamma) = -ECS(gamma) is one state: a real amplitude enters
-            # the closed form as its magnitude
-            g = g if isinstance(g, complex) else abs(g)
-            return ecs_loss_analytic(g, loss_eta, spec.cutoff or default_cutoff(g))
-        return apply_loss(make_state(spec), loss_eta)
-
-    return sweep("measure_state", [params], measures, build)
+    if spec.eta is not None:
+        params["eta"] = spec.eta
+    return sweep("measure_state", [params], measures, lambda _params: make_state(spec))
 
 
 def _cmd_run_figure(args):
@@ -203,8 +188,7 @@ def _cmd_run_figure(args):
 
 
 def _cmd_measure_state(args):
-    spec, loss_eta = parse_state_file(args.spec)
-    rows = measure_rows(spec, loss_eta, args.measures)
+    rows = measure_rows(parse_state_file(args.spec), args.measures)
     _emit(rows, args.out)
     return 0
 

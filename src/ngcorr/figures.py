@@ -2,18 +2,17 @@
 
 ``FIGURES`` holds one entry per figure id: its axes (or seeded draws), its
 state builder (None for a figure that builds no Fock state) and its ordered
-measure list.  fig2ef and fig4 build the lossy superposition through one
-closed form, ``channels.ecs_loss_analytic``, for their Fock-route measures,
-as ``measure_state`` does for an ``ecs`` spec with ``eta``.
-Its closed-form deltas (fig2cd, fig2ef's ``delta_hs``, fig4's ``delta_vn``)
-and its ``lb1``/``lb2`` bounds (fig4, fig5), which come from its
-phase-space terms (``measures.ng_bounds``), build no Fock state, and so
-fig5 builds none.  ``sweep``
-evaluates the points of any such entry, and the single point behind
-``measure_state``, and renders one row per point and requested measure with
-a fixed column set; the command-line layer writes them as CSV.  Rows come in
-a deterministic point order; a worker pool may evaluate points in any order
-without changing the output.
+measure list.  Every builder is ``states.make_state`` of a ``StateSpec``,
+which chooses the loss route: fig2ef and fig4 build the lossy superposition
+for their Fock-route measures as ``measure_state`` does for an ``ecs`` spec
+with ``eta``.  Its closed-form deltas (fig2cd, fig2ef's ``delta_hs``,
+fig4's ``delta_vn``) and its ``lb1``/``lb2`` bounds (fig4, fig5), which come
+from its phase-space terms (``measures.ng_bounds``), build no Fock state,
+and so fig5 builds none.  ``sweep`` evaluates the points of any such entry,
+and the single point behind ``measure_state``, and renders one row per point
+and requested measure with a fixed column set; the command-line layer writes
+them as CSV.  Rows come in a deterministic point order; a worker pool may
+evaluate points in any order without changing the output.
 
 Threads: a sweep of more than one point runs on ``threads`` worker threads
 and runs BLAS at one thread for the whole sweep, whatever ``threads`` is, so
@@ -47,7 +46,6 @@ from numpy.random import default_rng
 
 from . import phase
 from .blas import one_thread
-from .channels import apply_loss, ecs_loss_analytic
 from .distill import DistillConfig, distill
 from .entanglement import eof_two_qubit, log_negativity_fock
 from .errors import FLAGGED, BadSpec, DomainError, forget_frames
@@ -66,7 +64,7 @@ from .measures import (
     ng_correlation,
     status_of,
 )
-from .states import StateSpec, _count, default_cutoff, make_state
+from .states import StateSpec, _count, make_state
 from .xstate import ecs_to_xstate, xstate_mi
 
 COLUMNS = (
@@ -212,9 +210,8 @@ def _lossy_delta(kind):
 
 
 def _lossy_ecs(p, cutoff):
-    """Closed-form lossy superposition at its amplitude's default cutoff
-    unless overridden (``ecs_loss_analytic``)."""
-    return ecs_loss_analytic(p["gamma"], p["eta"], cutoff or default_cutoff(p["gamma"]))
+    """Lossy superposition at its amplitude's default cutoff unless overridden."""
+    return make_state(StateSpec("ecs", {"gamma": p["gamma"]}, cutoff=cutoff, eta=p["eta"]))
 
 
 #: Amplitudes at which the phase-space bounds of the lossy superposition
@@ -360,8 +357,8 @@ FIGURES = {
     # loss dynamics of the three-level photon-number entangled state
     "fig3": Figure((("delta_hs", measure("delta", "hs")),),
                    axes=(("eta", 0.0, 1.0, None),),
-                   state=lambda p, cutoff: apply_loss(make_state(StateSpec(
-                       "pnes", {"coeffs": PNES_COEFFS}, cutoff=cutoff or 8)), p["eta"])),
+                   state=lambda p, cutoff: make_state(StateSpec(
+                       "pnes", {"coeffs": PNES_COEFFS}, cutoff=cutoff or 8, eta=p["eta"]))),
     # non-Gaussian-correlation measures of the unit-amplitude superposition
     "fig4": Figure((("ng_tr", measure("ng", "tr")), ("ng_lb1", _lossy_bound("lb1")),
                     ("ng_lb2", _lossy_bound("lb2")), ("delta_vn", _lossy_delta("vn"))),

@@ -226,9 +226,12 @@ def _check_modes(dims, modes):
 
 
 def partial_trace(state, keep):
-    """Trace out all modes not listed in ``keep`` (kept in original order)."""
+    """Trace out all modes not listed in ``keep`` (kept in original order);
+    the state itself when ``keep`` names every mode."""
     keep = _check_modes(state.dims, keep)
     n = state.n_modes
+    if len(keep) == n:
+        return state
     traced = [m for m in range(n) if m not in keep]
     arr = state.rho.reshape(state.dims + state.dims)
     ncur = n
@@ -568,9 +571,35 @@ def unit_vector(vec):
     return vec / norm
 
 
-def pure_state(vec, dims, validate=True):
+def pure_state(vec, dims):
     """|psi><psi| as a FockState from a flat amplitude vector, normalised;
-    its one column is |psi>."""
+    its one column is |psi>; exactly Hermitian, so not validated."""
     vec = unit_vector(vec)
-    return FockState(dims, np.outer(vec, vec.conj()), validate=validate,
+    return FockState(dims, np.outer(vec, vec.conj()), validate=False,
                      columns=vec[:, None])
+
+
+def log_factorials(count):
+    """ln n! for n = 0 .. count - 1."""
+    return np.array([math.lgamma(k + 1) for k in range(count)])
+
+
+def coherent_amps(gamma, cutoff):
+    """Fock amplitudes of |gamma>, truncated (not renormalized); real for a
+    real gamma."""
+    n = np.arange(cutoff)
+    if gamma == 0:
+        return np.eye(1, cutoff)[0]
+    # log-domain magnitude avoids overflow of gamma**n / sqrt(n!)
+    logmag = n * math.log(abs(gamma)) - 0.5 * log_factorials(cutoff) - 0.5 * abs(gamma) ** 2
+    # powers by repeated multiplication: exactly (-1)^n for a real negative gamma
+    phase = np.cumprod(np.r_[1.0, np.full(cutoff - 1, gamma / abs(gamma))])
+    return np.exp(logmag) * phase
+
+
+def cat_vectors(gamma, cutoff):
+    """Normalised even and odd cat vectors |gamma> +- |-gamma> at ``cutoff``;
+    at gamma = 0, their limits |0> and |1>."""
+    c, cm = coherent_amps(gamma, cutoff), coherent_amps(-gamma, cutoff)
+    plus, minus = (c + cm, c - cm) if complex(gamma) else np.eye(2, cutoff)
+    return unit_vector(plus), unit_vector(minus)

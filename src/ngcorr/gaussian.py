@@ -116,9 +116,6 @@ class StandardFormCM:
             ]
         )
 
-    def to_spec(self):
-        return GaussianSpec(np.zeros(4), self.assemble())
-
 
 def extract_moments(state):
     """Raw (means, cm) pair without the physicality gate of GaussianSpec.

@@ -1,4 +1,9 @@
-"""Construction of the bosonic states used throughout the package."""
+"""Construction of the bosonic states used throughout the package.
+
+``make_state`` is the only code that chooses a loss route: an ``ecs`` spec
+with ``eta`` is the lossy ECS in closed form (``channels.ecs_loss_analytic``),
+tail-checked after the loss; any other family is built, tail-checked, and
+then sent through the loss channel (``channels.apply_loss``)."""
 
 from __future__ import annotations
 
@@ -7,8 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadSpec, TruncationError
-from .fock import DEFAULT_TAIL_TOL, FockState, pure_state, unit_vector
+from .channels import apply_loss, ecs_loss_analytic
+from .errors import BadSpec, TruncationError, check_eta
+from .fock import DEFAULT_TAIL_TOL, FockState, cat_vectors, coherent_amps, pure_state
 
 #: The required and the optional parameters of each state family.
 FAMILY_PARAMS = {
@@ -36,12 +42,14 @@ def _count(value, name, least=1):
 
 @dataclass(frozen=True)
 class StateSpec:
-    """Named state family, its parameters (``FAMILY_PARAMS``) and an optional
-    per-mode cutoff."""
+    """Named state family, its parameters (``FAMILY_PARAMS``), an optional
+    per-mode cutoff and an optional transmittance ``eta`` in [0, 1] of a
+    symmetric pure-loss channel applied to the state (``make_state``)."""
 
     family: str
     params: dict = field(default_factory=dict)
     cutoff: int | None = None
+    eta: float | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -57,6 +65,8 @@ class StateSpec:
                           f"it takes {list(required + optional)}")
         if self.cutoff is not None:
             object.__setattr__(self, "cutoff", _count(self.cutoff, "cutoff"))
+        if self.eta is not None:
+            check_eta(self.eta)
         if "modes" in p:
             _count(p["modes"], "modes")
         infinite = [key for key in ("gamma", "nbar", "f", "r", "coeffs")
@@ -105,32 +115,6 @@ def thermal_cutoff(nbar):
     return int(min(max(8, n), 80))
 
 
-def log_factorials(count):
-    """ln n! for n = 0 .. count - 1."""
-    return np.array([math.lgamma(k + 1) for k in range(count)])
-
-
-def coherent_amps(gamma, cutoff):
-    """Fock amplitudes of |gamma>, truncated (not renormalized); real for a
-    real gamma."""
-    n = np.arange(cutoff)
-    if gamma == 0:
-        return np.eye(1, cutoff)[0]
-    # log-domain magnitude avoids overflow of gamma**n / sqrt(n!)
-    logmag = n * math.log(abs(gamma)) - 0.5 * log_factorials(cutoff) - 0.5 * abs(gamma) ** 2
-    # powers by repeated multiplication: exactly (-1)^n for a real negative gamma
-    phase = np.cumprod(np.r_[1.0, np.full(cutoff - 1, gamma / abs(gamma))])
-    return np.exp(logmag) * phase
-
-
-def cat_vectors(gamma, cutoff):
-    """Normalised even and odd cat vectors |gamma> +- |-gamma> at ``cutoff``;
-    at gamma = 0, their limits |0> and |1>."""
-    c, cm = coherent_amps(gamma, cutoff), coherent_amps(-gamma, cutoff)
-    plus, minus = (c + cm, c - cm) if complex(gamma) else np.eye(2, cutoff)
-    return unit_vector(plus), unit_vector(minus)
-
-
 def cat_basis(gamma, cutoff):
     """Orthonormal even/odd cat vectors built from |gamma> and |-gamma>."""
     if complex(gamma) == 0:
@@ -160,7 +144,7 @@ def _tmsv_vec(r, cutoff):
 
 
 def make_state(spec):
-    """Build the FockState described by ``spec``.
+    """Build the FockState described by ``spec``, lossy if it has ``eta``.
 
     Raises TruncationError when the top-level population meets or exceeds
     ``DEFAULT_TAIL_TOL``, signalling that the requested cutoff is too small.
@@ -172,11 +156,11 @@ def make_state(spec):
         cut = spec.cutoff or 4
         vec = np.zeros(cut**modes)
         vec[0] = 1.0
-        state = pure_state(vec, (cut,) * modes, validate=False)
+        state = pure_state(vec, (cut,) * modes)
     elif fam == "coherent":
         g = p["gamma"]
         cut = spec.cutoff or default_cutoff(g)
-        state = pure_state(coherent_amps(g, cut), (cut,), validate=False)
+        state = pure_state(coherent_amps(g, cut), (cut,))
     elif fam == "thermal":
         nbar = float(p["nbar"])
         cut = spec.cutoff or thermal_cutoff(nbar)
@@ -187,14 +171,18 @@ def make_state(spec):
         sign = int(p.get("sign", +1))
         cut = spec.cutoff or default_cutoff(g)
         plus, minus = cat_basis(g, cut)
-        state = pure_state(plus if sign >= 0 else minus, (cut,), validate=False)
+        state = pure_state(plus if sign >= 0 else minus, (cut,))
     elif fam == "ecs":
         g = p["gamma"]
         cut = spec.cutoff or default_cutoff(g)
+        if spec.eta is not None:
+            # ECS(-gamma) = -ECS(gamma) is one state: a real amplitude enters
+            # the closed form as its magnitude
+            return ecs_loss_analytic(g if isinstance(g, complex) else abs(g), spec.eta, cut)
         c = coherent_amps(g, cut)
         cm = coherent_amps(-g, cut)
         vec = np.kron(c, c) - np.kron(cm, cm)
-        state = pure_state(vec, (cut, cut), validate=False)
+        state = pure_state(vec, (cut, cut))
     elif fam == "pnes":
         coeffs = np.asarray(p["coeffs"])
         levels = p.get("levels")
@@ -204,11 +192,11 @@ def make_state(spec):
             raise BadSpec(f"pnes levels {levels.tolist()} do not fit cutoff {cut}")
         vec = np.zeros((cut, cut), dtype=np.result_type(coeffs, float))
         vec[levels, levels] = coeffs
-        state = pure_state(vec.ravel(), (cut, cut), validate=False)
+        state = pure_state(vec.ravel(), (cut, cut))
     elif fam == "tmsv":
         r = float(p["r"])
         cut = spec.cutoff or thermal_cutoff(math.sinh(r) ** 2)
-        state = pure_state(_tmsv_vec(r, cut), (cut, cut), validate=False)
+        state = pure_state(_tmsv_vec(r, cut), (cut, cut))
     elif fam == "cv_werner":
         f = float(p["f"])
         r = float(p["r"])
@@ -235,4 +223,4 @@ def make_state(spec):
         raise TruncationError(
             f"{fam} tail mass {state.tail_mass:.3e} >= {DEFAULT_TAIL_TOL}; increase cutoff"
         )
-    return state
+    return state if spec.eta is None else apply_loss(state, spec.eta)

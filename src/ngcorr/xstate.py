@@ -43,15 +43,6 @@ class XStateParams:
         if abs(self.v) > math.sqrt(max(0.0, self.a * self.d)) + 1e-12:
             raise BadSpec("|v| exceeds sqrt(ad); matrix not positive")
 
-    def to_matrix(self):
-        m = np.zeros((4, 4), dtype=complex)
-        m[0, 0], m[1, 1], m[2, 2], m[3, 3] = self.a, self.b, self.c, self.d
-        m[1, 2] = self.u
-        m[2, 1] = np.conjugate(self.u)
-        m[0, 3] = self.v
-        m[3, 0] = np.conjugate(self.v)
-        return m
-
 
 def _x_eigenvalues(a, b, c, d, u, v):
     """The four eigenvalues of an X matrix: those of its 2x2 blocks

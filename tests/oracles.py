@@ -12,8 +12,10 @@ The rest are independent routes with no library caller: the lossy
 superposition of fig2ef and fig4 as the pure state through the loss
 channel (the builder the closed form replaced), the Williamson
 decomposition (through a real Schur form, the only use of scipy.linalg),
-the symplectic spectrum of a covariance matrix, the Schmidt-weight mutual
-informations of pure states, the X-state parameters of a Bell state,
+the symplectic spectrum of a covariance matrix, the zero-mean Gaussian of
+a standard form, the density matrix of X-state parameters, the
+Schmidt-weight mutual informations of pure states, the X-state parameters
+of a Bell state,
 Wootters' spin-flip concurrence and entanglement of formation, the
 expectation value tr[O rho], two-state shortcuts for the lb2 measure, the
 truncated displacement unitary, and the fidelity, superfidelity and
@@ -41,6 +43,7 @@ from ngcorr.fock import (
 )
 from ngcorr.gaussian import (
     PHYSICALITY_TOL,
+    GaussianSpec,
     _symplectic_eigs_raw,
     moments_from_fock,
     omega,
@@ -209,7 +212,7 @@ _SY_SY = np.kron(
 
 def spin_flip_concurrence(params):
     """Wootters' concurrence from square roots of the spectrum of rho rho~."""
-    rho = params.to_matrix()
+    rho = xstate_matrix(params)
     w = np.linalg.eigvals(rho @ _SY_SY @ rho.conj() @ _SY_SY)
     roots = np.sort(np.sqrt(np.clip(np.real(w), 0.0, None)))
     return max(0.0, roots[-1] - roots[0] - roots[1] - roots[2])
@@ -221,6 +224,24 @@ def wootters_eof(c):
     and log1p, which keep full relative precision at small c."""
     q = c * c / (2.0 * (1.0 + math.sqrt(1.0 - c * c)))
     return -q * math.log(q) - (1.0 - q) * math.log1p(-q) if q > 0.0 else 0.0
+
+
+def standard_form_spec(sf):
+    """The zero-mean GaussianSpec of a ``StandardFormCM``; its physicality
+    gate raises ``UnphysicalCM``."""
+    return GaussianSpec(np.zeros(4), sf.assemble())
+
+
+def xstate_matrix(params):
+    """The 4 x 4 density matrix of ``XStateParams``, in their basis order
+    (|++>, |+->, |-+>, |-->)."""
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0], m[1, 1], m[2, 2], m[3, 3] = params.a, params.b, params.c, params.d
+    m[1, 2] = params.u
+    m[2, 1] = np.conjugate(params.u)
+    m[0, 3] = params.v
+    m[3, 0] = np.conjugate(params.v)
+    return m
 
 
 def bell_params():

@@ -11,6 +11,7 @@ from ngcorr.errors import UnphysicalCM
 from ngcorr.fock import FockState
 from ngcorr.gaussian import GaussianSpec, StandardFormCM
 from ngcorr.xstate import XStateParams
+from oracles import standard_form_spec
 
 
 def random_xstate(rng, complex_offdiag=True):
@@ -47,7 +48,7 @@ def random_standard_form(rng, max_local=3.0):
             continue
         try:
             sf = StandardFormCM(a=a, b=b, c=c, d=d)
-            sf.to_spec()
+            standard_form_spec(sf)
         except UnphysicalCM:
             continue
         return sf
@@ -79,7 +80,7 @@ def random_two_mode_state(rng, levels=4, cutoff=12, rank=None):
 def random_gaussian_spec(rng, max_local=2.0):
     """Random physical two-mode Gaussian spec: rotated standard form."""
     sf = random_standard_form(rng, max_local=max_local)
-    spec = sf.to_spec()
+    spec = standard_form_spec(sf)
     # conjugate by independent local rotations to leave the standard form
     th1, th2 = rng.uniform(0.0, 2.0 * np.pi, size=2)
     r1 = np.array([[np.cos(th1), np.sin(th1)], [-np.sin(th1), np.cos(th1)]])

@@ -29,7 +29,7 @@ from ngcorr.measures import mutual_information, ng_correlation
 from ngcorr.states import StateSpec, make_state
 from ngcorr.figures import PNES_COEFFS, run_figure
 from ngcorr.xstate import ecs_to_xstate, xstate_mi
-from oracles import displacement, superfidelity_chain
+from oracles import displacement, standard_form_spec, superfidelity_chain, xstate_matrix
 from sampling import (
     random_density_matrix,
     random_standard_form,
@@ -85,7 +85,7 @@ def test_criterion_2_loss_oracle():
 
 
 def _brute_xstate(kind, params, alpha):
-    rho = params.to_matrix()
+    rho = xstate_matrix(params)
     rho_a = np.array([[rho[0, 0] + rho[1, 1], 0], [0, rho[2, 2] + rho[3, 3]]])
     rho_b = np.array([[rho[0, 0] + rho[2, 2], 0], [0, rho[1, 1] + rho[3, 3]]])
     prod = np.kron(rho_a, rho_b)
@@ -210,7 +210,7 @@ def test_criterion_4_gaussian_oracle():
         rng = np.random.default_rng(11)
         for _ in range(500):
             sf = random_standard_form(rng)
-            spec = sf.to_spec()
+            spec = standard_form_spec(sf)
             closed = sorted(standard_form_symplectic_eigs(sf))
             raw = np.linalg.eigvals(1j * omega(2) @ spec.cm)
             brute = sorted(np.abs(raw))[::2]  # spectrum comes in +/- pairs

@@ -7,6 +7,8 @@ from ngcorr.channels import apply_loss, ecs_loss_analytic, loss_kraus
 from ngcorr.errors import BadEta, DomainError, TruncationError
 from ngcorr.fock import (
     FockState,
+    cat_vectors,
+    coherent_amps,
     distance,
     overlap,
     pure_state,
@@ -14,7 +16,7 @@ from ngcorr.fock import (
     truncate_state,
 )
 from ngcorr.gaussian import analytic_cm
-from ngcorr.states import StateSpec, cat_vectors, coherent_amps, default_cutoff, make_state
+from ngcorr.states import StateSpec, default_cutoff, make_state
 from ngcorr.xstate import ecs_to_xstate, ecs_weights
 from oracles import beam_splitter, kraus_loss
 from sampling import random_density_matrix
@@ -52,15 +54,15 @@ def test_beam_splitter_on_coherent_vacuum():
     eta = 0.64
     cut = 18
     g = 0.9
-    coh = pure_state(coherent_amps(g, cut), (cut,), validate=False)
+    coh = pure_state(coherent_amps(g, cut), (cut,))
     vac = make_state(StateSpec("vacuum", {"modes": 1}, cutoff=cut))
     joint = tensor(coh, vac)
     u = beam_splitter(eta, (cut, cut))
     from ngcorr.fock import FockState
 
     out = FockState(joint.dims, u @ joint.rho @ u.conj().T, validate=False)
-    ta = pure_state(coherent_amps(g * math.sqrt(eta), cut), (cut,), validate=False)
-    tb = pure_state(coherent_amps(g * math.sqrt(1 - eta), cut), (cut,), validate=False)
+    ta = pure_state(coherent_amps(g * math.sqrt(eta), cut), (cut,))
+    tb = pure_state(coherent_amps(g * math.sqrt(1 - eta), cut), (cut,))
     assert distance("trace", out, tensor(ta, tb)) < 1e-8
 
 
@@ -68,7 +70,7 @@ def test_hong_ou_mandel_null():
     cut = 6
     vec = np.zeros((cut, cut), dtype=complex)
     vec[1, 1] = 1.0
-    joint = pure_state(vec.ravel(), (cut, cut), validate=False)
+    joint = pure_state(vec.ravel(), (cut, cut))
     u = beam_splitter(0.5, (cut, cut))
     out = u @ vec.ravel()
     out = out.reshape(cut, cut)

@@ -20,6 +20,7 @@ import ngcorr.blas
 import ngcorr.cli
 import ngcorr.figures
 import ngcorr.measures
+import ngcorr.states
 import numpy as np
 
 from ngcorr.channels import ecs_loss_analytic
@@ -79,10 +80,10 @@ def test_measure_id_grammar():
 def test_state_file_parsing(tmp_path):
     path = tmp_path / "state.spec"
     path.write_text("# demo\nfamily = ecs\ngamma = 1.0\ncutoff = 30\n")
-    spec, loss_eta = parse_state_file(str(path))
+    spec = parse_state_file(str(path))
     assert spec.family == "ecs"
     assert spec.cutoff == 30
-    assert loss_eta is None
+    assert spec.eta is None
 
 
 def test_state_file_missing_family(tmp_path):
@@ -95,8 +96,7 @@ def test_state_file_missing_family(tmp_path):
 def test_measure_rows_bell_anchor(tmp_path):
     path = tmp_path / "ecs.spec"
     path.write_text("family = ecs\ngamma = 1.0\ncutoff = 30\n")
-    spec, loss_eta = parse_state_file(str(path))
-    rows = measure_rows(spec, loss_eta, ["renyi:2"])
+    rows = measure_rows(parse_state_file(str(path)), ["renyi:2"])
     assert rows[0]["status"] == "ok"
     assert rows[0]["value"] == pytest.approx(2 * math.log(2), abs=1e-6)
 
@@ -108,8 +108,7 @@ def test_measure_state_matches_figure_sweep(tmp_path):
     path.write_text(
         f"family = pnes\ncoeffs = 0.986, 0.162, {c2!r}\ncutoff = 8\neta = 0.5\n"
     )
-    spec, loss_eta = parse_state_file(str(path))
-    rows = measure_rows(spec, loss_eta, ["delta:hs"])
+    rows = measure_rows(parse_state_file(str(path)), ["delta:hs"])
     fig_rows = run_figure("fig3", {"grid": 3}, threads=1)
     mid = [r for r in fig_rows if r["eta"] == 0.5][0]
     assert rows[0]["value"] == pytest.approx(mid["value"], abs=1e-10)
@@ -129,7 +128,7 @@ def test_measure_state_on_the_lossy_ecs_matches_the_figure_sweeps():
         want = [r for r in rows if r["measure"] == figure_id]
         assert len(want) == 3
         for row in want:
-            (got,) = measure_rows(spec, row["eta"], [mid])
+            (got,) = measure_rows(dataclasses.replace(spec, eta=row["eta"]), [mid])
             assert got["status"] == row["status"] == "ok"
             assert abs(got["value"] - row["value"]) <= 1e-15, (mid, row["eta"])
             assert (got["cutoff"], got["tail_mass"]) == (row["cutoff"], row["tail_mass"])
@@ -149,7 +148,7 @@ NG_FID_SPREAD = 4.3e-11
 
 def test_measure_state_of_a_complex_amplitude_meets_the_kraus_route():
     gamma, eta = 0.3 + 0.5j, 0.6
-    rows = measure_rows(StateSpec("ecs", {"gamma": gamma}, cutoff=20), eta, ALL_IDS)
+    rows = measure_rows(StateSpec("ecs", {"gamma": gamma}, cutoff=20, eta=eta), ALL_IDS)
     kraus = sweep("measure_state", [{"gamma": abs(gamma), "eta": eta}],
                   [(mid, measure(*_parse_measure_id(mid))) for mid in ALL_IDS],
                   lambda p: kraus_lossy_ecs({"gamma": gamma, "eta": eta}, 20))
@@ -164,11 +163,11 @@ def test_a_spec_file_takes_a_complex_amplitude(tmp_path):
     # complex-amplitude closed form of the library spec
     path = tmp_path / "ecs.spec"
     path.write_text("family = ecs\ngamma = 0.3+0.5j\ncutoff = 16\neta = 0.6\n")
-    spec, loss_eta = parse_state_file(str(path))
-    assert spec.params["gamma"] == 0.3 + 0.5j and loss_eta == 0.6
+    spec = parse_state_file(str(path))
+    assert spec.params["gamma"] == 0.3 + 0.5j and spec.eta == 0.6
     ids = ["vn", "sandwiched:1.5", "tr", "delta:hs", "ng:tr"]
-    got = measure_rows(spec, loss_eta, ids)
-    want = measure_rows(StateSpec("ecs", {"gamma": 0.3 + 0.5j}, cutoff=16), 0.6, ids)
+    got = measure_rows(spec, ids)
+    want = measure_rows(StateSpec("ecs", {"gamma": 0.3 + 0.5j}, cutoff=16, eta=0.6), ids)
     assert got == want
     assert [row["status"] for row in got] == ["ok"] * len(ids)
 
@@ -183,7 +182,7 @@ def test_the_lossy_ecs_is_tail_checked_after_the_loss():
         make_state(spec)
 
     def values(cutoff):
-        rows = measure_rows(dataclasses.replace(spec, cutoff=cutoff), 0.3, ["vn", "ng:tr"])
+        rows = measure_rows(dataclasses.replace(spec, cutoff=cutoff, eta=0.3), ["vn", "ng:tr"])
         assert [r["status"] for r in rows] == ["ok", "ok"]
         return [r["value"] for r in rows]
 
@@ -197,14 +196,14 @@ def test_a_negative_real_amplitude_is_the_same_lossy_ecs():
     # ECS(-gamma) = -ECS(gamma): the closed form reads a real amplitude's
     # magnitude, as the Kraus route built the same state from either sign
     ids = ["vn", "sandwiched:1.5", "tr", "ng:tr"]
-    neg, pos = (measure_rows(StateSpec("ecs", {"gamma": g}, cutoff=16), 0.5, ids)
+    neg, pos = (measure_rows(StateSpec("ecs", {"gamma": g}, cutoff=16, eta=0.5), ids)
                 for g in (-0.5, 0.5))
     for a, b in zip(neg, pos, strict=True):
         assert a["status"] == b["status"] == "ok"
         assert abs(a["value"] - b["value"]) <= 1e-15, a["measure"]
 
 
-LOSSY_ECS = StateSpec("ecs", {"gamma": 0.6}, cutoff=12)
+LOSSY_ECS = StateSpec("ecs", {"gamma": 0.6}, cutoff=12, eta=0.7)
 
 
 def _count_synthesis(monkeypatch, fail=False):
@@ -223,7 +222,7 @@ def _count_synthesis(monkeypatch, fail=False):
 
 def test_measure_rows_synthesizes_the_reference_once(monkeypatch):
     calls = _count_synthesis(monkeypatch)
-    rows = measure_rows(LOSSY_ECS, 0.7, ["ng:tr", "ng:fid", "delta:tr"])
+    rows = measure_rows(LOSSY_ECS, ["ng:tr", "ng:fid", "delta:tr"])
     assert len(calls) == 1
     state = ecs_loss_analytic(0.6, 0.7, 12)
     assert [r["value"] for r in rows] == [
@@ -236,7 +235,7 @@ def test_measure_rows_synthesizes_the_reference_once(monkeypatch):
 def test_bures_rows_synthesize_no_reference(monkeypatch):
     # delta:bures takes its reference value from the closed form
     calls = _count_synthesis(monkeypatch)
-    rows = measure_rows(LOSSY_ECS, 0.7, ["bures", "delta:bures"])
+    rows = measure_rows(LOSSY_ECS, ["bures", "delta:bures"])
     assert len(calls) == 0
     assert [r["status"] for r in rows] == ["ok", "ok"]
 
@@ -252,9 +251,9 @@ def test_measure_rows_build_the_states_marginal_product_once(
     # at cutoff 20 the point traces rho once per mode, builds rho_A x rho_B
     # at most once and only for an id that reads it, and traces the
     # Gaussian reference once per mode however many ids read its marginals
-    spec = StateSpec("ecs", {"gamma": 1.0}, cutoff=20)
+    spec = StateSpec("ecs", {"gamma": 1.0}, cutoff=20, eta=0.7)
     built, traced, made = [], [], []
-    original_loss = ngcorr.cli.ecs_loss_analytic
+    original_loss = ngcorr.states.ecs_loss_analytic
     original_trace = ngcorr.measures.partial_trace
     original_tensor = ngcorr.measures.tensor
 
@@ -271,10 +270,10 @@ def test_measure_rows_build_the_states_marginal_product_once(
         made.append((a, b))
         return original_tensor(a, b)
 
-    monkeypatch.setattr(ngcorr.cli, "ecs_loss_analytic", build)
+    monkeypatch.setattr(ngcorr.states, "ecs_loss_analytic", build)
     monkeypatch.setattr(ngcorr.measures, "partial_trace", partial_trace)
     monkeypatch.setattr(ngcorr.measures, "tensor", tensor)
-    rows = measure_rows(spec, 0.7, ids)
+    rows = measure_rows(spec, ids)
     (rho,) = built
     marginals = [out for state, out in traced if state is rho]
     assert len(marginals) == 2
@@ -285,14 +284,14 @@ def test_measure_rows_build_the_states_marginal_product_once(
     monkeypatch.undo()
     # the unshared route: each id on a state of its own
     assert [r["value"] for r in rows] == [
-        measure_rows(spec, 0.7, [mid])[0]["value"] for mid in ids
+        measure_rows(spec, [mid])[0]["value"] for mid in ids
     ]
 
 
 def test_a_point_builds_each_marginal_product_once(monkeypatch):
     # rho_A x rho_B and sigma_A x sigma_B, once each: delta:tr keeps the
     # reference's product with it, where ng:tr's averaged pair reads it
-    spec = StateSpec("ecs", {"gamma": 1.0}, cutoff=12)
+    spec = StateSpec("ecs", {"gamma": 1.0}, cutoff=12, eta=0.7)
     kron, products = np.kron, []
 
     def counted(a, b):
@@ -302,14 +301,14 @@ def test_a_point_builds_each_marginal_product_once(monkeypatch):
         return out
 
     monkeypatch.setattr(np, "kron", counted)
-    rows = measure_rows(spec, 0.7, ["delta:tr", "ng:tr"])
+    rows = measure_rows(spec, ["delta:tr", "ng:tr"])
     assert [r["status"] for r in rows] == ["ok", "ok"]
     assert len(products) == 2
 
 
 def test_measure_rows_flags_each_id_when_synthesis_fails(monkeypatch):
     calls = _count_synthesis(monkeypatch, fail=True)
-    rows = measure_rows(LOSSY_ECS, 0.7, ["ng:tr", "vn", "delta:tr", "ng:lb1"])
+    rows = measure_rows(LOSSY_ECS, ["ng:tr", "vn", "delta:tr", "ng:lb1"])
     assert len(calls) == 1
     assert [r["status"] for r in rows] == ["flagged", "ok", "flagged", "flagged"]
 
@@ -371,14 +370,15 @@ def test_every_figure_runs_through_the_cli(tmp_path, figure):
 
 
 def test_failed_state_build_flags_every_measure_once_per_point(monkeypatch):
+    # eta outside [0, 1]: the point's StateSpec refuses it
     builds = []
-    original = ngcorr.figures.ecs_loss_analytic
+    original = ngcorr.figures.StateSpec
 
     def counted(*args, **kwargs):
         builds.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(ngcorr.figures, "ecs_loss_analytic", counted)
+    monkeypatch.setattr(ngcorr.figures, "StateSpec", counted)
     rows = run_figure("fig4", {"eta": (1.2, 1.3, 2), "cutoff": 12}, threads=1)
     assert len(builds) == 2
     assert [r["measure"] for r in rows] == ["ng_tr", "ng_lb1", "ng_lb2", "delta_vn"] * 2
@@ -571,11 +571,11 @@ def test_fig3_cutoff_below_the_pnes_levels_is_flagged():
 #: names whose rows come from a closed form and not from the state.
 VANISHING = {
     "measure_state": (lambda: measure_rows(
-        StateSpec("ecs", {"gamma": 1.0}, cutoff=1), None, ["vn", "delta:tr", "ng:lb1"]), ()),
+        StateSpec("ecs", {"gamma": 1.0}, cutoff=1), ["vn", "delta:tr", "ng:lb1"]), ()),
     "measure_state_lossy": (lambda: measure_rows(
-        StateSpec("ecs", {"gamma": 1.0}, cutoff=1), 0.5, ["vn", "delta:tr", "ng:lb1"]), ()),
+        StateSpec("ecs", {"gamma": 1.0}, cutoff=1, eta=0.5), ["vn", "delta:tr", "ng:lb1"]), ()),
     "measure_state_odd_cat": (lambda: measure_rows(
-        StateSpec("cat", {"gamma": 1.0, "sign": -1}, cutoff=1), None, ["vn"]), ()),
+        StateSpec("cat", {"gamma": 1.0, "sign": -1}, cutoff=1), ["vn"]), ()),
     "fig4": (lambda: run_figure("fig4", {"grid": 2, "cutoff": 1}, threads=1),
              ("ng_lb1", "ng_lb2", "delta_vn")),
     "fig2ef": (lambda: run_figure(
@@ -709,10 +709,10 @@ def blas_threads():
     set_(before)
 
 
-def _probe(monkeypatch, name, get, hook=None):
-    """Record the BLAS count at every call of ``figures.<name>``."""
+def _probe(monkeypatch, module, name, get, hook=None):
+    """Record the BLAS count at every call of ``module.<name>``."""
     seen = []
-    original = getattr(ngcorr.figures, name)
+    original = getattr(module, name)
 
     def probed(*args, **kwargs):
         if hook:
@@ -720,7 +720,7 @@ def _probe(monkeypatch, name, get, hook=None):
         seen.append(get())
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(ngcorr.figures, name, probed)
+    monkeypatch.setattr(module, name, probed)
     return seen
 
 
@@ -730,7 +730,7 @@ FIG4_SMALL = {"eta": (0.2, 0.6, 3), "cutoff": 12}
 @pytest.mark.parametrize("threads", [1, 2])
 def test_a_sweep_runs_blas_at_one_thread(monkeypatch, blas_threads, threads):
     before = blas_threads()
-    seen = _probe(monkeypatch, "ecs_loss_analytic", blas_threads)
+    seen = _probe(monkeypatch, ngcorr.states, "ecs_loss_analytic", blas_threads)
     rows = run_figure("fig4", FIG4_SMALL, threads=threads)
     assert seen == [1, 1, 1]
     assert [r["status"] for r in rows] == ["ok"] * 12
@@ -764,7 +764,7 @@ def test_concurrent_sweeps_put_the_blas_count_back(monkeypatch, blas_threads):
             waited.done = True
             both_inside.wait()
 
-    seen = _probe(monkeypatch, "ecs_loss_analytic", blas_threads, hook=meet)
+    seen = _probe(monkeypatch, ngcorr.states, "ecs_loss_analytic", blas_threads, hook=meet)
     rows = {}
 
     def run(grid):
@@ -783,8 +783,8 @@ def test_concurrent_sweeps_put_the_blas_count_back(monkeypatch, blas_threads):
 
 def test_measure_state_leaves_blas_at_its_count(monkeypatch, blas_threads):
     before = blas_threads()
-    seen = _probe(monkeypatch, "mutual_information", blas_threads)
-    rows = measure_rows(LOSSY_ECS, 0.7, ["vn", "tr"])
+    seen = _probe(monkeypatch, ngcorr.figures, "mutual_information", blas_threads)
+    rows = measure_rows(LOSSY_ECS, ["vn", "tr"])
     assert seen == [before, before]
     assert [r["status"] for r in rows] == ["ok", "ok"]
 
@@ -793,7 +793,7 @@ def test_a_sweep_runs_without_blas_thread_control(monkeypatch, blas_threads):
     before = blas_threads()
     monkeypatch.setattr(ngcorr.blas, "SYMBOLS", (("no_get", "no_set"),))
     assert ngcorr.blas.thread_control() is None
-    seen = _probe(monkeypatch, "ecs_loss_analytic", blas_threads)
+    seen = _probe(monkeypatch, ngcorr.states, "ecs_loss_analytic", blas_threads)
     rows = run_figure("fig4", FIG4_SMALL, threads=2)
     assert seen == [before] * 3
     assert [r["status"] for r in rows] == ["ok"] * 12
@@ -1022,7 +1022,7 @@ def test_no_ng_row_is_a_negative_zero():
                       make_state(StateSpec("coherent", {"gamma": -0.4j}, cutoff=16)))
     measures = [(mid, measure(*_parse_measure_id(mid))) for mid in NG_IDS]
     rows += sweep("measure_state", [{}], measures, lambda _: coherent)
-    rows += measure_rows(StateSpec("tmsv", {"r": 0.3}, cutoff=20), None, NG_IDS)
+    rows += measure_rows(StateSpec("tmsv", {"r": 0.3}, cutoff=20), NG_IDS)
     values = [r["value"] for r in rows if r["measure"].startswith("ng")]
     assert len(values) == 3 * 11 + 10 + 4 + 4
     assert all(v == v and math.copysign(1.0, v) == 1.0 for v in values), values

@@ -11,7 +11,7 @@ from ngcorr.entanglement import (
 from ngcorr.fock import tensor
 from ngcorr.states import StateSpec, make_state
 from ngcorr.xstate import XStateParams
-from oracles import bell_params, spin_flip_concurrence
+from oracles import bell_params, spin_flip_concurrence, xstate_matrix
 from sampling import random_xstate
 
 
@@ -42,7 +42,7 @@ def test_eof_keeps_relative_precision_at_small_concurrence(c):
 
 def test_werner_two_qubit_threshold():
     # two-qubit Werner mixture p |Bell><Bell| + (1-p) I/4 separates at p = 1/3
-    bell = bell_params().to_matrix()
+    bell = xstate_matrix(bell_params())
     for p, positive in ((0.2, False), (0.5, True)):
         rho = p * bell + (1 - p) * np.eye(4) / 4.0
         params = XStateParams(

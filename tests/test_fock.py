@@ -20,6 +20,7 @@ from ngcorr.fock import (
     tensor,
     truncate_state,
 )
+from ngcorr.gaussian import moments_from_fock
 from ngcorr.measures import _lower_bounds, averaged_states, marginal_product, reference_state
 from ngcorr.states import StateSpec, make_state
 from oracles import expect
@@ -52,6 +53,26 @@ def test_partial_trace_of_product(rng):
     rb = partial_trace(st, [1])
     assert np.allclose(ra.rho, a, atol=1e-13)
     assert np.allclose(rb.rho, b, atol=1e-13)
+
+
+def test_partial_trace_keeping_every_mode_is_the_state_itself(rng):
+    st = FockState((3, 4), random_density_matrix(rng, 12), validate=False)
+    assert partial_trace(st, [1, 0]) is st
+
+
+def test_moments_build_only_the_single_mode_marginals(monkeypatch):
+    # the pair marginal of a two-mode state is the state: moments_from_fock
+    # builds two FockStates, rho_A and rho_B
+    state = ecs_loss_analytic(1.0, 0.7, 12)
+    built, init = [], FockState.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FockState, "__init__", counted)
+    moments_from_fock(state)
+    assert built == [(12,), (12,)]
 
 
 def test_partial_trace_bad_mode():

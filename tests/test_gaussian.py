@@ -21,7 +21,7 @@ from ngcorr.fock import FockState, partial_trace
 from ngcorr.measures import mutual_information
 from ngcorr.states import StateSpec, make_state
 from ngcorr.xstate import XStateParams, ecs_to_xstate, xstate_mi
-from oracles import dense_moments, symplectic_eigs, williamson
+from oracles import dense_moments, standard_form_spec, symplectic_eigs, williamson
 from sampling import random_density_matrix, random_gaussian_spec, random_standard_form
 
 
@@ -76,7 +76,7 @@ def test_symplectic_closed_form_vs_spectrum(rng):
     for _ in range(100):
         sf = random_standard_form(rng)
         closed = sorted(standard_form_symplectic_eigs(sf))
-        spec = sf.to_spec()
+        spec = standard_form_spec(sf)
         direct = sorted(symplectic_eigs(spec))
         assert max(abs(x - y) for x, y in zip(closed, direct)) < 1e-10
 
@@ -167,7 +167,7 @@ def test_fock_bures_mi_meets_the_pure_tmsv_anchor(r):
 
 def _tmsv_spec(r):
     ch, sh = 0.5 * math.cosh(2 * r), 0.5 * math.sinh(2 * r)
-    return StandardFormCM(ch, ch, sh, -sh).to_spec()
+    return standard_form_spec(StandardFormCM(ch, ch, sh, -sh))
 
 
 @pytest.mark.parametrize("r", [0.1, 0.3, 0.6])
@@ -344,7 +344,7 @@ def test_reference_roundtrip_with_displacement():
 def test_gaussian_log_negativity_tmsv():
     r = 0.3
     ch, sh = 0.5 * math.cosh(2 * r), 0.5 * math.sinh(2 * r)
-    spec = StandardFormCM(ch, ch, sh, -sh).to_spec()
+    spec = standard_form_spec(StandardFormCM(ch, ch, sh, -sh))
     assert gaussian_log_negativity(spec) == pytest.approx(2 * r, abs=1e-10)
 
 

@@ -192,7 +192,7 @@ def test_pnes_has_no_gaussian_correlation():
 def test_order_one_sandwiched_row_is_the_von_neumann_row(spec):
     # D(rho || rho_A x rho_B) = I(A:B): the order-1 row reads the entropies,
     # where a support cut on sigma's small eigenvalues would truncate tr rho log sigma
-    vn, sandwiched = measure_rows(spec, None, ["vn", "sandwiched:1"])
+    vn, sandwiched = measure_rows(spec, ["vn", "sandwiched:1"])
     assert sandwiched["status"] == vn["status"] == "ok"
     assert sandwiched["value"] == vn["value"]
 
@@ -202,6 +202,6 @@ def test_a_product_reference_leaves_the_bures_row_as_its_delta():
     # pair, whose closed-form Bures value is exactly 0; the Fock value of
     # the synthesized product reference is 7.8e-7 at this cutoff
     spec = StateSpec("photon_correlated", {"nbar": 0.5}, cutoff=20)
-    bures, delta = measure_rows(spec, None, ["bures", "delta:bures"])
+    bures, delta = measure_rows(spec, ["bures", "delta:bures"])
     assert bures["status"] == delta["status"] == "ok"
     assert abs(delta["value"] - bures["value"]) <= 1e-15

@@ -19,7 +19,7 @@ from ngcorr.gaussian import (
     reference_gaussian_fock,
 )
 from ngcorr.states import StateSpec, make_state
-from oracles import displacement, williamson
+from oracles import displacement, standard_form_spec, williamson
 from sampling import random_gaussian_spec
 
 #: Near-pure symplectic eigenvalues are capped at 1/2 + this margin before
@@ -108,7 +108,7 @@ def test_matches_gibbs_oracle_single_mode_displaced_squeezed():
 @pytest.mark.parametrize("r", [1.0, 1.2])
 def test_pure_tmsv_reference_is_exact_at_large_cutoff(r):
     ch, sh = 0.5 * math.cosh(2 * r), 0.5 * math.sinh(2 * r)
-    spec = StandardFormCM(ch, ch, sh, -sh).to_spec()
+    spec = standard_form_spec(StandardFormCM(ch, ch, sh, -sh))
     got = reference_gaussian_fock(spec, (60, 60))
     assert np.all(np.isfinite(got.rho))
     want = make_state(StateSpec("tmsv", {"r": r}, cutoff=60)).rho

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import sampling
+from oracles import standard_form_spec, xstate_matrix
 
 from sampling import (
     random_density_matrix,
@@ -15,14 +16,14 @@ from sampling import (
 def test_random_xstate_positive(rng):
     for _ in range(50):
         params = random_xstate(rng)
-        w = np.linalg.eigvalsh(params.to_matrix())
+        w = np.linalg.eigvalsh(xstate_matrix(params))
         assert w[0] > -1e-12
 
 
 def test_random_standard_form_physical(rng):
     for _ in range(50):
         sf = random_standard_form(rng)
-        sf.to_spec()  # physicality gate inside
+        standard_form_spec(sf)  # physicality gate inside
 
 
 def test_random_density_matrix_valid(rng):

@@ -25,6 +25,7 @@ from ngcorr.entanglement import log_negativity_fock
 from ngcorr.figures import FIGURES, Point, measure
 from ngcorr.fock import (
     FockState,
+    coherent_amps,
     distance,
     fidelity,
     hermitize,
@@ -43,7 +44,7 @@ from ngcorr.measures import (
     ng_correlation,
     sandwiched_relative_entropy,
 )
-from ngcorr.states import StateSpec, coherent_amps, make_state
+from ngcorr.states import StateSpec, make_state
 from sampling import random_two_mode_state
 
 TWO_LN_2 = 2.0 * math.log(2.0)
@@ -448,12 +449,12 @@ def test_six_mi_ids_solve_each_operand_once(monkeypatch):
 
 
 def test_measure_state_csv_is_the_same_in_every_id_order():
-    spec = StateSpec("ecs", {"gamma": 1.0}, cutoff=12)
+    spec = StateSpec("ecs", {"gamma": 1.0}, cutoff=12, eta=0.7)
     ids = ("vn", "renyi:0.5", "sandwiched:1.5", "bures", "tr", "hs")
 
     def csv_lines(order):
         out = io.StringIO()
-        write_csv(measure_rows(spec, 0.7, order), out)
+        write_csv(measure_rows(spec, order), out)
         header, *rows = out.getvalue().splitlines()
         return header, sorted(rows)
 

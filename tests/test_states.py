@@ -1,11 +1,16 @@
+import ast
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ngcorr.errors import BadSpec, TruncationError
-from ngcorr.fock import ladder_ops, partial_trace
-from ngcorr.states import StateSpec, cat_basis, coherent_amps, make_state
+import ngcorr.states
+from ngcorr.channels import apply_loss, ecs_loss_analytic
+from ngcorr.errors import BadEta, BadSpec, TruncationError
+from ngcorr.fock import coherent_amps, ladder_ops, partial_trace
+from ngcorr.states import StateSpec, cat_basis, make_state
 from oracles import displacement, expect
 
 
@@ -122,3 +127,57 @@ def test_real_negative_amplitude_has_exact_signs(cutoff):
     amps = coherent_amps(-0.8, cutoff)
     assert not np.any(amps.imag)
     assert np.array_equal(np.sign(amps.real), (-1.0) ** np.arange(cutoff))
+
+
+def _same_state(got, want):
+    """Byte-identical rho and columns, of the same dtypes."""
+    assert got.dims == want.dims
+    assert got.rho.dtype == want.rho.dtype and np.array_equal(got.rho, want.rho)
+    if want.columns is None:
+        assert got.columns is None
+    else:
+        assert got.columns.dtype == want.columns.dtype
+        assert np.array_equal(got.columns, want.columns)
+
+
+@pytest.mark.parametrize("gamma, eta, cutoff, closed", [
+    (1.0, 0.7, None, (1.0, 0.7, 20)),
+    (0.3 + 0.5j, 0.6, 20, (0.3 + 0.5j, 0.6, 20)),
+    # ECS(-gamma) = -ECS(gamma): a real amplitude enters as its magnitude
+    (-0.5, 0.5, 16, (0.5, 0.5, 16)),
+])
+def test_an_ecs_spec_with_eta_is_the_closed_form(gamma, eta, cutoff, closed):
+    state = make_state(StateSpec("ecs", {"gamma": gamma}, cutoff=cutoff, eta=eta))
+    _same_state(state, ecs_loss_analytic(*closed))
+
+
+@pytest.mark.parametrize("spec", [
+    StateSpec("pnes", {"coeffs": [0.8, 0.36j, 0.48]}, cutoff=8, eta=0.8),
+    StateSpec("tmsv", {"r": 0.4}, eta=0.9),
+])
+def test_any_other_spec_with_eta_goes_through_the_loss_channel(spec):
+    lossless = make_state(dataclasses.replace(spec, eta=None))
+    _same_state(make_state(spec), apply_loss(lossless, spec.eta))
+
+
+def test_a_lossy_spec_is_tail_checked_before_the_channel(monkeypatch):
+    # the pure pnes state fails its tail check, so no loss is applied
+    monkeypatch.setattr(ngcorr.states, "apply_loss", None)
+    with pytest.raises(TruncationError):
+        make_state(StateSpec("pnes", {"coeffs": [0.6, 0.8]}, cutoff=2, eta=0.5))
+
+
+@pytest.mark.parametrize("eta", [1.5, -0.1, math.nan])
+def test_a_spec_refuses_a_transmittance_outside_the_unit_interval(eta):
+    with pytest.raises(BadEta):
+        StateSpec("ecs", {"gamma": 1.0}, eta=eta)
+
+
+@pytest.mark.parametrize("module", ["cli.py", "figures.py"])
+def test_only_make_state_chooses_a_loss_route(module):
+    # the command line and the figures build every state through a spec,
+    # so neither names a loss builder
+    source = Path(ngcorr.states.__file__).with_name(module).read_text()
+    imported = {alias.name for node in ast.walk(ast.parse(source))
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert imported.isdisjoint({"apply_loss", "ecs_loss_analytic", "default_cutoff"})

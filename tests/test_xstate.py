@@ -7,7 +7,7 @@ from ngcorr.channels import apply_loss, ecs_loss_analytic
 from ngcorr.measures import mutual_information
 from ngcorr.states import StateSpec, make_state
 from ngcorr.xstate import XStateParams, ecs_to_xstate, xstate_mi
-from oracles import bell_params, pure_schmidt_mi
+from oracles import bell_params, pure_schmidt_mi, xstate_matrix
 from sampling import random_xstate
 
 TWO_LN_2 = 2.0 * math.log(2.0)
@@ -15,7 +15,7 @@ TWO_LN_2 = 2.0 * math.log(2.0)
 
 def brute_mi(kind, params, alpha):
     """Direct 4x4 evaluation of the closed-form quantities."""
-    rho = params.to_matrix()
+    rho = xstate_matrix(params)
     rho_a = np.array([[rho[0, 0] + rho[1, 1], 0], [0, rho[2, 2] + rho[3, 3]]])
     rho_b = np.array([[rho[0, 0] + rho[2, 2], 0], [0, rho[1, 1] + rho[3, 3]]])
     prod = np.kron(rho_a, rho_b)
