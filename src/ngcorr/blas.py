@@ -2,10 +2,10 @@
 
 ``one_thread()`` runs BLAS at one thread for the duration of a block.  A
 multi-threaded BLAS splits its sums differently at different thread counts,
-so the last digits of a result depend on the count.  A sweep of more than one
-point runs inside such a block (``figures``), so a sweep's output does not
-depend on the BLAS thread settings.  Without OpenBLAS's thread control (MKL,
-Accelerate builds) the block does nothing.
+so the last digits of a result depend on the count.  Every sweep, of one
+point (``measure_state``) or many, runs inside such a block (``figures``),
+so its output does not depend on the BLAS thread settings.  Without
+OpenBLAS's thread control (MKL, Accelerate builds) the block does nothing.
 """
 
 from __future__ import annotations

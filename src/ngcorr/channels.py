@@ -8,8 +8,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import TruncationError, check_eta
-from .fock import (DEFAULT_TAIL_TOL, FockState, _check_modes, _tail_mass, cat_vectors,
-                   log_factorials)
+from .fock import DEFAULT_TAIL_TOL, FockState, cat_vectors, log_factorials
 from .xstate import ecs_to_xstate
 
 
@@ -56,13 +55,11 @@ def _apply_mode_loss(rho, dims, mode, g):
     return out.reshape(rho.shape)
 
 
-def apply_loss(state, eta, modes=None):
-    """Pure-loss channel (beam-splitter mixing with vacuum) on the given modes."""
+def apply_loss(state, eta):
+    """Pure-loss channel (beam-splitter mixing with vacuum) on every mode."""
     check_eta(eta)
-    modes = range(state.n_modes) if modes is None else modes
-    modes = _check_modes(state.dims, modes)
     rho = state.rho
-    for m in modes:
+    for m in range(state.n_modes):
         rho = _apply_mode_loss(rho, state.dims, m, _loss_amplitudes(float(eta), state.dims[m]))
     return FockState(state.dims, rho, validate=False)
 
@@ -87,11 +84,10 @@ def ecs_loss_analytic(gamma, eta, cutoff):
     plus, minus = cat_vectors(math.sqrt(eta) * gamma, cutoff)
     bell = math.sqrt(x.b) * (np.outer(plus, minus) + np.outer(minus, plus))
     even = math.sqrt(x.a) * np.outer(plus, plus) + math.sqrt(x.d) * np.outer(minus, minus)
-    pops = np.abs(bell) ** 2 + np.abs(even) ** 2
-    tail = _tail_mass(pops)
-    if tail >= DEFAULT_TAIL_TOL:
-        raise TruncationError(f"lossy-ECS tail mass {tail:.3e} >= {DEFAULT_TAIL_TOL}")
     bell, even = bell.ravel(), even.ravel()
     # its entries are products of branch amplitudes, so rho is exactly Hermitian
     rho = np.outer(bell, bell.conj()) + np.outer(even, even.conj())
-    return FockState(pops.shape, rho, validate=False, columns=np.stack([bell, even], axis=1))
+    state = FockState((cutoff,) * 2, rho, validate=False, columns=np.stack([bell, even], axis=1))
+    if state.tail_mass >= DEFAULT_TAIL_TOL:
+        raise TruncationError(f"lossy-ECS tail mass {state.tail_mass:.3e} >= {DEFAULT_TAIL_TOL}")
+    return state

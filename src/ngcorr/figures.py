@@ -14,12 +14,11 @@ and requested measure with a fixed column set; the command-line layer writes
 them as CSV.  Rows come in a deterministic point order; a worker pool may
 evaluate points in any order without changing the output.
 
-Threads: a sweep of more than one point runs on ``threads`` worker threads
-and runs BLAS at one thread for the whole sweep, whatever ``threads`` is, so
-the sweep uses ``threads`` cores and its output does not depend on the BLAS
-thread settings (``blas.one_thread``); it puts the BLAS count it found back
-when it ends.  A one-point sweep (``measure_state``) leaves BLAS at its
-default, so a large single state's eigensolves still use every core.
+Threads: a sweep of any number of points (``measure_state``'s has one)
+runs them on ``threads`` worker threads with BLAS at one thread throughout
+(``blas.one_thread``), so it uses ``threads`` cores and its output does not
+depend on the BLAS thread settings; it puts the BLAS count it found back
+when it returns or raises.  Calls outside a sweep keep the caller's settings.
 
 A point keeps its state and its phase-space bounds (``Point.derive``);
 what its Fock-route measures share (the marginal product, the moments, the
@@ -100,10 +99,8 @@ def default_threads():
 
 
 def _pool_map(fn, items, threads):
-    """Order-preserving map over ``threads`` worker threads; exceptions
-    propagate per item.  More than one item runs with BLAS at one thread."""
-    if len(items) <= 1:
-        return [fn(it) for it in items]
+    """Order-preserving map over ``threads`` worker threads, with BLAS at one
+    thread throughout; exceptions propagate per item."""
     with one_thread():
         if threads <= 1:
             return [fn(it) for it in items]

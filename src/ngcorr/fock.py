@@ -17,12 +17,12 @@ A ``FockState`` holds rho as float64 when its imaginary part is exactly
 zero, as for every state with real parameters, and as complex128 otherwise.
 
 A ``FockState`` keeps what is derived from it alone (``FockState.derive``),
-its one eigensystem among them (``FockState.spectrum``).  Two kinds of state
-never solve a d x d operand for it: a ``tensor`` product builds its
-eigensystem from its factors' (``kron_spectrum``), and a state built from a
-few vectors, rho = C C^dag (its ``columns``: a pure state, the lossy ECS's
-two branches, the CV-Werner pair), takes it from the r x r Gram matrices of
-C's rows in each parity sector (``gram_spectrum``).  Such a spectrum is
+its ``marginals`` and its one eigensystem (``FockState.spectrum``) among
+them.  Two kinds of state never solve a d x d operand for it: a ``tensor``
+product builds its eigensystem from its factors' (``kron_spectrum``), and a
+state built from a few vectors, rho = C C^dag (its ``columns``: a pure
+state, the lossy ECS's two branches, the CV-Werner pair), takes it from the
+r x r Gram matrices of C's rows in each parity sector (``gram_spectrum``).  Such a spectrum is
 thin: it keeps one eigenvector per eigenvalue above its numerical rank.
 Dense ``spectra`` solves every other operand.  ``paired`` lines up two
 eigensystems so their eigenvectors combine sector by sector.
@@ -53,13 +53,7 @@ def hermitize(mat):
 
 def _tail_mass(pops):
     """Largest single-mode population of the top level of ``pops``, shaped as dims."""
-    n = pops.ndim
-    worst = 0.0
-    for m in range(n):
-        sl = [slice(None)] * n
-        sl[m] = pops.shape[m] - 1
-        worst = max(worst, float(np.sum(pops[tuple(sl)])))
-    return worst
+    return max(0.0, *(float(np.sum(pops[(slice(None),) * m + (-1,)])) for m in range(pops.ndim)))
 
 
 def _stored(arr):
@@ -241,6 +235,11 @@ def partial_trace(state, keep):
     kept_dims = tuple(state.dims[m] for m in keep)
     d = math.prod(kept_dims)
     return FockState(kept_dims, arr.reshape(d, d), validate=False)
+
+
+def marginals(state):
+    """The one-mode marginals of a multimode state, in mode order."""
+    return tuple(partial_trace(state, [m]) for m in range(state.n_modes))
 
 
 def partial_transpose(state, mode):

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BadSpec, ConvergenceFailure, DomainError, UnphysicalCM, check_eta
-from .fock import FockState, partial_trace
+from .fock import FockState, marginals, partial_trace
 
 PHYSICALITY_TOL = 1e-9
 
@@ -125,11 +125,13 @@ def extract_moments(state):
     moments of the zero-padded state, so the covariance matrix is physical.
     """
     n = state.n_modes
+    # a one-mode state is its own marginal, which its memo must not hold
+    singles = state.derive(marginals) if n > 1 else (state,)
     roots = [np.sqrt(np.arange(1, d)) for d in state.dims]
     first = np.empty(n, dtype=complex)
     aa, ada = np.empty((2, n, n), dtype=complex)  # <a_j a_k>, <a_j† a_k>
     for j, s in enumerate(roots):
-        r = partial_trace(state, [j]).rho
+        r = singles[j].rho
         first[j] = s @ np.diagonal(r, -1)
         aa[j, j] = (s[:-1] * s[1:]) @ np.diagonal(r, -2)
         ada[j, j] = np.arange(s.size + 1) @ np.diagonal(r)

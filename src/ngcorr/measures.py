@@ -40,9 +40,9 @@ from .fock import (
     FockState,
     distance,
     fidelity,
+    marginals,
     overlap,
     paired,
-    partial_trace,
     sandwich_singular_values,
     support_overlaps,
     tensor,
@@ -102,13 +102,13 @@ def _renyi_entropy(state, alpha):
 def _marginals(state):
     if state.n_modes != 2:
         raise BadSpec("mutual information defined for two-mode states")
-    return partial_trace(state, [0]), partial_trace(state, [1])
+    return state.derive(marginals)
 
 
 def marginal_product(state):
     """rho_A x rho_B of a two-mode state, whose eigensystem is built from
     the marginals' (``fock.kron_spectrum``)."""
-    return tensor(*state.derive(_marginals))
+    return tensor(*_marginals(state))
 
 
 def sandwiched_relative_entropy(rho, sigma, alpha):
@@ -160,7 +160,7 @@ def mutual_information(kind, state, alpha=None):
     """
     kind, alpha = mi_kind(kind, alpha)
     if kind == "renyi":
-        ra, rb = state.derive(_marginals)
+        ra, rb = _marginals(state)
         val = (
             _renyi_entropy(ra, alpha)
             + _renyi_entropy(rb, alpha)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Complex, Integral, Real
 
 import numpy as np
 
@@ -65,6 +66,15 @@ class StateSpec:
                           f"it takes {list(required + optional)}")
         if self.cutoff is not None:
             object.__setattr__(self, "cutoff", _count(self.cutoff, "cutoff"))
+        kinds = {"gamma": Complex, "coeffs": Complex, "nbar": Real, "f": Real, "r": Real,
+                 "eta": Real, "levels": Integral, "sign": Integral}
+        given = p if self.eta is None else {**p, "eta": self.eta}
+        wrong = [key for key, value in given.items() if key in kinds and not all(
+            isinstance(v, kinds[key]) and not isinstance(v, bool)  # True is an Integral
+            for v in np.asarray(value, dtype=object).ravel())]
+        if wrong:
+            raise BadSpec(f"{self.family} {wrong} must be numbers: gamma and coeffs real or "
+                          "complex, nbar, f, r and eta real, levels and sign integers")
         if self.eta is not None:
             check_eta(self.eta)
         if "modes" in p:
@@ -79,20 +89,17 @@ class StateSpec:
                 raise BadSpec("pnes requires a nonempty coefficient list")
             if abs(np.sum(np.abs(coeffs) ** 2) - 1.0) > 1e-12:
                 raise BadSpec("pnes coefficients must satisfy sum |c_k|^2 = 1")
-            levels = p.get("levels")
-            if levels is not None and not len(set(levels)) == len(levels) == coeffs.size:
+            if "levels" in p and not len(set(p["levels"])) == len(p["levels"]) == coeffs.size:
                 raise BadSpec("pnes levels must be distinct, one per coefficient")
         if self.family == "cv_werner":
-            f = float(p["f"])
-            r = float(p["r"])
-            if not 0.0 <= f <= 1.0:
-                raise BadSpec(f"cv_werner fraction f = {f} outside [0, 1]")
-            if r < 0.0:
-                raise BadSpec(f"cv_werner squeezing r = {r} must be >= 0")
+            if not 0.0 <= p["f"] <= 1.0:
+                raise BadSpec(f"cv_werner fraction f = {p['f']} outside [0, 1]")
+            if p["r"] < 0.0:
+                raise BadSpec(f"cv_werner squeezing r = {p['r']} must be >= 0")
         if self.family in ("thermal", "photon_correlated"):
-            if float(p["nbar"]) < 0.0:
+            if p["nbar"] < 0.0:
                 raise BadSpec("mean photon number nbar must be >= 0")
-        if self.family in ("cat", "ecs") and not abs(complex(p["gamma"])) > 0:
+        if self.family in ("cat", "ecs") and p["gamma"] == 0:
             raise BadSpec(f"{self.family} requires a nonzero amplitude gamma")
 
 
@@ -168,10 +175,9 @@ def make_state(spec):
         state = FockState((cut,), np.diag(d / d.sum()), validate=False)
     elif fam == "cat":
         g = p["gamma"]
-        sign = int(p.get("sign", +1))
         cut = spec.cutoff or default_cutoff(g)
         plus, minus = cat_basis(g, cut)
-        state = pure_state(plus if sign >= 0 else minus, (cut,))
+        state = pure_state(plus if p.get("sign", 1) >= 0 else minus, (cut,))
     elif fam == "ecs":
         g = p["gamma"]
         cut = spec.cutoff or default_cutoff(g)
@@ -185,8 +191,7 @@ def make_state(spec):
         state = pure_state(vec, (cut, cut))
     elif fam == "pnes":
         coeffs = np.asarray(p["coeffs"])
-        levels = p.get("levels")
-        levels = np.arange(coeffs.size) if levels is None else np.asarray(levels, int)
+        levels = np.asarray(p.get("levels", range(coeffs.size)), int)
         cut = spec.cutoff or max(int(levels.max()) + 2, 4)
         if levels.min() < 0 or levels.max() >= cut:
             raise BadSpec(f"pnes levels {levels.tolist()} do not fit cutoff {cut}")

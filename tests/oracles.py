@@ -32,7 +32,6 @@ from ngcorr.channels import apply_loss, ecs_loss_analytic
 from ngcorr.errors import ConvergenceFailure, DomainError, UnphysicalCM
 from ngcorr.fock import (
     FockState,
-    _check_modes,
     _ladder_raw,
     distance,
     fidelity,
@@ -78,11 +77,10 @@ def _apply_mode_kraus(rho, dims, mode, kraus):
     return out.reshape(rho.shape)
 
 
-def kraus_loss(state, eta, modes=None):
-    """The pure-loss channel as sum_k K_k rho K_k† on each listed mode."""
-    modes = _check_modes(state.dims, range(state.n_modes) if modes is None else modes)
+def kraus_loss(state, eta):
+    """The pure-loss channel as sum_k K_k rho K_k† on every mode."""
     rho = np.array(state.rho)
-    for m in modes:
+    for m in range(state.n_modes):
         rho = _apply_mode_kraus(rho, state.dims, m, kraus_ops(float(eta), state.dims[m]))
     return FockState(state.dims, hermitize(rho), validate=False)
 

@@ -80,7 +80,7 @@ def test_memoised_spectra_are_kept_and_hand_out_read_only_arrays():
 
 #: What a two-mode state keeps once every measure kind has run on it: the
 #: builders of the state alone, none that depends on an order alpha.
-KEPT = {"_eigensystem", "_marginals", "marginal_product",
+KEPT = {"_eigensystem", "marginals", "marginal_product",
         "moments_from_fock", "reference_state", "averaged_states"}
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import io
 import math
@@ -19,6 +20,7 @@ from ngcorr.cli import (
 import ngcorr.blas
 import ngcorr.cli
 import ngcorr.figures
+import ngcorr.fock
 import ngcorr.measures
 import ngcorr.states
 import numpy as np
@@ -117,8 +119,7 @@ def test_measure_state_matches_figure_sweep(tmp_path):
 def test_measure_state_on_the_lossy_ecs_matches_the_figure_sweeps():
     # an ecs spec with eta builds the figures' closed form: its ng:tr and
     # delta:tr rows are fig4's ng_tr and fig2ef's delta_tr at the same
-    # (gamma, eta, cutoff); a one-point sweep leaves BLAS at its default
-    # thread count, which may move the last digit
+    # (gamma, eta, cutoff)
     spec = StateSpec("ecs", {"gamma": 1.0}, cutoff=20)
     etas = (0.2, 0.8, 3)
     fig4 = run_figure("fig4", {"eta": etas, "cutoff": 20}, threads=1)
@@ -130,7 +131,7 @@ def test_measure_state_on_the_lossy_ecs_matches_the_figure_sweeps():
         for row in want:
             (got,) = measure_rows(dataclasses.replace(spec, eta=row["eta"]), [mid])
             assert got["status"] == row["status"] == "ok"
-            assert abs(got["value"] - row["value"]) <= 1e-15, (mid, row["eta"])
+            assert got["value"] == row["value"], (mid, row["eta"])
             assert (got["cutoff"], got["tail_mass"]) == (row["cutoff"], row["tail_mass"])
 
 
@@ -254,7 +255,7 @@ def test_measure_rows_build_the_states_marginal_product_once(
     spec = StateSpec("ecs", {"gamma": 1.0}, cutoff=20, eta=0.7)
     built, traced, made = [], [], []
     original_loss = ngcorr.states.ecs_loss_analytic
-    original_trace = ngcorr.measures.partial_trace
+    original_trace = ngcorr.fock.partial_trace
     original_tensor = ngcorr.measures.tensor
 
     def build(*args, **kwargs):
@@ -271,7 +272,7 @@ def test_measure_rows_build_the_states_marginal_product_once(
         return original_tensor(a, b)
 
     monkeypatch.setattr(ngcorr.states, "ecs_loss_analytic", build)
-    monkeypatch.setattr(ngcorr.measures, "partial_trace", partial_trace)
+    monkeypatch.setattr(ngcorr.fock, "partial_trace", partial_trace)
     monkeypatch.setattr(ngcorr.measures, "tensor", tensor)
     rows = measure_rows(spec, ids)
     (rho,) = built
@@ -781,12 +782,28 @@ def test_concurrent_sweeps_put_the_blas_count_back(monkeypatch, blas_threads):
     assert blas_threads() == before
 
 
-def test_measure_state_leaves_blas_at_its_count(monkeypatch, blas_threads):
+def test_measure_state_runs_blas_at_one_thread(monkeypatch, blas_threads):
     before = blas_threads()
     seen = _probe(monkeypatch, ngcorr.figures, "mutual_information", blas_threads)
     rows = measure_rows(LOSSY_ECS, ["vn", "tr"])
-    assert seen == [before, before]
+    assert seen == [1, 1]
     assert [r["status"] for r in rows] == ["ok", "ok"]
+    assert blas_threads() == before
+
+
+@pytest.mark.parametrize("spec, mid", [
+    (StateSpec("ecs", {"gamma": 1.0}, cutoff=30, eta=0.7), "ng:fid"),
+    (StateSpec("tmsv", {"r": 0.6}, cutoff=30, eta=0.9), "renyi:0.5"),
+], ids=["lossy-ecs", "lossy-tmsv"])
+def test_measure_state_csv_does_not_depend_on_the_blas_thread_count(blas_threads, spec, mid):
+    # both rows move in their last digits when BLAS runs at two threads
+    texts = []
+    for pin in (contextlib.nullcontext, ngcorr.blas.one_thread):
+        buf = io.StringIO()
+        with pin():
+            write_csv(measure_rows(spec, [mid]), buf)
+        texts.append(buf.getvalue())
+    assert texts[0] == texts[1]
 
 
 def test_a_sweep_runs_without_blas_thread_control(monkeypatch, blas_threads):

@@ -21,7 +21,8 @@ from ngcorr.fock import (
     truncate_state,
 )
 from ngcorr.gaussian import moments_from_fock
-from ngcorr.measures import _lower_bounds, averaged_states, marginal_product, reference_state
+from ngcorr.measures import (_lower_bounds, averaged_states, marginal_product,
+                             ng_correlation, reference_state)
 from ngcorr.states import StateSpec, make_state
 from oracles import expect
 from sampling import random_density_matrix
@@ -60,10 +61,8 @@ def test_partial_trace_keeping_every_mode_is_the_state_itself(rng):
     assert partial_trace(st, [1, 0]) is st
 
 
-def test_moments_build_only_the_single_mode_marginals(monkeypatch):
-    # the pair marginal of a two-mode state is the state: moments_from_fock
-    # builds two FockStates, rho_A and rho_B
-    state = ecs_loss_analytic(1.0, 0.7, 12)
+def _builds(monkeypatch):
+    """The dims of every FockState built from now on."""
     built, init = [], FockState.__init__
 
     def counted(self, *args, **kwargs):
@@ -71,8 +70,26 @@ def test_moments_build_only_the_single_mode_marginals(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(FockState, "__init__", counted)
+    return built
+
+
+def test_moments_build_only_the_single_mode_marginals(monkeypatch):
+    # the pair marginal of a two-mode state is the state: moments_from_fock
+    # builds two FockStates, rho_A and rho_B
+    state = ecs_loss_analytic(1.0, 0.7, 12)
+    built = _builds(monkeypatch)
     moments_from_fock(state)
     assert built == [(12,), (12,)]
+
+
+def test_the_moments_and_the_marginal_product_share_the_marginals(monkeypatch):
+    # ng:tr builds rho_A and rho_B once, for the moments and for rho_A x rho_B,
+    # and sigma_A and sigma_B once; the two-mode builds are sigma, the two
+    # products and the averaged pair
+    state = ecs_loss_analytic(1.0, 0.7, 12)
+    built = _builds(monkeypatch)
+    ng_correlation("tr", state)
+    assert sorted(built) == [(12,)] * 4 + [(12, 12)] * 5
 
 
 def test_partial_trace_bad_mode():

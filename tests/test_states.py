@@ -93,6 +93,27 @@ def test_spec_rejects_what_it_cannot_build(family, params):
         StateSpec(family, params)
 
 
+@pytest.mark.parametrize("family, params, eta", [
+    ("ecs", {"gamma": "1.0"}, None),
+    ("ecs", {"gamma": True}, None),
+    ("ecs", {"gamma": 1.0}, "0.5"),
+    ("ecs", {"gamma": 1.0}, 0.5 + 0j),
+    ("thermal", {"nbar": 0.5 + 0.1j}, None),
+    ("tmsv", {"r": 0.6 + 0j}, None),
+    ("pnes", {"coeffs": ["0.6", "0.8"]}, None),
+    ("cv_werner", {"f": "0.5", "r": 0.1}, None),
+    ("pnes", {"coeffs": [0.6, 0.8], "levels": [0, 1.7]}, None),
+    ("cat", {"gamma": 1.0, "sign": "1"}, None),
+], ids=["str-gamma", "bool-gamma", "str-eta", "complex-eta", "complex-nbar", "complex-r",
+        "str-coeffs", "str-f", "fractional-level", "str-sign"])
+def test_spec_refuses_a_number_of_the_wrong_type(family, params, eta):
+    # gamma and coeffs are real or complex numbers, nbar, f, r and eta real
+    # ones, levels and sign integers; make_state would otherwise stop on a
+    # TypeError or ValueError, outside FLAGGED, or build level 1 for 1.7
+    with pytest.raises(BadSpec):
+        StateSpec(family, params, eta=eta)
+
+
 @pytest.mark.parametrize("cutoff", [0, -2])
 def test_spec_cutoff_below_one_is_a_bad_spec(cutoff):
     with pytest.raises(BadSpec, match="cutoff"):
