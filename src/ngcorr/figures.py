@@ -213,8 +213,8 @@ def _lossy_ecs(p, cutoff):
 
 #: Amplitudes at which the phase-space bounds of the lossy superposition
 #: are tested to meet a 50-digit evaluation of the same sums within 1e-12
-#: (tests/test_phase.py), fig5's range.  Below it the terms cancel: they
-#: miss by 1.5e-13 at gamma = 0.2, 4.7e-12 at 0.12 and 2e-11 at 0.1.
+#: (tests/test_phase.py); fig5 draws its gamma from it.  Below it the terms
+#: cancel: they miss by 1.5e-13 at gamma = 0.2, 4.7e-12 at 0.12 and 2e-11 at 0.1.
 PHASE_GAMMA_RANGE = (0.2, 1.5)
 
 
@@ -244,11 +244,10 @@ def _lossy_bound(kind):
 
 
 def _ef_excess(pt):
-    """Entanglement-of-formation excess over a separable Gaussian reference."""
-    g, eta = pt.params["gamma"], pt.params["eta"]
-    if gaussian_log_negativity(analytic_cm("ecs_loss", gamma=g, eta=eta)) > 1e-9:
-        raise DomainError("Gaussian reference is entangled: E_F excess ill-defined")
-    return eof_two_qubit(ecs_to_xstate(g, eta))
+    """The X state's E_F: the Gaussian reference (``analytic_cm``) has none, as
+    its covariance matrix minus I/2 is [[X, X], [X, X]] with X = diag(x_q, x_p)
+    >= 0, a mixture of product coherent states |a, a> at every gamma and eta."""
+    return eof_two_qubit(ecs_to_xstate(pt.params["gamma"], pt.params["eta"]))
 
 
 def _werner(default):
@@ -363,7 +362,7 @@ FIGURES = {
                    state=_lossy_ecs),
     # E_F excess against the superfidelity bound over sampled lossy states
     "fig5": Figure((("delta_ef", _ef_excess), ("ng_lb1", _lossy_bound("lb1"))),
-                   draws=(("gamma", 0.2, 1.5), ("eta", 0.0, 1.0))),
+                   draws=(("gamma", *PHASE_GAMMA_RANGE), ("eta", 0.0, 1.0))),
     "fig6a": Figure((("ng_tr", measure("ng", "tr")),),
                     axes=(_R_AXIS, ("f", 0.0, 1.0, None)), state=_werner(10)),
     # negativity excess against the trace-distance measure over sampled mixtures

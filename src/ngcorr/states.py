@@ -85,11 +85,14 @@ class StateSpec:
             raise BadSpec(f"{self.family} parameter(s) {infinite} must be finite")
         if self.family == "pnes":
             coeffs = np.asarray(p["coeffs"], dtype=complex)
+            levels = np.asarray(p.get("levels", range(coeffs.size)))
+            if max(coeffs.ndim, levels.ndim) > 1:
+                raise BadSpec("pnes coeffs and levels must each be a number or a flat list")
             if coeffs.size < 1:
                 raise BadSpec("pnes requires a nonempty coefficient list")
             if abs(np.sum(np.abs(coeffs) ** 2) - 1.0) > 1e-12:
                 raise BadSpec("pnes coefficients must satisfy sum |c_k|^2 = 1")
-            if "levels" in p and not len(set(p["levels"])) == len(p["levels"]) == coeffs.size:
+            if not np.unique(levels).size == levels.size == coeffs.size:
                 raise BadSpec("pnes levels must be distinct, one per coefficient")
         if self.family == "cv_werner":
             if not 0.0 <= p["f"] <= 1.0:
@@ -124,8 +127,6 @@ def thermal_cutoff(nbar):
 
 def cat_basis(gamma, cutoff):
     """Orthonormal even/odd cat vectors built from |gamma> and |-gamma>."""
-    if complex(gamma) == 0:
-        raise BadSpec("cat basis undefined at gamma = 0")
     plus, minus = cat_vectors(gamma, cutoff)
     tail = max(abs(plus[-1]) ** 2, abs(minus[-1]) ** 2)
     if tail >= DEFAULT_TAIL_TOL:
@@ -213,7 +214,7 @@ def make_state(spec):
         rho = (1.0 - f) * np.outer(vac, vac) + f * np.outer(phi, phi)
         columns = np.stack([math.sqrt(1.0 - f) * vac, math.sqrt(f) * phi], axis=1)
         state = FockState((cut, cut), rho, validate=False, columns=columns)
-    elif fam == "photon_correlated":
+    else:  # photon_correlated
         nbar = float(p["nbar"])
         cut = spec.cutoff or thermal_cutoff(nbar)
         d = _thermal_diag(nbar, cut)
@@ -222,8 +223,6 @@ def make_state(spec):
         idx = np.arange(cut) * cut + np.arange(cut)
         rho[idx, idx] = d
         state = FockState((cut, cut), rho, validate=False)
-    else:  # pragma: no cover - guarded by StateSpec
-        raise BadSpec(f"unknown family {fam!r}")
     if state.tail_mass >= DEFAULT_TAIL_TOL:
         raise TruncationError(
             f"{fam} tail mass {state.tail_mass:.3e} >= {DEFAULT_TAIL_TOL}; increase cutoff"

@@ -21,6 +21,7 @@ import ngcorr.blas
 import ngcorr.cli
 import ngcorr.figures
 import ngcorr.fock
+import ngcorr.gaussian
 import ngcorr.measures
 import ngcorr.states
 import numpy as np
@@ -507,6 +508,26 @@ def test_fig5_closed_form_matches_the_channel_at_small_eta(gamma):
         want = dense_sampled_lossy_ecs(params, None)
         assert got.dims == want.dims, eta
         assert np.max(np.abs(got.rho - want.rho)) <= 1e-15, eta
+
+
+def test_fig5_reads_no_covariance_matrix(monkeypatch):
+    # the lossy ECS's Gaussian reference is separable at every gamma and eta
+    # (tests/test_gaussian.py), so delta_ef is the X state's E_F alone
+    options = {"samples": 200, "seed": 3}
+    want = io.StringIO()
+    write_csv(run_figure("fig5", options, threads=1), want)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fig5 read a covariance matrix")
+
+    for module in (ngcorr.figures, ngcorr.gaussian):
+        monkeypatch.setattr(module, "analytic_cm", refuse)
+        monkeypatch.setattr(module, "gaussian_log_negativity", refuse)
+    rows = run_figure("fig5", options, threads=1)
+    assert {r["status"] for r in rows} == {"ok"}
+    got = io.StringIO()
+    write_csv(rows, got)
+    assert got.getvalue() == want.getvalue()
 
 
 def test_fig5_ef_excess_just_below_the_old_small_loss_threshold():

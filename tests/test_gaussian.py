@@ -353,6 +353,23 @@ def test_gaussian_log_negativity_separable_zero():
     assert gaussian_log_negativity(spec) == 0.0
 
 
+#: Amplitudes wider than fig5's draws, and transmittances with one next to 0
+SEPARABLE_GAMMAS = np.linspace(0.05, 4.0, 40)
+SEPARABLE_ETAS = (0.0, 1e-9, *np.linspace(0.05, 1.0, 20))
+
+
+def test_the_lossy_ecs_reference_is_separable():
+    # Gamma - I/2 = [[X, X], [X, X]] with X = diag(x_q, x_p) >= 0: a mixture
+    # of product coherent states |a, a>, so fig5's E_F excess subtracts
+    # nothing (measured on this grid: -2.1e-16 relative, E_N 7.1e-15)
+    for gamma in SEPARABLE_GAMMAS:
+        for eta in SEPARABLE_ETAS:
+            spec = analytic_cm("ecs_loss", gamma=gamma, eta=eta)
+            lowest = np.linalg.eigvalsh(spec.cm - 0.5 * np.eye(4))[0]
+            assert lowest >= -1e-14 * np.linalg.norm(spec.cm), (gamma, eta)
+            assert gaussian_log_negativity(spec) <= 1e-12, (gamma, eta)
+
+
 def test_analytic_cm_ecs_loss_matches_fock():
     from ngcorr.channels import ecs_loss_analytic
 

@@ -9,7 +9,7 @@ import pytest
 import ngcorr.states
 from ngcorr.channels import apply_loss, ecs_loss_analytic
 from ngcorr.errors import BadEta, BadSpec, TruncationError
-from ngcorr.fock import coherent_amps, ladder_ops, partial_trace
+from ngcorr.fock import cat_vectors, coherent_amps, ladder_ops, partial_trace, pure_state
 from ngcorr.states import StateSpec, cat_basis, make_state
 from oracles import displacement, expect
 
@@ -114,6 +114,27 @@ def test_spec_refuses_a_number_of_the_wrong_type(family, params, eta):
         StateSpec(family, params, eta=eta)
 
 
+@pytest.mark.parametrize("params, level", [
+    ({"coeffs": 1.0}, 0),
+    ({"coeffs": 1.0, "levels": 2}, 2),
+    ({"coeffs": [0.6, 0.8], "levels": 3}, None),
+    ({"coeffs": [0.6, 0.8], "levels": [[0], [1]]}, None),
+    ({"coeffs": [[0.6], [0.8]]}, None),
+    ({"coeffs": [[0.6, 0.8]], "levels": [0, 1]}, None),
+], ids=["number", "number-at-level", "one-level-for-two", "nested-levels", "nested-coeffs",
+        "row-of-coeffs"])
+def test_pnes_coeffs_and_levels_are_each_a_number_or_a_flat_list(params, level):
+    # anything else would stop make_state on a TypeError or a numpy shape
+    # ValueError, outside FLAGGED; a number is the one-entry list
+    if level is None:
+        with pytest.raises(BadSpec):
+            StateSpec("pnes", params)
+        return
+    state = make_state(StateSpec("pnes", params))
+    cut = state.dims[0]
+    assert np.diag(state.rho)[level * (cut + 1)] == 1.0
+
+
 @pytest.mark.parametrize("cutoff", [0, -2])
 def test_spec_cutoff_below_one_is_a_bad_spec(cutoff):
     with pytest.raises(BadSpec, match="cutoff"):
@@ -123,6 +144,16 @@ def test_spec_cutoff_below_one_is_a_bad_spec(cutoff):
 def test_truncation_guard():
     with pytest.raises(TruncationError):
         make_state(StateSpec("coherent", {"gamma": 3.0}, cutoff=5))
+
+
+def test_an_even_cat_at_an_even_cutoff_is_refused_through_its_odd_partner():
+    # the even cat's top level (19) is empty by parity, so its own tail reads
+    # 0 while level 18 holds 5.8e-3; the odd partner's top level holds 2.7e-3
+    plus, minus = cat_vectors(3.0, 20)
+    assert pure_state(plus, (20,)).tail_mass == 0.0
+    assert abs(plus[-2]) ** 2 > 5e-3 and abs(minus[-1]) ** 2 > 2e-3
+    with pytest.raises(TruncationError, match="cat-basis tail mass 2.743e-03"):
+        make_state(StateSpec("cat", {"gamma": 3.0}, cutoff=20))
 
 
 def test_displacement_unitary_and_action():
