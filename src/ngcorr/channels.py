@@ -7,8 +7,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import TruncationError, check_eta
-from .fock import DEFAULT_TAIL_TOL, FockState, cat_vectors, log_factorials
+from .errors import check_eta
+from .fock import FockState, cat_vectors, check_tail, log_factorials
 from .xstate import ecs_to_xstate
 
 
@@ -77,8 +77,7 @@ def ecs_loss_analytic(gamma, eta, cutoff):
     weights are those of ``ecs_to_xstate(|gamma|, eta)`` and the phase enters
     only through the cat vectors.
 
-    Raises ``TruncationError`` when the tail mass at ``cutoff`` reaches
-    ``DEFAULT_TAIL_TOL``.
+    The lossy state's tail at ``cutoff`` is checked by ``fock.check_tail``.
     """
     x = ecs_to_xstate(abs(gamma) if isinstance(gamma, complex) else gamma, eta)
     plus, minus = cat_vectors(math.sqrt(eta) * gamma, cutoff)
@@ -88,6 +87,5 @@ def ecs_loss_analytic(gamma, eta, cutoff):
     # its entries are products of branch amplitudes, so rho is exactly Hermitian
     rho = np.outer(bell, bell.conj()) + np.outer(even, even.conj())
     state = FockState((cutoff,) * 2, rho, validate=False, columns=np.stack([bell, even], axis=1))
-    if state.tail_mass >= DEFAULT_TAIL_TOL:
-        raise TruncationError(f"lossy-ECS tail mass {state.tail_mass:.3e} >= {DEFAULT_TAIL_TOL}")
+    check_tail(state.tail_mass, "lossy-ECS")
     return state

@@ -10,8 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import TruncationError
-from .fock import DEFAULT_TAIL_TOL, partial_transpose, spectra
+from .fock import check_tail, partial_transpose, spectra
 
 
 def concurrence_two_qubit(params):
@@ -36,10 +35,8 @@ def eof_two_qubit(params):
 
 
 def log_negativity_fock(state):
-    """Logarithmic negativity ln of the trace norm of the partial transpose."""
-    if state.tail_mass >= DEFAULT_TAIL_TOL:
-        raise TruncationError(f"tail mass {state.tail_mass:.3e} >= {DEFAULT_TAIL_TOL}; "
-                              "negativity unreliable")
+    """ln of the partial transpose's trace norm, on a state passing ``fock.check_tail``."""
+    check_tail(state.tail_mass, "negativity operand")
     pt = partial_transpose(state, state.n_modes - 1)
     spec = spectra(state.dims, pt, vectors=False)
     return max(0.0, float(math.log(np.sum(np.abs(spec.eigenvalues())))))

@@ -56,6 +56,14 @@ def _tail_mass(pops):
     return max(0.0, *(float(np.sum(pops[(slice(None),) * m + (-1,)])) for m in range(pops.ndim)))
 
 
+def check_tail(tail, what):
+    """The one truncation rule: ``TruncationError`` naming ``what`` when its
+    top-level population ``tail`` reaches ``DEFAULT_TAIL_TOL``."""
+    if tail >= DEFAULT_TAIL_TOL:
+        raise TruncationError(f"{what} tail mass {tail:.3e} >= {DEFAULT_TAIL_TOL}; "
+                              "increase cutoff")
+
+
 def _stored(arr):
     """``arr`` as a read-only contiguous float64 array when its imaginary
     part is exactly zero, else as complex128."""

@@ -14,8 +14,9 @@ from numbers import Complex, Integral, Real
 import numpy as np
 
 from .channels import apply_loss, ecs_loss_analytic
-from .errors import BadSpec, TruncationError, check_eta
-from .fock import DEFAULT_TAIL_TOL, FockState, cat_vectors, coherent_amps, pure_state
+from .errors import BadSpec, check_eta
+from .fock import (DEFAULT_TAIL_TOL, FockState, cat_vectors, check_tail, coherent_amps,
+                   pure_state)
 
 #: The required and the optional parameters of each state family.
 FAMILY_PARAMS = {
@@ -126,11 +127,9 @@ def thermal_cutoff(nbar):
 
 
 def cat_basis(gamma, cutoff):
-    """Orthonormal even/odd cat vectors built from |gamma> and |-gamma>."""
+    """Orthonormal even/odd cat vectors of |gamma> and |-gamma>, both tail-checked."""
     plus, minus = cat_vectors(gamma, cutoff)
-    tail = max(abs(plus[-1]) ** 2, abs(minus[-1]) ** 2)
-    if tail >= DEFAULT_TAIL_TOL:
-        raise TruncationError(f"cat-basis tail mass {tail:.3e} >= {DEFAULT_TAIL_TOL}")
+    check_tail(max(abs(plus[-1]) ** 2, abs(minus[-1]) ** 2), "cat-basis")
     return plus, minus
 
 
@@ -154,8 +153,8 @@ def _tmsv_vec(r, cutoff):
 def make_state(spec):
     """Build the FockState described by ``spec``, lossy if it has ``eta``.
 
-    Raises TruncationError when the top-level population meets or exceeds
-    ``DEFAULT_TAIL_TOL``, signalling that the requested cutoff is too small.
+    ``fock.check_tail`` refuses a cutoff too small for the state: before the
+    loss channel, or after it for the lossy ECS's closed form.
     """
     fam = spec.family
     p = spec.params
@@ -223,8 +222,5 @@ def make_state(spec):
         idx = np.arange(cut) * cut + np.arange(cut)
         rho[idx, idx] = d
         state = FockState((cut, cut), rho, validate=False)
-    if state.tail_mass >= DEFAULT_TAIL_TOL:
-        raise TruncationError(
-            f"{fam} tail mass {state.tail_mass:.3e} >= {DEFAULT_TAIL_TOL}; increase cutoff"
-        )
+    check_tail(state.tail_mass, fam)
     return state if spec.eta is None else apply_loss(state, spec.eta)

@@ -137,6 +137,8 @@ def ecs_weights(gamma, eta):
     plus_l, minus_l = cat_norms(gl * gl)
     plus_t, minus_t = cat_norms(gt * gt)
     denom = 4.0 * cat_norms(s * s)[1]
+    if not denom > 0.0:  # below gamma ~5e-9, 2 - 2 exp(-4 gamma^2) rounds to 0
+        raise DomainError(f"lossy ECS undefined at gamma = {gamma!r}: its norm rounds to 0")
     w_bell = plus_l * minus_t / denom
     w_even = minus_l * plus_t / denom
     return w_bell, w_even

@@ -28,7 +28,7 @@ import numpy as np
 
 from ngcorr.channels import ecs_loss_analytic
 from ngcorr.entanglement import eof_two_qubit
-from ngcorr.errors import BadSpec, ConvergenceFailure, TruncationError
+from ngcorr.errors import BadSpec, ConvergenceFailure, DomainError, TruncationError
 from ngcorr.fock import tensor, truncate_state
 from ngcorr.figures import (
     COLUMNS,
@@ -582,6 +582,16 @@ def test_library_range_option_without_an_axis_is_a_bad_spec(figure, axis):
 def test_fig2_domain_error_is_flagged():
     rows = run_figure("fig2a", {"gamma": (0.0, 0.0, 1), "grid": 2}, threads=1)
     assert [r["status"] for r in rows] == ["flagged", "flagged"]
+
+
+def test_a_lossy_ecs_whose_norm_rounds_to_zero_is_flagged():
+    # below gamma ~5e-9 the ECS's squared norm 2 - 2 exp(-4 gamma^2) is 0.0
+    spec = StateSpec("ecs", {"gamma": 1e-9}, eta=0.5)
+    with pytest.raises(DomainError, match="gamma = 1e-09"):
+        make_state(spec)
+    rows = run_figure("fig2ef", {"gamma": (1e-9, 1e-9, 1), "eta": (0.5, 0.5, 1)}, threads=1)
+    rows += measure_rows(spec, ["vn", "tr", "delta:tr", "ng:tr"])
+    assert [r["status"] for r in rows] == ["flagged"] * 6
 
 
 def test_fig3_cutoff_below_the_pnes_levels_is_flagged():

@@ -17,7 +17,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ngcorr import entanglement, fock
+from ngcorr import fock
 from ngcorr.channels import apply_loss, ecs_loss_analytic
 from ngcorr.cli import measure_rows, write_csv
 from ngcorr.distill import DistillConfig, _projected_bs, distill
@@ -285,7 +285,7 @@ def test_averaged_pair_primitives_on_ginibre_states_match_dense_oracle():
 
 @pytest.mark.parametrize("name", list(STATES))
 def test_log_negativity_matches_dense_oracle(name, monkeypatch):
-    monkeypatch.setattr(entanglement, "DEFAULT_TAIL_TOL", 1.0)
+    monkeypatch.setattr(fock, "DEFAULT_TAIL_TOL", 1.0)
     state = STATES[name]()
     assert log_negativity_fock(state) == pytest.approx(
         dense_log_negativity(state), abs=TOL)

@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ngcorr.fock
 import ngcorr.states
 from ngcorr.channels import apply_loss, ecs_loss_analytic
+from ngcorr.entanglement import log_negativity_fock
 from ngcorr.errors import BadEta, BadSpec, TruncationError
 from ngcorr.fock import cat_vectors, coherent_amps, ladder_ops, partial_trace, pure_state
 from ngcorr.states import StateSpec, cat_basis, make_state
@@ -233,3 +235,56 @@ def test_only_make_state_chooses_a_loss_route(module):
     imported = {alias.name for node in ast.walk(ast.parse(source))
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     assert imported.isdisjoint({"apply_loss", "ecs_loss_analytic", "default_cutoff"})
+
+
+def _functions_where(module, hit):
+    """Names of the functions of ``ngcorr/<module>`` with a node ``hit``
+    accepts; '<module>' for one outside every function."""
+    tree = ast.parse(Path(ngcorr.states.__file__).with_name(module).read_text())
+    found = {fn.name for fn in ast.walk(tree)
+             if isinstance(fn, ast.FunctionDef) and any(map(hit, ast.walk(fn)))}
+    outside = [stmt for stmt in tree.body if not isinstance(stmt, ast.FunctionDef)]
+    if any(hit(node) for stmt in outside for node in ast.walk(stmt)):
+        found.add("<module>")
+    return found
+
+
+def _names(node, name):
+    return (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def test_fock_alone_refuses_a_tail():
+    # one truncation rule (fock.check_tail); outside fock the tolerance only
+    # chooses a cutoff
+    def constructs(node):
+        return (isinstance(node, ast.Call) and _names(node.func, "TruncationError")
+                or isinstance(node, ast.Raise) and _names(node.exc, "TruncationError"))
+
+    def reads_tol(node):
+        return isinstance(getattr(node, "ctx", None), ast.Load) and _names(
+            node, "DEFAULT_TAIL_TOL")
+
+    modules = sorted(path.name for path in Path(ngcorr.states.__file__).parent.glob("*.py")
+                     if path.name != "fock.py")
+    assert {(m, fn) for m in modules for fn in _functions_where(m, constructs)} == set()
+    assert {(m, fn) for m in modules for fn in _functions_where(m, reads_tol)} == {
+        ("states.py", "thermal_cutoff")}
+    assert _functions_where("fock.py", reads_tol) == {"check_tail"}
+
+
+def test_every_tail_check_reads_fock_s_tolerance(monkeypatch):
+    operand = make_state(StateSpec("tmsv", {"r": 0.3}))
+    monkeypatch.setattr(ngcorr.fock, "DEFAULT_TAIL_TOL", 0.0)
+    refused = {
+        "pnes": lambda: make_state(StateSpec("pnes", {"coeffs": [0.6, 0.8]})),
+        "cat-basis": lambda: make_state(StateSpec("cat", {"gamma": 1.0})),
+        "lossy-ECS": lambda: make_state(StateSpec("ecs", {"gamma": 1.0}, eta=0.5)),
+        "negativity operand": lambda: log_negativity_fock(operand),
+    }
+    for what, build in refused.items():
+        message = f"^{what} tail mass .* >= 0.0; increase cutoff$"
+        with pytest.raises(TruncationError, match=message):
+            build()
+    monkeypatch.setattr(ngcorr.fock, "DEFAULT_TAIL_TOL", 1.0)
+    assert make_state(StateSpec("ecs", {"gamma": 3.0}, cutoff=10)).tail_mass > 1e-6
