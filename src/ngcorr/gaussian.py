@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BadSpec, ConvergenceFailure, DomainError, UnphysicalCM, check_eta
-from .fock import FockState, marginals, partial_trace
+from .fock import FockState, _hermite_tensor, _stored, marginals, partial_trace
 
 PHYSICALITY_TOL = 1e-9
 
@@ -71,6 +71,8 @@ class GaussianSpec:
         cm = np.asarray(self.cm, dtype=float)
         if cm.shape != (means.size, means.size) or means.size % 2 != 0:
             raise BadSpec(f"inconsistent Gaussian shapes {means.shape} / {cm.shape}")
+        if not (np.isfinite(means).all() and np.isfinite(cm).all()):
+            raise BadSpec("Gaussian moments must be finite")
         if np.max(np.abs(cm - cm.T)) > 1e-10:
             raise UnphysicalCM("covariance matrix not symmetric")
         cm = 0.5 * (cm + cm.T)
@@ -100,6 +102,8 @@ class StandardFormCM:
     d: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, self.b, self.c, self.d))):
+            raise UnphysicalCM("standard-form entries must be finite")
         if self.a < 0.5 - PHYSICALITY_TOL or self.b < 0.5 - PHYSICALITY_TOL:
             raise UnphysicalCM(f"standard form a={self.a}, b={self.b} below 1/2")
         if self.c < abs(self.d) - 1e-9 or self.c < -1e-12:
@@ -222,37 +226,6 @@ def _symplectic_eigs_raw(cm):
     return np.array(reps)
 
 
-def _hermite_tensor(a_mat, y, shape):
-    """H_k for all k < shape from H_0 = 1 and the recurrence
-    H_(k+e_i) = (y_i H_k + sum_j A_ij sqrt(k_j) H_(k-e_j)) / sqrt(k_i + 1).
-
-    Axes are filled last to first, with the axes before axis i held at 0,
-    so each step writes one contiguous slab from the slabs before it.
-    """
-    nax = len(shape)
-    h = np.zeros(shape, dtype=complex)
-    h[(0,) * nax] = 1.0
-    roots = [np.sqrt(np.arange(d)) for d in shape]
-    for i in reversed(range(nax)):
-        block = h[(0,) * i]
-        shifts = []
-        for j in range(i + 1, nax):
-            bshape = [1] * (nax - i - 1)
-            bshape[j - i - 1] = shape[j] - 1
-            lead = (slice(None),) * (j - i - 1)
-            shifts.append((lead + (slice(1, None),), lead + (slice(None, -1),),
-                           a_mat[i, j] * roots[j][1:].reshape(bshape)))
-        for k in range(shape[i] - 1):
-            cur, dst = block[k, ...], block[k + 1, ...]
-            np.multiply(cur, y[i], out=dst)
-            if k:
-                dst += (a_mat[i, i] * roots[i][k]) * block[k - 1, ...]
-            for to, frm, weight in shifts:
-                dst[to] += weight * cur[frm]
-            dst /= roots[i][k + 1]
-    return h
-
-
 def reference_gaussian_fock(spec, cutoff):
     """Synthesize the Gaussian state with the given moments in Fock basis.
 
@@ -263,7 +236,9 @@ def reference_gaussian_fock(spec, cutoff):
     the renormalised multidimensional Hermite polynomials of A and y
     (Quesada, J. Chem. Phys. 150, 164113 (2019); Miatto & Quesada,
     Quantum 4, 366 (2020)).  Each retained entry is exact; renormalising to
-    unit trace absorbs the scalar prefactor.
+    unit trace absorbs the scalar prefactor.  A and y are real when their
+    imaginary parts are exactly zero (``fock._stored``), as for zero means and
+    no q-p covariance, and the recurrence then runs in float64.
     """
     n = spec.n_modes
     dims = (cutoff,) * n if np.isscalar(cutoff) else tuple(cutoff)
@@ -274,8 +249,8 @@ def reference_gaussian_fock(spec, cutoff):
     w /= math.sqrt(2.0)
     beta = w @ spec.means
     q_inv = np.linalg.inv(w @ spec.cm @ w.conj().T + 0.5 * np.eye(2 * n))
-    a_mat = np.roll(np.eye(2 * n) - q_inv, n, axis=0).conj()
-    y = beta - a_mat @ beta.conj()
+    a_mat = _stored(np.roll(np.eye(2 * n) - q_inv, n, axis=0).conj())
+    y = _stored(beta - a_mat @ beta.conj())
     d = math.prod(dims)
     rho = _hermite_tensor(a_mat, y, dims + dims).reshape(d, d)
     rho += rho.conj().T

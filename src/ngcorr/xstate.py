@@ -8,6 +8,7 @@ which ``channels.ecs_loss_analytic`` embeds in Fock space.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -34,6 +35,8 @@ class XStateParams:
 
     def __post_init__(self):
         vals = (self.a, self.b, self.c, self.d)
+        if not all(map(cmath.isfinite, (*vals, self.u, self.v))):
+            raise BadSpec("X-state entries must be finite")
         if min(vals) < -1e-12:
             raise BadSpec(f"negative diagonal entry in {vals}")
         if abs(sum(vals) - 1.0) > 1e-10:

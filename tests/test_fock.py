@@ -5,10 +5,12 @@ import pytest
 
 from ngcorr.channels import apply_loss, ecs_loss_analytic
 from ngcorr.distill import DistillConfig, distill
-from ngcorr.errors import BadModeIndex, DimMismatch, InvalidState
+from ngcorr.errors import (BadModeIndex, BadSpec, DimMismatch, InvalidState, TruncationError,
+                           UnphysicalCM)
 from ngcorr.fock import (
     FockState,
     _ladder_raw,
+    coherent_amps,
     distance,
     fidelity,
     ladder_ops,
@@ -20,10 +22,11 @@ from ngcorr.fock import (
     tensor,
     truncate_state,
 )
-from ngcorr.gaussian import moments_from_fock
+from ngcorr.gaussian import GaussianSpec, StandardFormCM, moments_from_fock
 from ngcorr.measures import (_lower_bounds, averaged_states, marginal_product,
                              ng_correlation, reference_state)
 from ngcorr.states import StateSpec, make_state
+from ngcorr.xstate import XStateParams
 from oracles import expect
 from sampling import random_density_matrix
 
@@ -193,6 +196,25 @@ def test_validation_errors_are_named():
         FockState((2,), np.array([[0.5, 0.1], [0.0, 0.5]]))
 
 
+def _nan_at_origin(mat):
+    mat = np.array(mat, dtype=float)
+    mat.flat[0] = math.nan
+    return mat
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: FockState((2, 2), _nan_at_origin(np.eye(4) / 4), validate=True), InvalidState),
+    (lambda: GaussianSpec([math.nan, 0.0], 0.5 * np.eye(2)), BadSpec),
+    (lambda: GaussianSpec([0.0, 0.0], [[math.inf, 0.0], [0.0, 0.5]]), BadSpec),
+    (lambda: StandardFormCM(math.nan, 1.0, 0.5, -0.5), UnphysicalCM),
+    (lambda: XStateParams(math.nan, 0.5, 0.5, 0.0), BadSpec),
+], ids=["fock-state", "gaussian-mean", "gaussian-cm", "standard-form", "x-state"])
+def test_a_validated_constructor_refuses_a_non_finite_entry(build, error):
+    # nan passes every "bad > tol" check, and inf - inf warns (an error here)
+    with pytest.raises(error, match="finite"):
+        build()
+
+
 def test_cached_operator_arrays_are_read_only():
     with pytest.raises(ValueError):
         _ladder_raw(7)[0, 1] = 0.0
@@ -247,3 +269,41 @@ def test_complex_amplitudes_keep_complex128(spec):
     assert state.rho.dtype == np.complex128
     if state.n_modes == 2:
         assert distill(state, DistillConfig(0.9, 0.8, 0.8))[0].rho.dtype == np.complex128
+
+
+#: (gamma, cutoff) pairs of the coherent-amplitude checks: real of either
+#: sign, complex, a large amplitude at a large cutoff and a pure imaginary one.
+COHERENT_CASES = [(0.3, 20), (1.0, 30), (-1.7, 40), (2.5, 40), (0.6 + 0.8j, 30),
+                  (5.0, 80), (-3.1j, 60)]
+
+
+@pytest.mark.parametrize("gamma, cutoff", COHERENT_CASES)
+def test_coherent_amps_meet_a_50_digit_evaluation(gamma, cutoff):
+    mpmath = pytest.importorskip("mpmath")
+    got = coherent_amps(gamma, cutoff)
+    with mpmath.workdps(50):
+        g = mpmath.mpc(gamma)
+        want = [mpmath.exp(-abs(g) ** 2 / 2) * g**n / mpmath.sqrt(mpmath.factorial(n))
+                for n in range(cutoff)]
+        worst = max(float(abs(mpmath.mpc(complex(a)) - w) / abs(w)) for a, w in zip(got, want))
+    assert worst <= 2e-15
+
+
+@pytest.mark.parametrize("gamma, cutoff", COHERENT_CASES)
+def test_coherent_amps_of_minus_gamma_are_exactly_signed(gamma, cutoff):
+    got = coherent_amps(gamma, cutoff)
+    assert got.dtype == (np.complex128 if isinstance(gamma, complex) else np.float64)
+    assert np.array_equal(coherent_amps(-gamma, cutoff), (-1.0) ** np.arange(cutoff) * got)
+
+
+def test_coherent_amps_at_zero_are_the_vacuum():
+    got = coherent_amps(0.0, 12)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, np.eye(1, 12)[0])
+
+
+@pytest.mark.parametrize("gamma", [40.0, 1e3, 1e4])
+def test_a_coherent_state_beyond_the_cutoff_vanishes_without_a_warning(gamma):
+    # the suite turns a RuntimeWarning into an error
+    with pytest.raises(TruncationError, match="the state vanishes"):
+        make_state(StateSpec("coherent", {"gamma": gamma}, cutoff=80))

@@ -8,14 +8,19 @@ has converged, so it is compared only there.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
+from ngcorr import gaussian
+from ngcorr.cli import measure_rows
+from ngcorr.figures import run_figure
 from ngcorr.fock import ladder_ops
 from ngcorr.gaussian import (
     GaussianSpec,
     StandardFormCM,
+    moments_from_fock,
     reference_gaussian_fock,
 )
 from ngcorr.states import StateSpec, make_state
@@ -114,3 +119,65 @@ def test_pure_tmsv_reference_is_exact_at_large_cutoff(r):
     want = make_state(StateSpec("tmsv", {"r": r}, cutoff=60)).rho
     want = want / np.trace(want).real
     assert np.max(np.abs(got.rho - want)) <= 1e-12
+
+
+def _hermite_dtypes(monkeypatch):
+    """The dtype of every Hermite tensor the Gaussian reference synthesizes
+    from here on."""
+    seen = []
+    original = gaussian._hermite_tensor
+
+    def spy(a_mat, y, shape):
+        h = original(a_mat, y, shape)
+        seen.append(h.dtype)
+        return h
+
+    monkeypatch.setattr(gaussian, "_hermite_tensor", spy)
+    return seen
+
+
+#: Every figure that synthesizes a reference, at a few points, and
+#: ``measure_state`` on each family with a real reference.
+REAL_REFERENCE_RUNS = {
+    "fig2ef": lambda: run_figure(
+        "fig2ef", {"gamma": (0.5, 1.0, 2), "eta": (0.5, 0.9, 2)}, threads=1),
+    "fig4": lambda: run_figure("fig4", {"eta": (0.5, 0.9, 2)}, threads=1),
+    "fig6a": lambda: run_figure("fig6a", {"f": (0.3, 0.7, 2)}, threads=1),
+    "fig6b": lambda: run_figure("fig6b", {"samples": 2, "seed": 3}, threads=1),
+    **{spec.family: partial(measure_rows, spec, ["delta:tr", "ng:tr"]) for spec in (
+        StateSpec("ecs", {"gamma": 1.0}, cutoff=14, eta=0.7),
+        StateSpec("tmsv", {"r": 0.3}, cutoff=14),
+        StateSpec("cv_werner", {"f": 0.4, "r": 0.2}, cutoff=10),
+        StateSpec("pnes", {"coeffs": (0.6, -0.8)}, cutoff=8),
+    )},
+}
+
+
+@pytest.mark.parametrize("case", sorted(REAL_REFERENCE_RUNS))
+def test_a_real_reference_is_synthesized_in_float64(case, monkeypatch):
+    seen = _hermite_dtypes(monkeypatch)
+    rows = REAL_REFERENCE_RUNS[case]()
+    assert all(row["status"] == "ok" for row in rows)
+    assert seen and set(seen) == {np.dtype(np.float64)}
+
+
+@pytest.mark.parametrize("means, cm", [
+    ([0.0, 0.4], 0.5 * np.eye(2)),
+    ([0.0, 0.0], [[0.7, 0.2], [0.2, 0.6]]),
+], ids=["p-mean", "qp-covariance"])
+def test_a_displaced_or_qp_correlated_reference_stays_complex(means, cm, monkeypatch):
+    seen = _hermite_dtypes(monkeypatch)
+    ref = reference_gaussian_fock(GaussianSpec(np.array(means), np.array(cm)), 16)
+    assert seen == [np.dtype(np.complex128)]
+    assert ref.rho.dtype == np.complex128
+
+
+@pytest.mark.parametrize("cutoff", [20, 30])
+def test_the_real_synthesis_meets_the_complex_one(cutoff, monkeypatch):
+    spec = moments_from_fock(make_state(StateSpec("ecs", {"gamma": 1.0}, cutoff=cutoff, eta=0.7)))
+    real = reference_gaussian_fock(spec, cutoff).rho
+    # the same A and y, cast to complex128 before the recurrence
+    monkeypatch.setattr(gaussian, "_stored", lambda arr: np.asarray(arr, dtype=complex))
+    cplx = reference_gaussian_fock(spec, cutoff).rho
+    assert real.dtype == np.float64
+    assert np.max(np.abs(real - cplx)) <= 1e-15 * np.max(np.abs(real))
